@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import OdecondError, UnsupportedBlock, ZeroProjection
 from .matrix_core import (
     as_real_matrix,
-    induced_matrix_norm,
-    mat_exp,
+    stack_slices,
     vector_norm,
     _normalize_p,
 )
@@ -145,6 +144,15 @@ class Scenario:
     def directional(self) -> bool:
         return self.z0 is not None
 
+    @cached_property
+    def _shift(self) -> float:
+        """Largest real part of the spectrum, r1: exact propagation runs
+        with A - r1 I.  An r1 within the rounding of the eigenvalues,
+        n eps ||A||_1, counts as 0: shifting by it would only perturb A."""
+        r1 = float(np.linalg.eigvals(self.matrix).real.max())
+        noise = self.n * np.finfo(float).eps * np.linalg.norm(self.matrix, 1)
+        return 0.0 if abs(r1) <= noise else r1
+
 
 @dataclass(frozen=True)
 class OscillationProfile:
@@ -153,15 +161,19 @@ class OscillationProfile:
     For a real rightmost eigenvalue the asymptotic condition number is the
     constant osf and every oscillation field is None.  For a complex
     rightmost pair, ot_min/ot_max are the extremes of the oscillating term
-    over t for this particular scenario, while a_max >= a_minmax >=
-    a_maxmin >= a_min are the universal envelopes over every admissible
-    initial value (Euclidean norm only; None otherwise).
+    over t for this particular scenario, and ot_range_source says where
+    they come from: "closed_form" (Euclidean norm, exact over all t) or
+    "grid" (p in {1, inf}, the extremes of the series over the sweep's
+    grid).  a_max >= a_minmax >= a_maxmin >= a_min are the universal
+    envelopes over every admissible initial value (Euclidean norm only;
+    None otherwise).
     """
 
     osf: float
     block_kind: str
     ot_min: float = 1.0
     ot_max: float = 1.0
+    ot_range_source: Optional[str] = None
     period: Optional[float] = None
     q1: Optional[float] = None
     a_max: Optional[float] = None
@@ -174,6 +186,9 @@ class OscillationProfile:
             raise ValueError("osf must be positive")
         if self.block_kind not in ("real", "complex"):
             raise ValueError(f"unknown block_kind {self.block_kind!r}")
+        if self.ot_range_source not in (None, "closed_form", "grid"):
+            raise ValueError(
+                f"unknown ot_range_source {self.ot_range_source!r}")
         if self.ot_min > self.ot_max * (1.0 + 1e-12):
             raise ValueError("ot_min exceeds ot_max")
         if self.period is not None and not (self.period > 0.0):
@@ -316,29 +331,64 @@ def _rightmost(analysis: SpectrumAnalysis) -> EigenBlock:
     return block
 
 
+def _k_exact_grid(s: Scenario, ts: np.ndarray) -> np.ndarray:
+    """k_exact at every t of the 1-D array ts.
+
+    Propagates with e^{t(A - r1 I)}, r1 the largest real part of the
+    spectrum.  Both condition numbers are ratios of norms of one
+    propagator, so the factor e^{t r1} cancels, and the shifted propagator
+    stays finite and nonzero where e^{tA} overflows or underflows.  The
+    exponentials are taken on (T, n, n) stacks of about STACK_BYTES each.
+    Raises OdecondError when a propagated value is not finite or the
+    denominator vanishes.
+    """
+    B = s.matrix - s._shift * np.eye(s.n)
+    y0h, p = s.y0_hat, s.norm_p
+    out = np.empty(ts.shape)
+    for sl in stack_slices(ts.size, s.n):
+        chunk = ts[sl]
+        span = f"t in [{chunk[0]:.6g}, {chunk[-1]:.6g}]"
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = scipy.linalg.expm(chunk[:, None, None] * B)
+        if not np.all(np.isfinite(E)):
+            raise OdecondError(f"e^{{t(A - r1 I)}} is not finite for {span}")
+        denom = np.linalg.norm(E @ y0h, p, axis=-1)
+        if not np.all(denom > 0.0):
+            raise OdecondError(
+                f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
+        if s.directional:
+            num = np.linalg.norm(E @ s.z0, p, axis=-1)
+        elif p == 2:
+            # one LAPACK call per matrix beats the batched SVD here
+            num = np.array([scipy.linalg.svdvals(M)[0] for M in E])
+        else:
+            num = np.linalg.norm(E, p, axis=(-2, -1))
+        out[sl] = num / denom
+    return out
+
+
 def k_exact(s: Scenario, t: float) -> float:
     """Exact condition number at time t.
 
     Directional when the scenario carries z0, worst-case otherwise.  The
     worst case uses the induced matrix norm of e^{tA}, so it dominates
-    every directional value and is >= 1.
+    every directional value and is >= 1.  Evaluated by the same
+    propagation as sweep, on a one-sample grid.
     """
-    E = mat_exp(s.matrix, t)
-    denom = vector_norm(E @ s.y0_hat, s.norm_p)
-    if s.directional:
-        num = vector_norm(E @ s.z0, s.norm_p)
-    else:
-        num = induced_matrix_norm(E, s.norm_p)
-    return num / denom
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    return float(_k_exact_grid(s, np.array([t]))[0])
 
 
-def k_asym(s: Scenario, analysis: SpectrumAnalysis, t: float) -> float:
+def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     """Asymptotic condition number at time t from the rightmost block.
 
     Real rightmost eigenvalue: |w_hat z0| / |w_hat y0_hat| (directional)
     or 1 / |w_hat y0_hat| (worst case), constant in t.  Complex rightmost
     pair: the same scale factors times the ratio of oscillation factors
-    g_1(t, z0) / g_1(t, y0_hat) or g_1(t) / g_1(t, y0_hat).
+    g_1(t, z0) / g_1(t, y0_hat) or g_1(t) / g_1(t, y0_hat).  Accepts
+    array t; the projections are checked once per call.
     """
     block = _rightmost(analysis)
     y0h = s.y0_hat
@@ -349,7 +399,7 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t: float) -> float:
     else:
         base = 1.0 / wy
     if block.is_real:
-        return base
+        return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
     gy = g_factor(block, t, u=y0h, p=s.norm_p)
     gz = g_factor(block, t, u=s.z0 if s.directional else None, p=s.norm_p)
     return base * gz / gy
@@ -499,6 +549,7 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
         block_kind="complex",
         ot_min=ot_min,
         ot_max=ot_max,
+        ot_range_source="closed_form",
         period=math.pi / abs(block1.omega),
         q1=q1,
         a_max=a_max,
@@ -508,13 +559,15 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     )
 
 
-def epsilon_bounds(analysis: SpectrumAnalysis, t: float, u=None, p=None):
+def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     """Dominance sum eps(t, u) (u given) or eps(t) (u omitted).
 
     Returns (eps, g_ratios) with one ratio G_j = g_j / g_1 per subdominant
     block.  Terms whose direction projects to zero on block j contribute
     nothing and report a zero ratio; a zero projection on block 1 is an
-    error because the sum is normalized by it.
+    error because the sum is normalized by it.  Accepts array t: eps is then
+    an array over t, the ratios broadcast against it, and the loop runs
+    over blocks, not samples.
     """
     if not analysis.all_supported:
         raise UnsupportedBlock(
@@ -529,8 +582,9 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t: float, u=None, p=None):
     if u is not None:
         u = np.asarray(u, dtype=float)
         w1 = _checked_projection(b1, u, "u")
+    t = np.asarray(t, dtype=float)
     g1 = g_factor(b1, t, u=u, p=p)
-    eps = 0.0
+    eps = np.zeros(t.shape)
     ratios = []
     for bj in blocks[1:]:
         coef = 1.0
@@ -543,8 +597,8 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t: float, u=None, p=None):
         gj = g_factor(bj, t, u=u, p=p)
         ratio = gj / g1
         ratios.append(ratio)
-        eps += math.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
-    return eps, ratios
+        eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
+    return (eps if np.ndim(eps) else float(eps)), ratios
 
 
 def precision_bound(eps_t, eps_tu):
@@ -559,34 +613,25 @@ def precision_bound(eps_t, eps_tu):
     return float(out) if out.ndim == 0 else out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ODECOND_THREADS", "").strip()
-    if raw:
-        count = int(raw)
-        if count < 1:
-            raise ValueError("ODECOND_THREADS must be a positive integer")
-        return count
-    return min(8, os.cpu_count() or 1)
-
-
-def _profile_for(s: Scenario, analysis: SpectrumAnalysis,
-                 block: EigenBlock) -> OscillationProfile:
+def _profile_for(s: Scenario, block: EigenBlock,
+                 ka: np.ndarray) -> OscillationProfile:
+    """Oscillation profile of a sweep whose k_asym column is ka."""
     if block.is_real:
-        wy = _checked_projection(block, s.y0_hat, "y0")
-        if s.directional:
-            base = _checked_projection(block, s.z0, "z0") / wy
-        else:
-            base = 1.0 / wy
-        return OscillationProfile(osf=base, block_kind="real")
+        # k_asym is the constant scale factor
+        return OscillationProfile(osf=float(ka[0]), block_kind="real")
     if s.norm_p == 2:
         return ot_envelope(s, block)
     # p in {1, inf}: the scale/oscillation split still holds but the
-    # closed-form envelopes do not; report the factor and leave the
-    # envelope fields unset, with ot extremes from the asymptotic series
-    # left to the caller's grid.
+    # closed-form envelopes do not; the ot range is that of the series
+    # over the grid
+    factor = osf(s, block)
+    ot_vals = ka / factor
     return OscillationProfile(
-        osf=osf(s, block),
+        osf=factor,
         block_kind="complex",
+        ot_min=float(ot_vals.min()),
+        ot_max=float(ot_vals.max()),
+        ot_range_source="grid",
         period=math.pi / abs(block.omega),
     )
 
@@ -611,11 +656,13 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
           ) -> ConditionSeries:
     """Evaluate the exact and asymptotic condition numbers over the grid.
 
-    Samples may be computed in parallel (ODECOND_THREADS caps the pool);
-    the output is assembled in grid order either way.  When a subdominant
-    block is unsupported, the eps columns are NaN, the precision bound is
-    UNBOUNDED and a warning is recorded; the condition numbers themselves
-    only need the rightmost block.
+    Each layer runs once over the whole grid: exact propagation on stacks
+    of matrix exponentials, the asymptotic closed forms and the dominance
+    sums as arrays over t.  eps_t is eps(t, z0) for a directional scenario
+    and eps(t) otherwise, so the precision bound fits the condition number
+    computed.  When a subdominant block is unsupported, the eps columns
+    are NaN, the precision bound is UNBOUNDED and a warning is recorded;
+    the condition numbers themselves only need the rightmost block.
     """
     if analysis is None:
         analysis = analyze_spectrum(s.matrix, norm_p=s.norm_p)
@@ -625,43 +672,28 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     _checked_projection(block, y0h, "y0", notes)
     if s.directional:
         _checked_projection(block, s.z0, "z0", notes)
-    profile = _profile_for(s, analysis, block)
-    eps_ok = analysis.all_supported
-    if not eps_ok:
+    grid = s.t_grid
+    ka = k_asym(s, analysis, grid)
+    profile = _profile_for(s, block, ka)
+    if analysis.all_supported:
+        et, _ = epsilon_bounds(analysis, grid, u=s.z0, p=s.norm_p)
+        eu, _ = epsilon_bounds(analysis, grid, u=y0h, p=s.norm_p)
+        bound = precision_bound(et, eu)
+    else:
         notes.append(
             "a subdominant eigenvalue group is unsupported; dominance "
             "bounds unavailable"
         )
-
-    def sample(t: float):
-        ke = k_exact(s, t)
-        ka = k_asym(s, analysis, t)
-        if eps_ok:
-            et, _ = epsilon_bounds(analysis, t, p=s.norm_p)
-            eu, _ = epsilon_bounds(analysis, t, u=y0h, p=s.norm_p)
-        else:
-            et = eu = math.nan
-        return ke, ka, et, eu
-
-    grid = s.t_grid
-    workers = _worker_count()
-    if workers > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, grid))
-    else:
-        results = [sample(t) for t in grid]
-    ke, ka, et, eu = (np.array(col, dtype=float) for col in zip(*results))
-    bound = precision_bound(et, eu) if eps_ok \
-        else np.full(grid.shape, UNBOUNDED)
-    ot_vals = ka / profile.osf
+        et = eu = np.full(grid.shape, math.nan)
+        bound = np.full(grid.shape, UNBOUNDED)
     return ConditionSeries(
         t=grid,
-        k_exact=ke,
+        k_exact=_k_exact_grid(s, grid),
         k_asym=ka,
-        ot=ot_vals,
+        ot=ka / profile.osf,
         eps_t=et,
         eps_tu=eu,
-        precision_bound=np.asarray(bound, dtype=float),
+        precision_bound=bound,
         profile=profile,
         block_info=_block_info(analysis, block),
         warnings=tuple(notes),

@@ -2,8 +2,9 @@
 and right vectors, induced norms, and the small 2xn SVD.
 
 Matrices are plain numpy arrays throughout; the validators below replace a
-wrapper class.  All functions are pure, so results can be shared freely
-between threads.
+wrapper class.  All functions are pure.  Functions that evaluate a whole
+time grid build (T, n, n) stacks in slices from stack_slices, so their
+memory stays flat in the grid length.
 """
 from __future__ import annotations
 
@@ -21,8 +22,12 @@ __all__ = [
     "eigen_decompose",
     "induced_matrix_norm",
     "mat_exp",
+    "stack_slices",
     "svd_2xn",
 ]
+
+#: bytes of the float64 (T, n, n) stack a grid function holds at a time
+STACK_BYTES = 1 << 20
 
 
 def as_real_matrix(a, square: bool = False) -> np.ndarray:
@@ -50,6 +55,13 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     return scipy.linalg.expm(t * A)
+
+
+def stack_slices(count: int, n: int) -> list:
+    """Slices covering range(count) in runs of about STACK_BYTES of n x n
+    float64 matrices (at least one matrix per run)."""
+    step = max(1, STACK_BYTES // (8 * n * n))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _normalize_p(p):

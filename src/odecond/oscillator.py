@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
-from .matrix_core import _normalize_p, induced_matrix_norm
+from .matrix_core import _normalize_p, stack_slices
 from .spectral import EigenBlock, block_project
 
 __all__ = [
-    "PhaseState",
     "VWPair",
     "alpha_extrema",
     "f_vw",
@@ -59,14 +58,6 @@ class VWPair:
     def __post_init__(self):
         if not (0.0 <= self.V < 1.0 and 0.0 <= self.W < 1.0):
             raise ValueError(f"V and W must lie in [0, 1), got {self.V}, {self.W}")
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Argument x(t) and offset Delta(u) entering the Euclidean closed forms."""
-
-    x: float
-    delta_u: float
 
 
 def wrap_angle(a):
@@ -218,35 +209,40 @@ def theta_norm_mat(block: EigenBlock, t):
     return val if np.ndim(val) else float(val)
 
 
-def theta_norm_p(block: EigenBlock, t: float, p, u=None):
-    """Entrywise Theta norm for p in {1, inf}.
+def theta_norm_p(block: EigenBlock, t, p, u=None):
+    """Entrywise Theta norm for p in {1, inf}; accepts array t.
 
     Builds the oscillation vector (u given) or matrix (u omitted) from the
-    component moduli and angles and returns the vector p-norm or induced
-    matrix p-norm.  Both are at most 1 when the block was analyzed with the
-    same p."""
+    component moduli and angles, over a (T, n) or (T, n, n) stack for T
+    samples, and returns the vector p-norm or induced matrix p-norm of each.
+    Both are at most 1 when the block was analyzed with the same p."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
     p = _normalize_p(p)
     if p == 2:
         raise ValueError("use theta_norm_u / theta_norm_mat for the 2-norm")
+    t = np.asarray(t, dtype=float)
+    wt = block.omega * t.reshape(-1, 1)
     mv, av = block.comp_moduli_v, block.comp_angles_v
     if u is None:
         mw, aw = block.comp_moduli_w, block.comp_angles_w
-        Th = mv[:, None] * mw[None, :] * np.cos(
-            block.omega * t + av[:, None] + aw[None, :])
-        return induced_matrix_norm(Th, p)
-    pr = block_project(block, u)
-    vec = mv * np.cos(block.omega * t + av + pr.gamma)
-    return float(np.linalg.norm(vec, p))
+        val = np.empty(wt.shape[0])
+        for sl in stack_slices(wt.shape[0], mv.shape[0]):
+            Th = mv[:, None] * mw[None, :] * np.cos(
+                wt[sl, :, None] + av[:, None] + aw[None, :])
+            val[sl] = np.linalg.norm(Th, p, axis=(-2, -1))
+    else:
+        pr = block_project(block, u)
+        val = np.linalg.norm(mv * np.cos(wt + av + pr.gamma), p, axis=-1)
+    return val.reshape(t.shape) if t.ndim else float(val[0])
 
 
 def g_factor(block: EigenBlock, t, u=None, p=None):
     """Oscillation factor g of a supported block.
 
     Real block: 1.  Complex block: twice the Theta norm, in vector form
-    when a direction u is given and in matrix form otherwise.  p defaults
-    to the norm the block was analyzed with."""
+    when a direction u is given and in matrix form otherwise; accepts
+    array t.  p defaults to the norm the block was analyzed with."""
     if not block.is_supported:
         raise UnsupportedBlock("g_factor needs a supported block")
     if p is None:

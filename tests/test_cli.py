@@ -88,6 +88,19 @@ def test_analyze_max_norm_profile_has_no_euclidean_envelope(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+def test_analyze_shifted_example_exits_0(tmp_path, capsys, shift):
+    # e^{tA} overflows (+5I) or underflows (-5I) at these times; the
+    # condition numbers do not, and the run succeeds
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A + shift * np.eye(3))
+    out = tmp_path / "shifted"
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--t1", 160.0, "--steps", 33, "--out", out]) == 0
+    cols = float_columns(f"{out}.csv")
+    assert np.all(np.isfinite(cols["k_exact"]))
+    capsys.readouterr()
+
+
 def test_analyze_seeded_runs_are_byte_identical(tmp_path, capsys):
     mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
     blobs = []

@@ -22,7 +22,7 @@ from odecond.condition import (
     precision_bound,
     sweep,
 )
-from odecond.errors import UnsupportedBlock, ZeroProjection
+from odecond.errors import OdecondError, UnsupportedBlock, ZeroProjection
 from odecond.matrix_core import induced_matrix_norm, mat_exp
 from odecond.spectral import (
     BlockKind,
@@ -649,19 +649,98 @@ def test_sweep_csv_json_serialization():
     assert doc["warnings"] == []
 
 
-def test_sweep_thread_count_does_not_change_results(monkeypatch, rng):
-    A, an = sample_supported(rng, 4)
-    s = Scenario(matrix=A, y0=rng.normal(size=4),
-                 t_grid=np.linspace(0.0, 3.0, 17))
-    monkeypatch.setenv("ODECOND_THREADS", "1")
-    ser1 = sweep(s, an)
-    monkeypatch.setenv("ODECOND_THREADS", "4")
-    ser4 = sweep(s, an)
-    b1 = io.StringIO()
-    b4 = io.StringIO()
-    ser1.to_csv(b1)
-    ser4.to_csv(b4)
-    assert b1.getvalue() == b4.getvalue()
+@pytest.mark.parametrize("directional", [False, True],
+                         ids=["worst", "directional"])
+@pytest.mark.parametrize("p", [1, 2, np.inf], ids=["p1", "p2", "pinf"])
+def test_sweep_matches_scalar_functions(rng, p, directional):
+    # the grid sweep evaluates every column at once; the scalar functions
+    # are its oracle, sample by sample
+    A, an = sample_supported(rng, 5, norm_p=p, need_complex_rightmost=True)
+    z0 = unit(rng.normal(size=5), p) if directional else None
+    s = Scenario(matrix=A, y0=rng.normal(size=5), z0=z0, norm_p=p,
+                 t_grid=np.linspace(0.0, 4.0, 21))
+    ser = sweep(s, an)
+    for i, t in enumerate(s.t_grid):
+        et, _ = epsilon_bounds(an, t, u=z0, p=p)
+        eu, _ = epsilon_bounds(an, t, u=s.y0_hat, p=p)
+        assert ser.k_asym[i] == pytest.approx(k_asym(s, an, t), rel=4e-15)
+        assert ser.eps_t[i] == pytest.approx(et, rel=4e-15)
+        assert ser.eps_tu[i] == pytest.approx(eu, rel=4e-15)
+        assert ser.k_exact[i] == pytest.approx(k_exact(s, t), rel=1e-14)
+
+
+def test_sweep_directional_bound_uses_z0_dominance_sum():
+    # a directional condition number is certified by eps(t, z0), not by
+    # the worst-case eps(t); with eps(t) the bound fails on this scenario
+    frng = np.random.default_rng(3)
+    A = frng.standard_normal((5, 5))
+    y0 = frng.standard_normal(5)
+    z0 = unit(frng.standard_normal(5))
+    evals = np.linalg.eigvals(A)
+    w1 = abs(evals[np.argmax(evals.real)].imag)
+    s = Scenario(matrix=A, y0=y0, z0=z0,
+                 t_grid=np.linspace(0.0, 4.0 * math.pi / w1, 257))
+    an = analyze_spectrum(A)
+    ser = sweep(s, an)
+    m = ser.eps_tu < 1.0
+    assert m.sum() > 200
+    gap = np.abs(ser.k_exact / ser.k_asym - 1.0)
+    # 1e-12 absorbs the rounding of k_exact where the bound is ~0
+    assert np.all(gap[m] <= ser.precision_bound[m] + 1e-12)
+    eps_z = np.array([epsilon_bounds(an, t, u=z0)[0] for t in s.t_grid])
+    np.testing.assert_allclose(ser.eps_t, eps_z, rtol=4e-15)
+
+
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+def test_k_exact_invariant_under_spectral_shift(shift):
+    # e^{tA} over- or underflows here; the propagation runs with A - r1 I
+    s = Scenario(matrix=EXAMPLE_A + shift * np.eye(3), y0=[1.0, 2.0, 3.0],
+                 t_grid=two_point_grid())
+    assert k_exact(s, 100.0) == pytest.approx(3.92080387689, abs=1e-10)
+    assert math.isfinite(k_exact(s, 160.0))
+    ser = sweep(Scenario(matrix=s.matrix, y0=s.y0,
+                         t_grid=np.linspace(90.0, 160.0, 9)))
+    assert np.all(np.isfinite(ser.k_exact))
+
+
+def test_k_exact_raises_typed_error_when_propagation_fails():
+    # y0 lies in the decaying eigenspace: ||e^{t(A - r1 I)} y0|| underflows
+    s = Scenario(matrix=np.diag([0.0, -1.0]), y0=[0.0, 1.0],
+                 t_grid=two_point_grid())
+    assert k_exact(s, 10.0) == pytest.approx(math.exp(10.0))
+    with pytest.raises(OdecondError, match="underflows"):
+        k_exact(s, 800.0)
+    # an exponential that overflows even after the shift
+    s = Scenario(matrix=[[0.0, 1e308], [0.0, -1.0]], y0=[1.0, 1.0],
+                 t_grid=two_point_grid())
+    with pytest.raises(OdecondError, match="not finite"):
+        k_exact(s, 10.0)
+
+
+@pytest.mark.parametrize("p", [1, np.inf], ids=["p1", "pinf"])
+def test_sweep_p_norm_ot_range_from_grid(p):
+    # no closed form bounds ot for p in {1, inf}; the profile reports the
+    # extremes of the series over the grid and says so
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=p,
+                 t_grid=np.linspace(0.0, 4.0 * math.pi, 257))
+    ser = sweep(s)
+    prof = ser.profile
+    assert prof.ot_range_source == "grid"
+    assert (prof.ot_min, prof.ot_max) != (1.0, 1.0)
+    assert prof.ot_min == ser.ot.min() and prof.ot_max == ser.ot.max()
+    assert ser.summary_dict()["profile"]["ot_range_source"] == "grid"
+
+
+def test_ot_range_source_closed_form_and_real():
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
+                 t_grid=two_point_grid())
+    assert sweep(s).profile.ot_range_source == "closed_form"
+    real = Scenario(matrix=np.diag([-1.0, -2.0]), y0=[0.8, -0.6],
+                    t_grid=two_point_grid())
+    assert sweep(real).profile.ot_range_source is None
+    with pytest.raises(ValueError):
+        OscillationProfile(osf=1.0, block_kind="complex",
+                           ot_range_source="guess")
 
 
 def test_oscillation_profile_validation():
