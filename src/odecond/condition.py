@@ -23,12 +23,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OdecondError, UnsupportedBlock, ZeroProjection
 from .matrix_core import (
     as_real_matrix,
-    stack_slices,
+    expm_grid,
+    mat_exp,
     vector_norm,
     _normalize_p,
 )
@@ -62,6 +62,7 @@ __all__ = [
     "ot",
     "ot_envelope",
     "precision_bound",
+    "shifted_propagator",
     "sweep",
 ]
 
@@ -241,17 +242,22 @@ class ConditionSeries:
     def osf(self) -> float:
         return self.profile.osf
 
+    def _table(self) -> list:
+        """The CSV rows as lists of Python floats, in _CSV_COLUMNS order."""
+        return np.column_stack((
+            self.t, self.k_exact, self.k_asym,
+            np.full(self.t.shape, self.osf), self.ot, self.eps_t,
+            self.eps_tu, self.precision_bound)).tolist()
+
     def rows(self):
-        for i in range(self.t.shape[0]):
-            yield (self.t[i], self.k_exact[i], self.k_asym[i], self.osf,
-                   self.ot[i], self.eps_t[i], self.eps_tu[i],
-                   self.precision_bound[i])
+        for row in self._table():
+            yield tuple(row)
 
     def to_csv(self, stream) -> None:
         """Write the series as CSV with 17 significant digits per number."""
+        fmt = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
         stream.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in self.rows():
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write("".join(fmt % tuple(row) for row in self._table()))
 
     def summary_dict(self) -> dict:
         """JSON-ready summary: oscillation profile plus block metadata.
@@ -331,38 +337,49 @@ def _rightmost(analysis: SpectrumAnalysis) -> EigenBlock:
     return block
 
 
+def _shifted(s: Scenario) -> np.ndarray:
+    """A - r1 I, r1 the largest real part of the spectrum: both condition
+    numbers are ratios of norms of one propagator, so the factor e^{t r1}
+    cancels, and e^{t(A - r1 I)} stays finite and nonzero where e^{tA}
+    overflows or underflows."""
+    return s.matrix - s._shift * np.eye(s.n)
+
+
+def shifted_propagator(s: Scenario, t: float) -> np.ndarray:
+    """e^{t(A - r1 I)} at one t: the propagator the exact condition
+    numbers are computed from, by the same kernel.  Raises OdecondError
+    when it is not finite."""
+    return mat_exp(_shifted(s), t)
+
+
 def _k_exact_grid(s: Scenario, ts: np.ndarray) -> np.ndarray:
     """k_exact at every t of the 1-D array ts.
 
-    Propagates with e^{t(A - r1 I)}, r1 the largest real part of the
-    spectrum.  Both condition numbers are ratios of norms of one
-    propagator, so the factor e^{t r1} cancels, and the shifted propagator
-    stays finite and nonzero where e^{tA} overflows or underflows.  The
-    exponentials are taken on (T, n, n) stacks of about STACK_BYTES each.
-    Raises OdecondError when a propagated value is not finite or the
-    denominator vanishes.
+    Propagates with e^{t(A - r1 I)} from matrix_core.expm_grid, one
+    batched Pade kernel over the grid; the p = 2 worst case takes the
+    largest singular value of each matrix from one batched SVD.  Raises
+    OdecondError when a propagated value is not finite or the denominator
+    vanishes.
     """
-    B = s.matrix - s._shift * np.eye(s.n)
     y0h, p = s.y0_hat, s.norm_p
     out = np.empty(ts.shape)
-    for sl in stack_slices(ts.size, s.n):
+    for sl, E in expm_grid(_shifted(s), ts):
         chunk = ts[sl]
         span = f"t in [{chunk[0]:.6g}, {chunk[-1]:.6g}]"
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = scipy.linalg.expm(chunk[:, None, None] * B)
-        if not np.all(np.isfinite(E)):
-            raise OdecondError(f"e^{{t(A - r1 I)}} is not finite for {span}")
-        denom = np.linalg.norm(E @ y0h, p, axis=-1)
+        with np.errstate(over="ignore"):
+            denom = np.linalg.norm(E @ y0h, p, axis=-1)
+            if s.directional:
+                num = np.linalg.norm(E @ s.z0, p, axis=-1)
+            elif p == 2:
+                num = np.linalg.svd(E, compute_uv=False)[..., 0]
+            else:
+                num = np.linalg.norm(E, p, axis=(-2, -1))
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(denom))):
+            raise OdecondError(
+                f"||e^{{t(A - r1 I)}}|| is not finite for {span}")
         if not np.all(denom > 0.0):
             raise OdecondError(
                 f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
-        if s.directional:
-            num = np.linalg.norm(E @ s.z0, p, axis=-1)
-        elif p == 2:
-            # one LAPACK call per matrix beats the batched SVD here
-            num = np.array([scipy.linalg.svdvals(M)[0] for M in E])
-        else:
-            num = np.linalg.norm(E, p, axis=(-2, -1))
         out[sl] = num / denom
     return out
 

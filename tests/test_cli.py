@@ -101,6 +101,23 @@ def test_analyze_shifted_example_exits_0(tmp_path, capsys, shift):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+def test_spot_check_on_shifted_example(tmp_path, capsys, shift):
+    # the sampled directions are propagated with e^{t(A - r1 I)} like the
+    # worst case, so they neither overflow to NaN nor underflow to zero
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A + shift * np.eye(3))
+    out = tmp_path / "shifted"
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--t1", 160.0, "--steps", 33, "--out", out,
+                    "--seed", 1]) == 0
+    spot = json.load(open(f"{out}.json"))["spot_check"]
+    best = spot["sampled_directional_max"]
+    assert math.isfinite(best) and best > 0.0
+    assert best <= spot["worst_case"]
+    assert spot["dominates_samples"] is True
+    capsys.readouterr()
+
+
 def test_analyze_seeded_runs_are_byte_identical(tmp_path, capsys):
     mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
     blobs = []

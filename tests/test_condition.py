@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -667,6 +668,32 @@ def test_sweep_matches_scalar_functions(rng, p, directional):
         assert ser.eps_t[i] == pytest.approx(et, rel=4e-15)
         assert ser.eps_tu[i] == pytest.approx(eu, rel=4e-15)
         assert ser.k_exact[i] == pytest.approx(k_exact(s, t), rel=1e-14)
+
+
+def test_csv_bytes_match_per_cell_formatting():
+    # the row-at-a-time writer must reproduce the per-cell f-string output
+    # byte for byte, inf (UNBOUNDED) and NaN cells included
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
+                 t_grid=np.linspace(0.0, 3.0, 7))
+    ser = sweep(s)
+    eps_t = ser.eps_t.copy()
+    eps_t[[1, 4]] = math.nan
+    bound = ser.precision_bound.copy()
+    bound[[0, 4]] = UNBOUNDED
+    k_exact_col = ser.k_exact.copy()
+    k_exact_col[2] = -0.0
+    k_exact_col[3] = 5e-324
+    ser = dataclasses.replace(ser, eps_t=eps_t, precision_bound=bound,
+                              k_exact=k_exact_col)
+    buf = io.StringIO()
+    ser.to_csv(buf)
+    cols = (ser.t, ser.k_exact, ser.k_asym, np.full(7, ser.osf), ser.ot,
+            ser.eps_t, ser.eps_tu, ser.precision_bound)
+    expected = "t,k_exact,k_asym,osf,ot,eps_t,eps_tu,precision_bound\n" + \
+        "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                for row in zip(*cols))
+    assert buf.getvalue() == expected
+    assert ",nan," in expected and expected.count(",inf\n") == 2
 
 
 def test_sweep_directional_bound_uses_z0_dominance_sum():

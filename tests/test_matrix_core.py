@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_A
 from oracles import sphere_max, taylor_expm
 
-from odecond.errors import NonDiagonalizable
+from odecond import matrix_core
+from odecond.errors import NonDiagonalizable, OdecondError
 from odecond.matrix_core import (
     eigen_decompose,
+    expm_grid,
     induced_matrix_norm,
     mat_exp,
     svd_2xn,
@@ -56,6 +60,75 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         mat_exp(np.eye(2), np.inf)
+
+
+def _kernel_matrix(kind, rng):
+    if kind == "demo":
+        return EXAMPLE_A
+    if kind == "triangular":
+        # non-normal: the off-diagonal dwarfs the spectrum
+        return np.array([[-0.5, 1e4, 0.0], [0.0, -1.0, 300.0],
+                         [0.0, 0.0, -2.0]])
+    if kind == "zero":
+        return np.zeros((3, 3))
+    n = int(rng.integers(2, 7))
+    A = rng.normal(size=(n, n))
+    return A * (4.0 / np.linalg.norm(A, 2))
+
+
+def _grid_stack(B, ts):
+    chunks = list(expm_grid(B, ts))
+    assert [sl.start for sl, _ in chunks] == \
+        [0] + [sl.stop for sl, _ in chunks[:-1]]
+    assert chunks[-1][0].stop == len(ts)
+    return np.concatenate([E for _, E in chunks])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["demo", "triangular", "zero", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       ts=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=12),
+       per_chunk=st.integers(1, 5))
+def test_expm_grid_matches_series_oracle(kind, seed, ts, per_chunk):
+    # every sample of the grid, t = 0 and negative t included, on stacks
+    # cut into chunks of per_chunk matrices
+    B = _kernel_matrix(kind, np.random.default_rng(seed))
+    ts = np.array(ts + [0.0])
+    n = B.shape[0]
+    chunk_bytes = per_chunk * 3 * 8 * n * n
+    with mock.patch.object(matrix_core, "STACK_BYTES", chunk_bytes):
+        E = _grid_stack(B, ts)
+    assert E.shape == (ts.size, n, n)
+    for t, got in zip(ts, E):
+        ref = taylor_expm(B, t)
+        rel = np.linalg.norm(got - ref, 2) / np.linalg.norm(ref, 2)
+        assert rel <= 1e-10, f"{kind} at t = {t}: relative gap {rel:.2e}"
+    assert np.array_equal(E[-1], np.eye(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-2.0, 2.0), d=st.floats(-2.0, 2.0),
+       b=st.floats(1e2, 1e8), t=st.floats(-6.0, 6.0))
+def test_expm_grid_triangular_closed_form(a, d, b, t):
+    # e^{t [[a, b], [0, d]]} has the off-diagonal b t e^{dt} phi((a-d) t),
+    # phi(x) = (e^x - 1) / x; the series oracle loses digits when b is large
+    E = _grid_stack(np.array([[a, b], [0.0, d]]), np.array([t]))[0]
+    x = (a - d) * t
+    phi = np.expm1(x) / x if x != 0.0 else 1.0
+    ref = np.array([[np.exp(a * t), b * t * np.exp(d * t) * phi],
+                    [0.0, np.exp(d * t)]])
+    rel = np.linalg.norm(E - ref, 2) / np.linalg.norm(ref, 2)
+    assert rel <= 1e-10
+
+
+def test_expm_grid_refuses_what_it_cannot_compute():
+    with pytest.raises(OdecondError, match="not finite"):
+        list(expm_grid(np.diag([1.0, -1.0]), np.array([0.0, 800.0])))
+    # an off-diagonal 1e60 times the spectrum: the scaled powers underflow,
+    # and the kernel refuses rather than return a value spoilt by the
+    # many squarings such a matrix would need
+    with pytest.raises(OdecondError, match="not finite"):
+        mat_exp(np.array([[0.0, 1e60], [0.0, -1.0]]), 10.0)
 
 
 # --------------------------------------------------------- eigen_decompose
