@@ -53,6 +53,13 @@ _DEMO_MATRIX = (
 
 _NORM_CHOICES = ("1", "2", "inf")
 
+# the (V, W) range of each command: envelopes hold on [0, 1)^2, branch
+# tracing needs the open square
+_VW_RANGE = {
+    "envelope": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
+    "branches": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -212,15 +219,10 @@ def parse_config(argv) -> RunConfig:
             parser.error("--steps must be at least 2")
         return RunConfig(command="demo", out=ns.out, steps=ns.steps)
     if ns.command in ("envelope", "branches"):
-        if not (0.0 < ns.V < 1.0) if ns.command == "branches" \
-                else not (0.0 <= ns.V < 1.0):
-            parser.error("--V must lie in (0, 1)"
-                         if ns.command == "branches"
-                         else "--V must lie in [0, 1)")
-        if ns.command == "branches" and not (0.0 < ns.W < 1.0):
-            parser.error("--W must lie in (0, 1)")
-        if ns.command == "envelope" and not (0.0 <= ns.W < 1.0):
-            parser.error("--W must lie in [0, 1)")
+        label, inside = _VW_RANGE[ns.command]
+        for flag, value in (("--V", ns.V), ("--W", ns.W)):
+            if not inside(value):
+                parser.error(f"{flag} must lie in {label}")
         if ns.steps < 2:
             parser.error("--steps must be at least 2")
         if not ns.out:
@@ -416,34 +418,6 @@ def cmd_demo(cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------- envelope
 
-def _h_curves(V: float, W: float, betas: np.ndarray):
-    """H envelope columns over beta, including the boundary cases the
-    sweep machinery excludes (V or W equal to zero make the surface
-    degenerate in x or beta)."""
-    if V == 0.0:
-        const = 1.0 / (1.0 - W)
-        return np.full_like(betas, const), np.full_like(betas, const)
-    if W == 0.0:
-        return (np.full_like(betas, (1.0 + V) / (1.0 - V)),
-                np.ones_like(betas))
-    hi, lo, _, _ = h_envelope_sweep(VWPair(V, W), betas)
-    return hi, lo
-
-
-def _h_closed_extremes(V: float, W: float) -> dict:
-    if V == 0.0:
-        const = 1.0 / (1.0 - W)
-        return {"maxmax": const, "minmax": const, "maxmin": const,
-                "minmin": const, "q1": 0.0}
-    if W == 0.0:
-        return {"maxmax": (1.0 + V) / (1.0 - V),
-                "minmax": (1.0 + V) / (1.0 - V),
-                "maxmin": 1.0, "minmin": 1.0, "q1": None}
-    ex = h_extremes(VWPair(V, W))
-    return {"maxmax": ex.maxmax, "minmax": ex.minmax, "maxmin": ex.maxmin,
-            "minmin": ex.minmin, "q1": ex.q1}
-
-
 def cmd_envelope(cfg: RunConfig) -> int:
     pair = VWPair(cfg.V, cfg.W)
     xs = np.linspace(0.0, 2.0 * math.pi, cfg.steps + 1)
@@ -456,7 +430,7 @@ def cmd_envelope(cfg: RunConfig) -> int:
             fh.write(f"{x:.17g},{hi:.17g},{lo:.17g}\n")
 
     betas = np.linspace(0.0, math.pi, cfg.steps + 1)
-    h_hi, h_lo = _h_curves(cfg.V, cfg.W, betas)
+    h_hi, h_lo, _, _ = h_envelope_sweep(pair, betas)
     h_path = cfg.out + "_h.csv"
     with open(h_path, "w") as fh:
         fh.write("beta,h_max,h_min\n")
@@ -464,6 +438,9 @@ def cmd_envelope(cfg: RunConfig) -> int:
             fh.write(f"{b:.17g},{hi:.17g},{lo:.17g}\n")
 
     V, W = cfg.V, cfg.W
+    h = h_extremes(pair)._asdict()
+    if not math.isfinite(h["q1"]):
+        h["q1"] = None  # q1 = inf at W = 0 < V; strict JSON has no inf
     extremes = {
         "V": V,
         "W": W,
@@ -473,7 +450,7 @@ def cmd_envelope(cfg: RunConfig) -> int:
         "f_min_at_pi": (1.0 + V) / (1.0 + W) if V <= W
         else (1.0 - V) / (1.0 - W),
         "f_min_at_0": (1.0 - V) / (1.0 + W),
-        "h": _h_closed_extremes(V, W),
+        "h": h,
     }
     ext_path = cfg.out + "_extremes.json"
     _write_json(ext_path, extremes)

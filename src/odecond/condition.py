@@ -32,7 +32,7 @@ from .matrix_core import (
     vector_norm,
     _normalize_p,
 )
-from .minimax import h_envelope
+from .minimax import h_envelope, h_extremes, q1_threshold
 from .oscillator import (
     VWPair,
     f_vw,
@@ -43,6 +43,7 @@ from .oscillator import (
     phase_x,
 )
 from .spectral import (
+    ZERO_MODULUS,
     EigenBlock,
     SpectrumAnalysis,
     analyze_spectrum,
@@ -76,10 +77,6 @@ _PROJECTION_ERROR = 1e-12
 _PROJECTION_WARN = 1e-6
 
 _SAMPLES_PER_PERIOD = 256
-
-# V_mod / W_mod below this are the zero cases of the envelope formulas;
-# matches the floor under which the spectral phase angles are pinned.
-_MOD_FLOOR = 1e-13
 
 _CSV_COLUMNS = ("t", "k_exact", "k_asym", "osf", "ot",
                 "eps_t", "eps_tu", "precision_bound")
@@ -486,47 +483,6 @@ def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
     return math.sqrt(num / (1.0 + V * math.cos(x_t + d_y)))
 
 
-def _worst_ot_extremes(V: float, W: float, beta: float):
-    """Extremes over t of the worst-case oscillating term at a fixed
-    initial-value phase beta = Delta(y0).  V = 0 and W = 0 shortcut the
-    envelope machinery (which needs both strictly inside (0, 1))."""
-    if V == 0.0:
-        c = math.sqrt((1.0 + W) / 2.0)
-        return c, c
-    if W == 0.0:
-        return (math.sqrt((1.0 + V) / (2.0 * (1.0 - V))),
-                math.sqrt(0.5))
-    env = h_envelope(VWPair(V, W), beta)
-    scale = (1.0 - W ** 2) / 2.0
-    return math.sqrt(scale * env.h_max), math.sqrt(scale * env.h_min)
-
-
-def _q1_value(V: float, W: float) -> float:
-    if V == 0.0:
-        return 0.0
-    if W == 0.0:
-        return math.inf
-    return (V / (2.0 * W)) * (1.0 + W)
-
-
-def _universal_worst(V: float, W: float, q1: float):
-    """Envelope values of the worst-case oscillating term over every
-    admissible y0: largest maximum, smallest maximum, largest minimum and
-    smallest minimum, in that order."""
-    a_max = math.sqrt((1.0 + W) * (1.0 + V) / (2.0 * (1.0 - V)))
-    if q1 <= 1.0:
-        a_minmax = math.sqrt((1.0 + W) * (1.0 - V ** 2)
-                             / (2.0 * (1.0 - q1 * V)))
-    else:
-        a_minmax = math.sqrt((1.0 - W) * (1.0 + V) / (2.0 * (1.0 - V)))
-    a_maxmin = math.sqrt((1.0 + W) / 2.0)
-    if V <= W:
-        a_min = math.sqrt((1.0 + W) * (1.0 - V) / (2.0 * (1.0 + V)))
-    else:
-        a_min = math.sqrt((1.0 - W) / 2.0)
-    return a_max, a_minmax, a_maxmin, a_min
-
-
 def _universal_directional(V: float):
     a_max = math.sqrt((1.0 + V) / (1.0 - V))
     return a_max, 1.0, 1.0, 1.0 / a_max
@@ -545,9 +501,9 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     _euclidean_complex(s, block1)
     y0h = s.y0_hat
     _checked_projection(block1, y0h, "y0")
-    V = block1.V_mod if block1.V_mod > _MOD_FLOOR else 0.0
-    W = block1.W_mod if block1.W_mod > _MOD_FLOOR else 0.0
-    q1 = _q1_value(V, W)
+    V = block1.V_mod if block1.V_mod > ZERO_MODULUS else 0.0
+    W = block1.W_mod if block1.W_mod > ZERO_MODULUS else 0.0
+    q1 = q1_threshold(VWPair(V, W))
     if s.directional:
         _checked_projection(block1, s.z0, "z0")
         gy = block_project(block1, y0h).gamma
@@ -558,9 +514,16 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
         ot_min = math.sqrt(f_vw_min(pair, x))
         a_max, a_minmax, a_maxmin, a_min = _universal_directional(V)
     else:
-        beta = phase_offset(block1, y0h)
-        ot_max, ot_min = _worst_ot_extremes(V, W, beta)
-        a_max, a_minmax, a_maxmin, a_min = _universal_worst(V, W, q1)
+        # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), written as
+        # in ot(); the universal envelopes are the same scale, in its
+        # cancellation-free form, times the extremes of H over beta
+        pair = VWPair(V, W)
+        env = h_envelope(pair, phase_offset(block1, y0h))
+        ot_max = math.sqrt((1.0 - W ** 2) / 2.0 * env.h_max)
+        ot_min = math.sqrt((1.0 - W ** 2) / 2.0 * env.h_min)
+        a_max, a_minmax, a_maxmin, a_min = (
+            math.sqrt((1.0 + W) * (1.0 - W) / 2.0 * h)
+            for h in h_extremes(pair)[:4])
     return OscillationProfile(
         osf=osf(s, block1),
         block_kind="complex",

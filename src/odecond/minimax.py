@@ -15,10 +15,13 @@ Stationary points of H( . , beta) satisfy
 
 with amax the maximizing angle of the kernel.  The envelope solver locates
 them on a dense grid and refines by bisection of this residual; the branch
-tracer follows them across beta for diagnostics.
+tracer follows them across beta for diagnostics.  Envelopes and extremes
+hold on all of [0, 1)^2; the beta = 0 analysis and the branch tracer need
+the open square (0, 1)^2.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,13 +68,17 @@ def h_func(p: VWPair, x, beta):
     return val if np.ndim(val) else float(val)
 
 
+def _residual(V: float, x, amax, beta):
+    """The stationarity residual at x, given the kernel maximizer amax(x)."""
+    return -np.sin(x + amax) + np.sin(x + beta) - V * np.sin(amax - beta)
+
+
 def stationarity_residual(p: VWPair, x, beta):
     """Left side of the stationarity equation; zero exactly at the
     stationary points of H( . , beta), with the sign of dH/dx."""
     x = np.asarray(x, dtype=float)
     amax, _ = _alpha_extrema_arrays(p, x)
-    beta = np.asarray(beta, dtype=float)
-    val = -np.sin(x + amax) + np.sin(x + beta) - p.V * np.sin(amax - beta)
+    val = _residual(p.V, x, amax, np.asarray(beta, dtype=float))
     return val if np.ndim(val) else float(val)
 
 
@@ -98,20 +105,43 @@ def _grid_data(V: float, W: float, n: int):
     return xs, np.asarray(f_vw_max(p, xs)), amax
 
 
+def _grid_roots(p: VWPair, xs, amax_xs, betas):
+    """Stationary points of H( . , beta) for every beta of the 1-D betas.
+
+    The residual on the x grid (rows) and betas (columns) brackets each
+    root between a sign change and the next grid point; 48 bisections
+    polish it.  Returns (D, root, col): the grid residual, and each root
+    with the column of its beta."""
+    D = _residual(p.V, xs[:, None], amax_xs[:, None], betas[None, :])
+    neg = np.signbit(D)
+    i_idx, col = np.nonzero(neg != np.roll(neg, -1, axis=0))
+    lo = xs[i_idx]
+    hi = lo + 2.0 * np.pi / xs.size
+    bb = betas[col]
+    dlo = D[i_idx, col]
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        am, _ = _alpha_extrema_arrays(p, mid)
+        dm = _residual(p.V, mid, am, bb)
+        same = np.signbit(dm) == np.signbit(dlo)
+        lo = np.where(same, mid, lo)
+        dlo = np.where(same, dm, dlo)
+        hi = np.where(same, hi, mid)
+    return D, 0.5 * (lo + hi), col
+
+
 def h_envelope_sweep(p: VWPair, betas, grid_points: int = _DEFAULT_GRID):
     """Envelope of H over x for every beta in one call.
 
     The kernel maximum on the x-grid does not depend on beta, so a sweep
     shares it; stationary points are bracketed per beta by sign changes of
     the residual and polished by bisection.  Returns arrays shaped like
-    betas: (h_max, h_min, argmax_x, argmin_x)."""
-    _open_unit(p)
+    betas: (h_max, h_min, argmax_x, argmin_x).  Holds on all of [0, 1)^2."""
     if grid_points < 2048:
         raise ValueError("grid_points must be at least 2048")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     B = betas.size
     xs, fmax_xs, amax_xs = _grid_data(p.V, p.W, grid_points)
-    dx = 2.0 * np.pi / grid_points
 
     Hgrid = fmax_xs[:, None] / (1.0 + p.V * np.cos(xs[:, None] + betas[None, :]))
     hi_val = Hgrid.max(axis=0)
@@ -119,40 +149,22 @@ def h_envelope_sweep(p: VWPair, betas, grid_points: int = _DEFAULT_GRID):
     lo_val = Hgrid.min(axis=0)
     lo_arg = xs[Hgrid.argmin(axis=0)]
 
-    D = -np.sin(xs[:, None] + amax_xs[:, None]) + np.sin(xs[:, None] + betas[None, :]) \
-        - p.V * np.sin(amax_xs[:, None] - betas[None, :])
-    neg = np.signbit(D)
-    flip = neg != np.roll(neg, -1, axis=0)
-    i_idx, b_idx = np.nonzero(flip)
-    if i_idx.size:
-        lo = xs[i_idx]
-        hi = lo + dx
-        bb = betas[b_idx]
-        dlo = D[i_idx, b_idx]
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            am, _ = _alpha_extrema_arrays(p, mid)
-            dm = -np.sin(mid + am) + np.sin(mid + bb) - p.V * np.sin(am - bb)
-            same = np.signbit(dm) == np.signbit(dlo)
-            lo = np.where(same, mid, lo)
-            dlo = np.where(same, dm, dlo)
-            hi = np.where(same, hi, mid)
-        root = 0.5 * (lo + hi)
-        hval = h_func(p, root, bb)
-        order = np.argsort(b_idx, kind="stable")
-        bounds = np.searchsorted(b_idx[order], np.arange(B + 1))
-        for col in range(B):
-            sl = order[bounds[col]:bounds[col + 1]]
-            if not sl.size:
-                continue
-            j = sl[np.argmax(hval[sl])]
-            if hval[j] > hi_val[col]:
-                hi_val[col] = hval[j]
-                hi_arg[col] = root[j]
-            j = sl[np.argmin(hval[sl])]
-            if hval[j] < lo_val[col]:
-                lo_val[col] = hval[j]
-                lo_arg[col] = root[j]
+    _, root, b_idx = _grid_roots(p, xs, amax_xs, betas)
+    hval = h_func(p, root, betas[b_idx])
+    order = np.argsort(b_idx, kind="stable")
+    bounds = np.searchsorted(b_idx[order], np.arange(B + 1))
+    for col in range(B):
+        sl = order[bounds[col]:bounds[col + 1]]
+        if not sl.size:
+            continue
+        j = sl[np.argmax(hval[sl])]
+        if hval[j] > hi_val[col]:
+            hi_val[col] = hval[j]
+            hi_arg[col] = root[j]
+        j = sl[np.argmin(hval[sl])]
+        if hval[j] < lo_val[col]:
+            lo_val[col] = hval[j]
+            lo_arg[col] = root[j]
     return hi_val, lo_val, wrap_angle(hi_arg), wrap_angle(lo_arg)
 
 
@@ -164,14 +176,19 @@ def h_envelope(p: VWPair, beta: float, grid_points: int = _DEFAULT_GRID) -> HEnv
 
 
 def q1_threshold(p: VWPair) -> float:
-    """Q1 = (V / 2W)(1 + W); the envelope case split sits at Q1 = 1."""
-    _open_unit(p)
+    """Q1 = (V / 2W)(1 + W); the envelope case split sits at Q1 = 1.
+    Its limits close the square: Q1 = 0 for V = 0, Q1 = inf for
+    W = 0 < V."""
+    if p.V == 0.0:
+        return 0.0
+    if p.W == 0.0:
+        return math.inf
     return 0.5 * (p.V / p.W) * (1.0 + p.W)
 
 
 def h_extremes(p: VWPair) -> HExtremes:
-    """Closed-form extreme values of the two envelopes over beta."""
-    _open_unit(p)
+    """Closed-form extreme values of the two envelopes over beta; holds
+    on all of [0, 1)^2."""
     V, W = p.V, p.W
     q1 = q1_threshold(p)
     maxmax = (1.0 + V) / ((1.0 - W) * (1.0 - V))
@@ -282,27 +299,10 @@ class BranchPolyline:
 def _stationary_roots(p: VWPair, beta: float, grid_points: int = 2048):
     """All x in (-pi, pi] with zero stationarity residual at this beta."""
     xs, _, amax_xs = _grid_data(p.V, p.W, grid_points)
-    dx = 2.0 * np.pi / grid_points
-    D = -np.sin(xs + amax_xs) + np.sin(xs + beta) - p.V * np.sin(amax_xs - beta)
-    roots = list(xs[np.abs(D) <= 1e-13])
-    neg = np.signbit(D)
-    flip = np.nonzero(neg != np.roll(neg, -1))[0]
-    if flip.size:
-        lo = xs[flip]
-        hi = lo + dx
-        dlo = D[flip]
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            am, _ = _alpha_extrema_arrays(p, mid)
-            dm = -np.sin(mid + am) + np.sin(mid + beta) - p.V * np.sin(am - beta)
-            same = np.signbit(dm) == np.signbit(dlo)
-            lo = np.where(same, mid, lo)
-            dlo = np.where(same, dm, dlo)
-            hi = np.where(same, hi, mid)
-        mid = 0.5 * (lo + hi)
-        am, _ = _alpha_extrema_arrays(p, mid)
-        dm = -np.sin(mid + am) + np.sin(mid + beta) - p.V * np.sin(am - beta)
-        roots.extend(mid[np.abs(dm) <= _RESIDUAL_TOL])
+    D, mid, _ = _grid_roots(p, xs, amax_xs, np.array([beta]))
+    roots = list(xs[np.abs(D[:, 0]) <= 1e-13])
+    am, _ = _alpha_extrema_arrays(p, mid)
+    roots.extend(mid[np.abs(_residual(p.V, mid, am, beta)) <= _RESIDUAL_TOL])
     if not roots:
         return np.empty(0)
     roots = np.sort(wrap_angle(np.asarray(roots)))
@@ -328,7 +328,7 @@ class _OpenBranch:
 
     @staticmethod
     def _is_axis(p, x, beta):
-        am, _ = alpha_of(p, x)
+        am, _ = _alpha_extrema_arrays(p, x)
         return abs(wrap_angle(am - beta)) <= _AXIS_TOL
 
     @staticmethod
@@ -353,11 +353,6 @@ class _OpenBranch:
             h_samples=np.asarray(self.hs),
             source="axis_branch" if frac > 0.5 else "general_branch",
         )
-
-
-def alpha_of(p: VWPair, x):
-    amax, amin = _alpha_extrema_arrays(p, np.asarray(x, dtype=float))
-    return float(amax), float(amin)
 
 
 def trace_branches(p: VWPair, beta_grid):

@@ -45,6 +45,11 @@ DEFAULT_GROUP_TOL = 1e-8
 #: |w u| at or below this (times ||u||_2) counts as a vanishing projection.
 PROJECTION_FLOOR = 1e-13
 
+#: V or W at or below this counts as zero: the phase angle delta of
+#: v_hat^T v_hat is pinned to 0 there, and the envelope closed forms take
+#: their V = 0 / W = 0 limits.
+ZERO_MODULUS = 1e-13
+
 
 class BlockKind(enum.Enum):
     SIMPLE_SINGLE_REAL = "simple_single_real"
@@ -118,7 +123,7 @@ def _build_supported_block(kind, members, v, w, p):
     if kind is BlockKind.SIMPLE_SINGLE_COMPLEX and p == 2:
         vv = complex(v_hat @ v_hat)
         V_mod = abs(vv)
-        delta = 0.0 if V_mod <= 1e-13 else float(np.angle(vv))
+        delta = 0.0 if V_mod <= ZERO_MODULUS else float(np.angle(vv))
         W_mod = abs(complex(w_hat @ w_hat))
         R = np.vstack([w_hat.real, w_hat.imag])
         sv = svd_2xn(R)
@@ -160,8 +165,8 @@ def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAna
     """
     A = as_real_matrix(A, square=True)
     p = _normalize_p(norm_p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     es = eigen_decompose(A)
     tol_abs = tol * max(1.0, induced_matrix_norm(A, 2))
 

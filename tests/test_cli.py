@@ -197,6 +197,14 @@ def test_repeated_eigenvalue_exits_2(tmp_path, capsys):
     assert "unsupported spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_grouping_tolerance_exits_1(tmp_path, capsys, tol):
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--tol-group", tol, "--out", tmp_path / "x"]) == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_zero_projection_exits_3(tmp_path, capsys):
     A = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -2.0]]
     mat = write_matrix_csv(tmp_path / "R.csv", A)
@@ -289,6 +297,16 @@ def test_envelope_rejects_out_of_range(tmp_path, capsys):
 
 
 # ------------------------------------------------------------- branches
+
+def test_branches_rejects_boundary_pairs(tmp_path, capsys):
+    # envelope takes V = 0 or W = 0; branch tracing needs the open square
+    for V, W in [(0.0, 0.5), (0.5, 0.0)]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["branches", "--V", V, "--W", W,
+                     "--out", tmp_path / "x"])
+        assert exc.value.code == 1
+        assert "must lie in (0, 1)" in capsys.readouterr().err
+
 
 def branch_table(path):
     with open(path) as fh:

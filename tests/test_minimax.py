@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -110,8 +111,26 @@ def test_envelope_reflection(rng):
 def test_envelope_rejects_coarse_grid():
     with pytest.raises(ValueError):
         h_envelope(VWPair(0.5, 0.5), 1.0, grid_points=512)
-    with pytest.raises(ValueError):
-        h_envelope(VWPair(0.0, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("V,W", [(0.0, 0.0), (0.0, 0.5), (0.6, 0.0),
+                                 (0.0, 0.97)])
+def test_boundary_pairs_equal_closed_forms(V, W):
+    # V = 0: H is the constant 1/(1 - W) and Q1 = 0; W = 0 < V: H depends
+    # on x + beta only, its envelopes are (1 + V)/(1 - V) and 1, Q1 = inf
+    p = VWPair(V, W)
+    if V == 0.0:
+        top = bottom = 1.0 / (1.0 - W)
+        q1 = 0.0
+    else:
+        top, bottom = (1.0 + V) / (1.0 - V), 1.0
+        q1 = math.inf
+    betas = np.linspace(0.0, np.pi, 721)
+    hmax, hmin, _, _ = h_envelope_sweep(p, betas)
+    assert np.array_equal(hmax, np.full_like(betas, top))
+    assert np.array_equal(hmin, np.full_like(betas, bottom))
+    assert h_extremes(p) == (top, top, bottom, bottom, q1)
+    assert q1_threshold(p) == q1
 
 
 # ------------------------------------------------------------ h_extremes

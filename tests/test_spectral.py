@@ -61,6 +61,12 @@ def test_grouping_band_raises():
         analyze_spectrum(np.diag([1.0, 1.0 - 5e-8]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_grouping_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError):
+        analyze_spectrum(EXAMPLE_A, tol=tol)
+
+
 def test_repeated_real_eigenvalue_unsupported():
     an = analyze_spectrum(np.diag([1.0, 1.0, -2.0]))
     assert an.blocks[0].kind is BlockKind.UNSUPPORTED
