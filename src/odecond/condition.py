@@ -479,7 +479,7 @@ def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
         x = 2.0 * (gz - gy) - math.pi
         return math.sqrt(f_vw(pair, alpha, x))
     pair = VWPair(V, W)
-    num = (1.0 - W ** 2) / 2.0 * f_vw_max(pair, x_t)
+    num = (1.0 + W) * (1.0 - W) / 2.0 * f_vw_max(pair, x_t)
     return math.sqrt(num / (1.0 + V * math.cos(x_t + d_y)))
 
 
@@ -514,16 +514,17 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
         ot_min = math.sqrt(f_vw_min(pair, x))
         a_max, a_minmax, a_maxmin, a_min = _universal_directional(V)
     else:
-        # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), written as
-        # in ot(); the universal envelopes are the same scale, in its
-        # cancellation-free form, times the extremes of H over beta
+        # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), with the
+        # scale formed as (1 + W)(1 - W), which does not cancel as W -> 1;
+        # the universal envelopes are the same scale times the extremes of
+        # H over beta
         pair = VWPair(V, W)
         env = h_envelope(pair, phase_offset(block1, y0h))
-        ot_max = math.sqrt((1.0 - W ** 2) / 2.0 * env.h_max)
-        ot_min = math.sqrt((1.0 - W ** 2) / 2.0 * env.h_min)
+        scale = (1.0 + W) * (1.0 - W) / 2.0
+        ot_max = math.sqrt(scale * env.h_max)
+        ot_min = math.sqrt(scale * env.h_min)
         a_max, a_minmax, a_maxmin, a_min = (
-            math.sqrt((1.0 + W) * (1.0 - W) / 2.0 * h)
-            for h in h_extremes(pair)[:4])
+            math.sqrt(scale * h) for h in h_extremes(pair)[:4])
     return OscillationProfile(
         osf=osf(s, block1),
         block_kind="complex",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonDiagonalizable, OdecondError
 
@@ -191,7 +190,9 @@ def induced_matrix_norm(M, p) -> float:
         raise ValueError("induced_matrix_norm expects a matrix")
     p = _normalize_p(p)
     if p == 2:
-        return float(scipy.linalg.svdvals(M)[0]) if min(M.shape) else 0.0
+        if not min(M.shape):
+            return 0.0
+        return float(np.linalg.svd(M, compute_uv=False)[0])
     return float(np.linalg.norm(M, p))
 
 
@@ -251,7 +252,7 @@ def eigen_decompose(A, cond_limit: float = _DEFECT_COND_LIMIT) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonDiagonalizable(f"eigensolver failed: {exc}") from exc
 
-    svals = scipy.linalg.svdvals(V)
+    svals = np.linalg.svd(V, compute_uv=False)
     if svals[-1] == 0.0 or svals[0] / svals[-1] > cond_limit:
         cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
         raise NonDiagonalizable(

@@ -13,9 +13,12 @@ Stationary points of H( . , beta) satisfy
 
     -sin(x + amax(x)) + sin(x + beta) - V sin(amax(x) - beta) = 0
 
-with amax the maximizing angle of the kernel.  The envelope solver locates
-them on a dense grid and refines by bisection of this residual; the branch
-tracer follows them across beta for diagnostics.  Envelopes and extremes
+with amax the maximizing angle of the kernel.  They are solved for a whole
+beta grid in one batch: sign changes of this residual on a dense
+(beta, x) grid bracket them, and one bisection polishes every bracket of
+every beta at once.  The envelope sweep takes its extremes from them; the
+branch tracer solves its beta grid up front, each halving midpoint once,
+and follows them across beta for diagnostics.  Envelopes and extremes
 hold on all of [0, 1)^2; the beta = 0 analysis and the branch tracer need
 the open square (0, 1)^2.
 """
@@ -108,17 +111,20 @@ def _grid_data(V: float, W: float, n: int):
 def _grid_roots(p: VWPair, xs, amax_xs, betas):
     """Stationary points of H( . , beta) for every beta of the 1-D betas.
 
-    The residual on the x grid (rows) and betas (columns) brackets each
-    root between a sign change and the next grid point; 48 bisections
-    polish it.  Returns (D, root, col): the grid residual, and each root
-    with the column of its beta."""
-    D = _residual(p.V, xs[:, None], amax_xs[:, None], betas[None, :])
+    The residual on the (beta, x) grid brackets each root between a sign
+    change along its row and the next grid point; 48 bisections polish
+    all roots of all rows at once.  Returns (on_grid, root, row): the
+    (row, x index) pairs where the grid residual itself vanishes, and each
+    polished root with the row of its beta, ordered by row and then x."""
+    D = _residual(p.V, xs, amax_xs, betas[:, None])
+    on_grid = np.nonzero(np.abs(D) <= 1e-13)
     neg = np.signbit(D)
-    i_idx, col = np.nonzero(neg != np.roll(neg, -1, axis=0))
+    row, i_idx = np.nonzero(neg != np.roll(neg, -1, axis=1))
+    dlo = D[row, i_idx]
+    del D, neg
     lo = xs[i_idx]
     hi = lo + 2.0 * np.pi / xs.size
-    bb = betas[col]
-    dlo = D[i_idx, col]
+    bb = betas[row]
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         am, _ = _alpha_extrema_arrays(p, mid)
@@ -127,44 +133,45 @@ def _grid_roots(p: VWPair, xs, amax_xs, betas):
         lo = np.where(same, mid, lo)
         dlo = np.where(same, dm, dlo)
         hi = np.where(same, hi, mid)
-    return D, 0.5 * (lo + hi), col
+    return on_grid, 0.5 * (lo + hi), row
+
+
+def _merge_roots(val, arg, hval, root, row, sign):
+    """Raise (sign 1) or lower (sign -1) each row's grid extreme to the
+    best polished root of that row, in place.  The first root of a row
+    wins a tie, as np.argmax would pick it."""
+    order = np.lexsort((-sign * hval, row))
+    j = order[np.diff(row[order], prepend=-1) != 0]
+    j = j[sign * hval[j] > sign * val[row[j]]]
+    val[row[j]] = hval[j]
+    arg[row[j]] = root[j]
 
 
 def h_envelope_sweep(p: VWPair, betas, grid_points: int = _DEFAULT_GRID):
     """Envelope of H over x for every beta in one call.
 
     The kernel maximum on the x-grid does not depend on beta, so a sweep
-    shares it; stationary points are bracketed per beta by sign changes of
-    the residual and polished by bisection.  Returns arrays shaped like
-    betas: (h_max, h_min, argmax_x, argmin_x).  Holds on all of [0, 1)^2."""
+    shares it; H is laid out as (beta, x) rows, and the stationary points
+    of every row are bracketed by sign changes of the residual and
+    polished by one batched bisection.  Returns arrays shaped like betas:
+    (h_max, h_min, argmax_x, argmin_x).  Holds on all of [0, 1)^2."""
     if grid_points < 2048:
         raise ValueError("grid_points must be at least 2048")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    B = betas.size
     xs, fmax_xs, amax_xs = _grid_data(p.V, p.W, grid_points)
 
-    Hgrid = fmax_xs[:, None] / (1.0 + p.V * np.cos(xs[:, None] + betas[None, :]))
-    hi_val = Hgrid.max(axis=0)
-    hi_arg = xs[Hgrid.argmax(axis=0)]
-    lo_val = Hgrid.min(axis=0)
-    lo_arg = xs[Hgrid.argmin(axis=0)]
+    Hgrid = fmax_xs / (1.0 + p.V * np.cos(xs + betas[:, None]))
+    rows = np.arange(betas.size)
+    i_hi = Hgrid.argmax(axis=1)
+    i_lo = Hgrid.argmin(axis=1)
+    hi_val, lo_val = Hgrid[rows, i_hi], Hgrid[rows, i_lo]
+    hi_arg, lo_arg = xs[i_hi], xs[i_lo]
+    del Hgrid
 
-    _, root, b_idx = _grid_roots(p, xs, amax_xs, betas)
-    hval = h_func(p, root, betas[b_idx])
-    order = np.argsort(b_idx, kind="stable")
-    bounds = np.searchsorted(b_idx[order], np.arange(B + 1))
-    for col in range(B):
-        sl = order[bounds[col]:bounds[col + 1]]
-        if not sl.size:
-            continue
-        j = sl[np.argmax(hval[sl])]
-        if hval[j] > hi_val[col]:
-            hi_val[col] = hval[j]
-            hi_arg[col] = root[j]
-        j = sl[np.argmin(hval[sl])]
-        if hval[j] < lo_val[col]:
-            lo_val[col] = hval[j]
-            lo_arg[col] = root[j]
+    _, root, row = _grid_roots(p, xs, amax_xs, betas)
+    hval = h_func(p, root, betas[row])
+    _merge_roots(hi_val, hi_arg, hval, root, row, 1.0)
+    _merge_roots(lo_val, lo_arg, hval, root, row, -1.0)
     return hi_val, lo_val, wrap_angle(hi_arg), wrap_angle(lo_arg)
 
 
@@ -296,54 +303,64 @@ class BranchPolyline:
             raise ValueError("sample arrays must have equal lengths")
 
 
-def _stationary_roots(p: VWPair, beta: float, grid_points: int = 2048):
-    """All x in (-pi, pi] with zero stationarity residual at this beta."""
+def _stationary_roots(p: VWPair, betas, grid_points: int = 2048):
+    """All x in (-pi, pi] with zero stationarity residual, for each beta
+    of the 1-D betas: a list of sorted root arrays, one per beta, solved
+    in one batch."""
+    betas = np.asarray(betas, dtype=float)
     xs, _, amax_xs = _grid_data(p.V, p.W, grid_points)
-    D, mid, _ = _grid_roots(p, xs, amax_xs, np.array([beta]))
-    roots = list(xs[np.abs(D[:, 0]) <= 1e-13])
+    (g_row, g_idx), mid, row = _grid_roots(p, xs, amax_xs, betas)
     am, _ = _alpha_extrema_arrays(p, mid)
-    roots.extend(mid[np.abs(_residual(p.V, mid, am, beta)) <= _RESIDUAL_TOL])
-    if not roots:
-        return np.empty(0)
-    roots = np.sort(wrap_angle(np.asarray(roots)))
-    keep = [roots[0]]
-    for r in roots[1:]:
-        if r - keep[-1] > 1e-8:
-            keep.append(r)
-    if len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1])) <= 1e-8:
-        keep.pop()
-    return np.asarray(keep)
+    good = np.abs(_residual(p.V, mid, am, betas[row])) <= _RESIDUAL_TOL
+    cuts = np.arange(1, betas.size)
+    on_grid = np.split(xs[g_idx], np.searchsorted(g_row, cuts))
+    polished = np.split(mid[good], np.searchsorted(row[good], cuts))
+    out = []
+    for grid_hits, mids in zip(on_grid, polished):
+        roots = np.sort(wrap_angle(np.concatenate((grid_hits, mids))))
+        keep = list(roots[:1])
+        for r in roots[1:]:
+            if r - keep[-1] > 1e-8:
+                keep.append(r)
+        if len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1])) <= 1e-8:
+            keep.pop()
+        out.append(np.asarray(keep))
+    return out
 
 
 def _circ_dist(a, b):
     return np.abs(wrap_angle(a - b))
 
 
+def _branch_points(p: VWPair, betas):
+    """The stationary points of each beta with their axis flags and h
+    values, solved for all betas in one batch: a list of (x, axis, h)
+    arrays, one triple per beta.  An axis point carries the exact
+    1/(1 - W cos beta) in place of H."""
+    betas = np.asarray(betas, dtype=float)
+    roots = _stationary_roots(p, betas)
+    counts = [r.size for r in roots]
+    x = np.concatenate(roots)
+    b = np.repeat(betas, counts)
+    am, _ = _alpha_extrema_arrays(p, x)
+    axis = np.abs(wrap_angle(am - b)) <= _AXIS_TOL
+    h = np.where(axis, 1.0 / (1.0 - p.W * np.cos(b)), h_func(p, x, b))
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(roots, np.split(axis, cuts), np.split(h, cuts)))
+
+
 class _OpenBranch:
-    def __init__(self, beta, x, p):
+    def __init__(self, beta, x, axis, h):
         self.betas = [beta]
         self.xs = [x]
-        self.axis = [self._is_axis(p, x, beta)]
-        self.hs = [self._h_val(p, x, beta, self.axis[0])]
+        self.axis = [axis]
+        self.hs = [h]
 
-    @staticmethod
-    def _is_axis(p, x, beta):
-        am, _ = _alpha_extrema_arrays(p, x)
-        return abs(wrap_angle(am - beta)) <= _AXIS_TOL
-
-    @staticmethod
-    def _h_val(p, x, beta, axis):
-        if axis:
-            return 1.0 / (1.0 - p.W * np.cos(beta))
-        return h_func(p, x, beta)
-
-    def extend(self, p, beta, x_wrapped):
-        lifted = self.xs[-1] + wrap_angle(x_wrapped - self.xs[-1])
+    def extend(self, beta, x_wrapped, axis, h):
         self.betas.append(beta)
-        self.xs.append(lifted)
-        ax = self._is_axis(p, x_wrapped, beta)
-        self.axis.append(ax)
-        self.hs.append(self._h_val(p, x_wrapped, beta, ax))
+        self.xs.append(self.xs[-1] + wrap_angle(x_wrapped - self.xs[-1]))
+        self.axis.append(axis)
+        self.hs.append(h)
 
     def close(self):
         frac = np.mean(self.axis) if self.axis else 0.0
@@ -362,7 +379,9 @@ def trace_branches(p: VWPair, beta_grid):
     the trust radius triggers beta-step halving, and a branch whose
     continuation still cannot be matched is closed with a BranchLost
     warning.  Unmatched new roots open new polylines (branch domains need
-    not start at the first beta)."""
+    not start at the first beta).  The stationary points of the whole grid
+    are solved in one batch up front, and those of a halving midpoint when
+    it is first reached; no beta is solved twice."""
     _open_unit(p)
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.ndim != 1 or beta_grid.size < 2:
@@ -372,13 +391,20 @@ def trace_branches(p: VWPair, beta_grid):
     if beta_grid[0] < -1e-12 or beta_grid[-1] > np.pi + 1e-12:
         raise ValueError("beta_grid must lie within [0, pi]")
 
-    active = [ _OpenBranch(beta_grid[0], x, p)
-               for x in _stationary_roots(p, beta_grid[0]) ]
+    solved = dict(zip(beta_grid.tolist(), _branch_points(p, beta_grid)))
+
+    def points_at(beta):
+        if beta not in solved:
+            solved[beta] = _branch_points(p, [beta])[0]
+        return solved[beta]
+
+    active = [_OpenBranch(beta_grid[0], *pt)
+              for pt in zip(*points_at(beta_grid[0]))]
     done: list[BranchPolyline] = []
 
     def step(b0, b1, depth):
         nonlocal active
-        roots = _stationary_roots(p, b1)
+        roots, axis, h = points_at(b1)
         taken = np.zeros(len(roots), dtype=bool)
         assign = {}
         if len(active) and len(roots):
@@ -399,7 +425,7 @@ def trace_branches(p: VWPair, beta_grid):
             step(mid, b1, depth + 1)
             return
         for i, j in assign.items():
-            active[i].extend(p, b1, roots[j])
+            active[i].extend(b1, roots[j], axis[j], h[j])
         survivors = []
         for i, br in enumerate(active):
             if i in assign:
@@ -410,7 +436,7 @@ def trace_branches(p: VWPair, beta_grid):
                     BranchLost)
                 done.append(br.close())
         for j in np.nonzero(~taken)[0]:
-            survivors.append(_OpenBranch(b1, roots[j], p))
+            survivors.append(_OpenBranch(b1, roots[j], axis[j], h[j]))
         active = survivors
 
     for b0, b1 in zip(beta_grid[:-1], beta_grid[1:]):

@@ -81,15 +81,6 @@ def _u_polar(p: VWPair, x):
     return np.abs(U), np.angle(U)
 
 
-def stationary_curvature(p: VWPair, alpha, x):
-    """Second derivative of f in alpha, valid at stationary points only:
-    |U| (-cos(theta_U + alpha)) / (1 - W cos alpha)^2."""
-    absU, thU = _u_polar(p, x)
-    val = absU * (-np.cos(thU + np.asarray(alpha, dtype=float))) \
-        / (1.0 - p.W * np.cos(alpha)) ** 2
-    return val if val.ndim else float(val)
-
-
 def _alpha_extrema_arrays(p: VWPair, x):
     """Vectorized extremizer angles; degenerate entries take their
     continuity limits instead of raising."""
@@ -99,13 +90,16 @@ def _alpha_extrema_arrays(p: VWPair, x):
 
     safe = np.where(tiny, 1.0, absU)
     s = np.clip(p.V * p.W * np.sin(x) / safe, -1.0, 1.0)
-    a1 = np.arcsin(s) - thU
-    a2 = np.pi - np.arcsin(s) - thU
+    asn = np.arcsin(s)
+    a1 = asn - thU
+    a2 = np.pi - asn - thU
     # classify by curvature sign, not by arcsin branch: the maximizer is the
-    # candidate with negative second derivative (the two coincide when both
-    # curvatures vanish, so the tie direction is irrelevant)
-    c1 = stationary_curvature(p, a1, x)
-    c2 = stationary_curvature(p, a2, x)
+    # candidate with negative second derivative in alpha, which at a
+    # stationary point is |U| (-cos(theta_U + alpha)) / (1 - W cos alpha)^2
+    # (the two coincide when both curvatures vanish, so the tie direction
+    # is irrelevant)
+    c1, c2 = (absU * (-np.cos(thU + a)) / (1.0 - p.W * np.cos(a)) ** 2
+              for a in (a1, a2))
     amax = np.where(c1 <= c2, a1, a2)
     amin = np.where(c1 <= c2, a2, a1)
 
@@ -204,7 +198,7 @@ def theta_norm_mat(block: EigenBlock, t):
     sqrt((1 - W^2) / 4 * fmax(x(t))).  Accepts array t."""
     _require_euclidean(block)
     pair = VWPair(block.V_mod, block.W_mod)
-    val = np.sqrt((1.0 - block.W_mod ** 2) / 4.0
+    val = np.sqrt((1.0 + block.W_mod) * (1.0 - block.W_mod) / 4.0
                   * f_vw_max(pair, phase_x(block, t)))
     return val if np.ndim(val) else float(val)
 

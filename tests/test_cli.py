@@ -2,17 +2,22 @@
 
 Everything runs in-process through odecond.cli.main so exit codes,
 stdout/stderr, and emitted files can all be checked without spawning
-subprocesses.
+subprocesses; only the import check at the end needs a fresh interpreter.
 """
 
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odecond
 from odecond.cli import RunConfig, main, parse_config
 from odecond.minimax import h_extremes
 from odecond.oscillator import VWPair
@@ -364,3 +369,23 @@ def test_branches_high_v_topology(tmp_path, capsys):
     np.testing.assert_allclose(top, 1.7 / (0.3 * 0.5), rtol=1e-6)
     assert open(f"{out}_lost.log").read() == ""
     capsys.readouterr()
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test dependency only (the oracles' independent reference),
+    # and this session has loaded it already, so the check runs in a fresh
+    # interpreter that imports the package and runs a command
+    code = ("import contextlib, io, sys\n"
+            "import odecond, odecond.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    odecond.cli.main(['demo', '--steps', '2'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(odecond.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from odecond.condition import (
 )
 from odecond.errors import OdecondError, UnsupportedBlock, ZeroProjection
 from odecond.matrix_core import induced_matrix_norm, mat_exp
+from odecond.minimax import h_envelope
+from odecond.oscillator import (
+    VWPair,
+    f_vw_max,
+    phase_offset,
+    phase_x,
+    theta_norm_mat,
+)
 from odecond.spectral import (
     BlockKind,
     _build_supported_block,
@@ -357,6 +366,38 @@ def test_ot_envelope_example_displayed_values():
     assert prof.a_maxmin == pytest.approx(0.9997, abs=5e-5)
     assert prof.osf * prof.ot_max == pytest.approx(1563.0, abs=0.5)
     assert prof.osf * prof.ot_min == pytest.approx(1.0, abs=1e-6)
+
+
+def test_w_squared_scale_does_not_cancel():
+    # the demo's W = 0.99862...: 1 - W**2 is 3.7e-15 off the exact 1 - W^2
+    # of that float, (1 + W)(1 - W) within 1e-16; the worst-case ot, its
+    # range and the matrix Theta norm must carry the second form
+    b1 = analyze_spectrum(EXAMPLE_A).blocks[0]
+    V, W = b1.V_mod, b1.W_mod
+    exact = 1 - Fraction(W) ** 2
+
+    def rel(v):
+        return float(abs(Fraction(v) - exact) / exact)
+
+    assert rel((1.0 + W) * (1.0 - W)) <= 1.5e-16
+    assert rel(1.0 - W ** 2) >= 3e-15
+    scale = float(exact)
+    pair = VWPair(V, W)
+    s = Scenario(matrix=EXAMPLE_A, y0=np.array([1.0, 2.0, 3.0]),
+                 t_grid=two_point_grid())
+    d_y = phase_offset(b1, s.y0_hat)
+    for t in (0.0, 0.7, 2.9):
+        x = phase_x(b1, t)
+        ref = math.sqrt(scale / 2.0 * f_vw_max(pair, x)
+                        / (1.0 + V * math.cos(x + d_y)))
+        assert ot(s, b1, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
+        ref = math.sqrt(scale / 4.0 * f_vw_max(pair, x))
+        assert theta_norm_mat(b1, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    prof = ot_envelope(s, b1)
+    env = h_envelope(pair, d_y)
+    for got, h in ((prof.ot_max, env.h_max), (prof.ot_min, env.h_min)):
+        assert got == pytest.approx(math.sqrt(scale / 2.0 * h),
+                                    rel=1e-15, abs=0.0)
 
 
 def test_ot_envelope_w_zero_crafted(rng):

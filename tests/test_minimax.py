@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import grid_extreme_1d
 
+from odecond import minimax
 from odecond.errors import BranchLost
 from odecond.minimax import (
     critical_points_beta0,
@@ -106,6 +107,47 @@ def test_envelope_reflection(rng):
         left = h_envelope(p, np.pi - beta).h_max
         right = h_envelope(p, np.pi + beta).h_max
         assert left == pytest.approx(right, abs=1e-10)
+
+
+def test_envelope_ties_keep_first_occurrence():
+    # at V = 0, H( . , beta) is the constant 1/(1 - W) on the whole grid
+    # and at every stationary point, so both extremes are tied across the
+    # row: the first grid point, x = -pi, reported as pi, must win
+    p = VWPair(0.0, 0.5)
+    hi, lo, ahi, alo = h_envelope_sweep(p, np.linspace(0.0, np.pi, 9))
+    assert np.all(hi == 2.0) and np.all(lo == 2.0)
+    assert np.all(ahi == np.pi) and np.all(alo == np.pi)
+
+
+def _merge_per_row(val, arg, hval, root, row):
+    # reference: the per-row loop the batched merge replaced
+    val, arg = val.copy(), arg.copy()
+    for r in range(val.size):
+        sl = np.flatnonzero(row == r)
+        if not sl.size:
+            continue
+        j = sl[np.argmax(hval[sl])]
+        if hval[j] > val[r]:
+            val[r], arg[r] = hval[j], root[j]
+    return val, arg
+
+
+def test_merge_roots_equals_per_row_loop(rng):
+    # hval from a few values, so that rows hold tied best roots; the first
+    # of them must win, as np.argmax picks it
+    for _ in range(50):
+        count = int(rng.integers(0, 40))
+        row = np.sort(rng.integers(0, 8, count))
+        hval = rng.integers(0, 4, count).astype(float)
+        root = rng.permutation(count).astype(float)
+        val = rng.integers(0, 4, 8) + 0.5
+        arg = np.full(8, -1.0)
+        for sign in (1.0, -1.0):
+            ref = _merge_per_row(sign * val, arg, sign * hval, root, row)
+            got_val, got_arg = val.copy(), arg.copy()
+            minimax._merge_roots(got_val, got_arg, hval, root, row, sign)
+            assert np.array_equal(sign * got_val, ref[0])
+            assert np.array_equal(got_arg, ref[1])
 
 
 def test_envelope_rejects_coarse_grid():
@@ -282,6 +324,35 @@ def test_branch_lost_is_reported():
     # merge instead of dying
     with pytest.warns(BranchLost):
         trace_branches(VWPair(0.45, 0.5), np.linspace(0, np.pi, 201))
+
+
+@pytest.mark.parametrize("V, W", [(0.40, 0.50), (0.80, 0.30),
+                                  (0.55, 0.55), (0.75, 0.72)])
+def test_batched_roots_equal_one_beta_solves(V, W):
+    p = VWPair(V, W)
+    betas = np.linspace(0.0, np.pi, 91)
+    batch = minimax._stationary_roots(p, betas)
+    assert len(batch) == betas.size
+    for beta, roots in zip(betas, batch):
+        assert np.array_equal(roots, minimax._stationary_roots(p, [beta])[0])
+
+
+def test_trace_solves_no_beta_twice(monkeypatch):
+    solved = []
+    solve = minimax._stationary_roots
+
+    def counting(p, betas, *args):
+        solved.extend(np.asarray(betas, dtype=float).tolist())
+        return solve(p, betas, *args)
+
+    monkeypatch.setattr(minimax, "_stationary_roots", counting)
+    grid = np.linspace(0.0, np.pi, 91)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchLost)
+        trace_branches(VWPair(0.55, 0.55), grid)
+    assert len(solved) > grid.size  # this pair needs halving midpoints
+    assert len(set(solved)) == len(solved)
+    assert set(grid.tolist()) <= set(solved)
 
 
 def test_trace_rejects_bad_grids():
