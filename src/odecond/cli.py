@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,19 @@ def _float_list(text: str, flag: str, parser: _Parser):
         except ValueError:
             parser.error(f"{flag}: entry {i + 1} ({tok!r}) is not a number")
     return tuple(out)
+
+
+def _join_negative_values(argv):
+    """argparse takes only -5 and -.5 for negative numbers and any other
+    value like -0.6,0,0.8 or -1e3 for a flag; join such a value to the flag
+    before it as --flag=value (no odecond flag starts with a digit)."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def build_parser() -> _Parser:
@@ -213,7 +227,7 @@ def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
 
 def parse_config(argv) -> RunConfig:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_values(argv))
     if ns.command == "demo":
         if ns.steps < 2:
             parser.error("--steps must be at least 2")

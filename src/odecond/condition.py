@@ -33,21 +33,13 @@ from .matrix_core import (
     _normalize_p,
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
-from .oscillator import (
-    VWPair,
-    f_vw,
-    f_vw_max,
-    f_vw_min,
-    g_factor,
-    phase_offset,
-    phase_x,
-)
+from .oscillator import VWPair, f_vw, f_vw_max, f_vw_min, g_factor, phase_x
 from .spectral import (
     ZERO_MODULUS,
     EigenBlock,
     SpectrumAnalysis,
     analyze_spectrum,
-    block_project,
+    checked_projection,
 )
 
 __all__ = [
@@ -70,11 +62,8 @@ __all__ = [
 # Flag value for the precision bound where eps(t, y0_hat) >= 1.
 UNBOUNDED = math.inf
 
-# Projection-size policy for w_hat^(1) u against ||u||_2: at or below the
-# error floor the asymptotic theory does not apply; inside the band the
-# formulas are valid but OSF is legitimately huge, so the caller is warned.
-_PROJECTION_ERROR = 1e-12
-_PROJECTION_WARN = 1e-6
+# z0 is a unit vector to this: norm rounding, far below deliberate scaling
+_UNIT_TOL = 1e-12
 
 _SAMPLES_PER_PERIOD = 256
 
@@ -114,7 +103,7 @@ class Scenario:
             z0 = np.asarray(z0, dtype=float).reshape(-1)
             if z0.shape != y0.shape:
                 raise ValueError("z0 must have the same length as y0")
-            if abs(vector_norm(z0, p) - 1.0) > 1e-12:
+            if abs(vector_norm(z0, p) - 1.0) > _UNIT_TOL:
                 raise ValueError(
                     f"z0 must be a unit vector in the {p}-norm "
                     f"(got ||z0|| = {vector_norm(z0, p):.17g})"
@@ -297,34 +286,12 @@ def default_time_grid(block: EigenBlock, t_end: Optional[float] = None,
     return np.linspace(t_start, t_end, count)
 
 
-def _abs_projection(block: EigenBlock, u) -> float:
-    """|w_hat^(j) u| for a supported block of either kind."""
-    return float(abs(np.asarray(block.w_hat) @ np.asarray(u, dtype=float)))
-
-
-def _checked_projection(block: EigenBlock, u, label: str, notes=None) -> float:
-    """|w_hat u| under the genericity policy.
-
-    At or below 1e-12 * ||u||_2 the projection counts as zero and the
-    asymptotic formulas are refused; inside (1e-12, 1e-6] they hold but
-    blow up, which is recorded as a warning when a notes list is given.
-    """
-    scale = float(np.linalg.norm(u))
-    wu = _abs_projection(block, u)
-    if wu <= _PROJECTION_ERROR * scale:
-        raise ZeroProjection(
-            f"|w_hat {label}| = {wu:.3e} <= 1e-12 ||{label}||; "
-            "the generic-case assumption fails"
-        )
-    if notes is not None and wu <= _PROJECTION_WARN * scale:
-        notes.append(
-            f"near-degenerate projection |w_hat {label}| = {wu:.3e}; "
-            "asymptotic factors are large but valid"
-        )
-    return wu
-
-
-def _rightmost(analysis: SpectrumAnalysis) -> EigenBlock:
+def _rightmost(s: Scenario, analysis: SpectrumAnalysis) -> EigenBlock:
+    """The rightmost block; w_hat and f need the scenario's matrix and norm."""
+    if analysis.norm_p != s.norm_p or not np.array_equal(analysis.matrix,
+                                                         s.matrix):
+        raise ValueError("the spectrum analysis belongs to another matrix "
+                         "or norm than the scenario")
     block = analysis.blocks[0]
     if not block.is_supported:
         raise UnsupportedBlock(
@@ -395,6 +362,14 @@ def k_exact(s: Scenario, t: float) -> float:
     return float(_k_exact_grid(s, np.array([t]))[0])
 
 
+def _projections(s: Scenario, block1: EigenBlock, notes=None):
+    """Checked projections of y0_hat and z0 (None: worst case)."""
+    y = checked_projection(block1, s.y0_hat, "y0", notes)
+    z = (checked_projection(block1, s.z0, "z0", notes) if s.directional
+         else None)
+    return y, z
+
+
 def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     """Asymptotic condition number at time t from the rightmost block.
 
@@ -402,21 +377,31 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     or 1 / |w_hat y0_hat| (worst case), constant in t.  Complex rightmost
     pair: the same scale factors times the ratio of oscillation factors
     g_1(t, z0) / g_1(t, y0_hat) or g_1(t) / g_1(t, y0_hat).  Accepts
-    array t; the projections are checked once per call.
+    array t.  Raises ValueError when the analysis is not of the scenario's
+    matrix and norm.
     """
-    block = _rightmost(analysis)
-    y0h = s.y0_hat
-    wy = _checked_projection(block, y0h, "y0")
-    if s.directional:
-        wz = _checked_projection(block, s.z0, "z0")
-        base = wz / wy
-    else:
-        base = 1.0 / wy
+    block = _rightmost(s, analysis)
+    y, z = _projections(s, block)
+    base = (1.0 if z is None else z.wu_mod) / y.wu_mod
     if block.is_real:
         return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
-    gy = g_factor(block, t, u=y0h, p=s.norm_p)
-    gz = g_factor(block, t, u=s.z0 if s.directional else None, p=s.norm_p)
+    gy = g_factor(block, t, u=s.y0_hat, p=s.norm_p)
+    gz = g_factor(block, t, u=s.z0, p=s.norm_p)
     return base * gz / gy
+
+
+def _osf(block1: EigenBlock, y, z) -> float:
+    """OSF from the projections of y0_hat and z0 (None: worst case)."""
+    if block1.W_mod is not None:
+        W = block1.W_mod
+        recon = math.sqrt(((1.0 + W) * y.c ** 2
+                           + (1.0 - W) * y.d ** 2) / 2.0)
+        if abs(recon - y.wu_mod) > 1e-8 * max(1.0, y.wu_mod):
+            raise OdecondError(
+                f"projection modulus {y.wu_mod:.17g} disagrees with its "
+                f"singular coordinate form {recon:.17g}"
+            )
+    return (1.0 if z is None else z.wu_mod) / y.wu_mod
 
 
 def osf(s: Scenario, block1: EigenBlock) -> float:
@@ -425,26 +410,16 @@ def osf(s: Scenario, block1: EigenBlock) -> float:
     directional: |w_hat z0| / |w_hat y0_hat|; worst case: 1 / |w_hat
     y0_hat|.  In the Euclidean norm the modulus is cross-checked against
     its expression in the coordinates of y0_hat along the right singular
-    vectors of the stacked Re/Im rows of w_hat.
+    vectors of the stacked Re/Im rows of w_hat.  Raises ValueError when
+    the block was analyzed in another norm than the scenario's.
     """
     if not block1.is_complex:
         raise UnsupportedBlock("the oscillation scale factor needs a "
                                "complex rightmost block")
-    y0h = s.y0_hat
-    wy = _checked_projection(block1, y0h, "y0")
-    if s.norm_p == 2 and block1.W_mod is not None:
-        pr = block_project(block1, y0h)
-        W = block1.W_mod
-        recon = math.sqrt(((1.0 + W) * pr.c ** 2
-                           + (1.0 - W) * pr.d ** 2) / 2.0)
-        if abs(recon - wy) > 1e-8 * max(1.0, wy):
-            raise OdecondError(
-                f"projection modulus {wy:.17g} disagrees with its singular "
-                f"coordinate form {recon:.17g}"
-            )
-    if s.directional:
-        return _checked_projection(block1, s.z0, "z0") / wy
-    return 1.0 / wy
+    if block1.norm_p != s.norm_p:
+        raise ValueError("the block was analyzed in another norm than the "
+                         "scenario's")
+    return _osf(block1, *_projections(s, block1))
 
 
 def _euclidean_complex(s: Scenario, block1: EigenBlock):
@@ -465,18 +440,14 @@ def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
     Delta(y0)))).  Periodic in t with period pi / omega_1.
     """
     _euclidean_complex(s, block1)
-    y0h = s.y0_hat
-    _checked_projection(block1, y0h, "y0")
+    y, z = _projections(s, block1)
     x_t = phase_x(block1, t)
-    d_y = phase_offset(block1, y0h)
+    d_y = 2.0 * (y.gamma - block1.theta_axis)
     V, W = block1.V_mod, block1.W_mod
     if s.directional:
-        _checked_projection(block1, s.z0, "z0")
-        gy = block_project(block1, y0h).gamma
-        gz = block_project(block1, s.z0).gamma
         pair = VWPair(V, V)
         alpha = x_t + d_y + math.pi
-        x = 2.0 * (gz - gy) - math.pi
+        x = 2.0 * (z.gamma - y.gamma) - math.pi
         return math.sqrt(f_vw(pair, alpha, x))
     pair = VWPair(V, W)
     num = (1.0 + W) * (1.0 - W) / 2.0 * f_vw_max(pair, x_t)
@@ -499,16 +470,12 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     initial value.
     """
     _euclidean_complex(s, block1)
-    y0h = s.y0_hat
-    _checked_projection(block1, y0h, "y0")
+    y, z = _projections(s, block1)
     V = block1.V_mod if block1.V_mod > ZERO_MODULUS else 0.0
     W = block1.W_mod if block1.W_mod > ZERO_MODULUS else 0.0
     q1 = q1_threshold(VWPair(V, W))
     if s.directional:
-        _checked_projection(block1, s.z0, "z0")
-        gy = block_project(block1, y0h).gamma
-        gz = block_project(block1, s.z0).gamma
-        x = 2.0 * (gz - gy) - math.pi
+        x = 2.0 * (z.gamma - y.gamma) - math.pi
         pair = VWPair(V, V)
         ot_max = math.sqrt(f_vw_max(pair, x))
         ot_min = math.sqrt(f_vw_min(pair, x))
@@ -519,14 +486,14 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
         # the universal envelopes are the same scale times the extremes of
         # H over beta
         pair = VWPair(V, W)
-        env = h_envelope(pair, phase_offset(block1, y0h))
+        env = h_envelope(pair, 2.0 * (y.gamma - block1.theta_axis))
         scale = (1.0 + W) * (1.0 - W) / 2.0
         ot_max = math.sqrt(scale * env.h_max)
         ot_min = math.sqrt(scale * env.h_min)
         a_max, a_minmax, a_maxmin, a_min = (
             math.sqrt(scale * h) for h in h_extremes(pair)[:4])
     return OscillationProfile(
-        osf=osf(s, block1),
+        osf=_osf(block1, y, z),
         block_kind="complex",
         ot_min=ot_min,
         ot_max=ot_max,
@@ -561,8 +528,7 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     blocks = analysis.blocks
     b1 = blocks[0]
     if u is not None:
-        u = np.asarray(u, dtype=float)
-        w1 = _checked_projection(b1, u, "u")
+        w1 = checked_projection(b1, u).wu_mod
     t = np.asarray(t, dtype=float)
     g1 = g_factor(b1, t, u=u, p=p)
     eps = np.zeros(t.shape)
@@ -570,11 +536,11 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     for bj in blocks[1:]:
         coef = 1.0
         if u is not None:
-            wj = _abs_projection(bj, u)
-            if wj <= _PROJECTION_ERROR * float(np.linalg.norm(u)):
+            try:
+                coef = checked_projection(bj, u).wu_mod / w1
+            except ZeroProjection:
                 ratios.append(0.0)
                 continue
-            coef = wj / w1
         gj = g_factor(bj, t, u=u, p=p)
         ratio = gj / g1
         ratios.append(ratio)
@@ -643,22 +609,20 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     and eps(t) otherwise, so the precision bound fits the condition number
     computed.  When a subdominant block is unsupported, the eps columns
     are NaN, the precision bound is UNBOUNDED and a warning is recorded;
-    the condition numbers themselves only need the rightmost block.
+    the condition numbers themselves only need the rightmost block.  An
+    analysis of another matrix or norm raises ValueError.
     """
     if analysis is None:
         analysis = analyze_spectrum(s.matrix, norm_p=s.norm_p)
-    block = _rightmost(analysis)
+    block = _rightmost(s, analysis)
     notes = []
-    y0h = s.y0_hat
-    _checked_projection(block, y0h, "y0", notes)
-    if s.directional:
-        _checked_projection(block, s.z0, "z0", notes)
+    _projections(s, block, notes)
     grid = s.t_grid
     ka = k_asym(s, analysis, grid)
     profile = _profile_for(s, block, ka)
     if analysis.all_supported:
         et, _ = epsilon_bounds(analysis, grid, u=s.z0, p=s.norm_p)
-        eu, _ = epsilon_bounds(analysis, grid, u=y0h, p=s.norm_p)
+        eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat, p=s.norm_p)
         bound = precision_bound(et, eu)
     else:
         notes.append(

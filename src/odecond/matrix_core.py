@@ -230,10 +230,11 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
+#: worse conditioned eigenvectors keep under 4 digits: A counts as defective
 _DEFECT_COND_LIMIT = 1e12
 
 
-def eigen_decompose(A, cond_limit: float = _DEFECT_COND_LIMIT) -> EigenSystem:
+def eigen_decompose(A) -> EigenSystem:
     """Full eigendecomposition of a real square matrix.
 
     Eigenvalues are sorted by decreasing real part (conjugate pairs
@@ -243,7 +244,7 @@ def eigen_decompose(A, cond_limit: float = _DEFECT_COND_LIMIT) -> EigenSystem:
     V^{-1}.
 
     Raises NonDiagonalizable when the eigenvector matrix condition number
-    exceeds *cond_limit*: the matrix is defective to tolerance and the
+    exceeds _DEFECT_COND_LIMIT: the matrix is defective to tolerance and the
     simple-eigenvalue formulas downstream would be meaningless.
     """
     A = as_real_matrix(A, square=True)
@@ -253,11 +254,11 @@ def eigen_decompose(A, cond_limit: float = _DEFECT_COND_LIMIT) -> EigenSystem:
         raise NonDiagonalizable(f"eigensolver failed: {exc}") from exc
 
     svals = np.linalg.svd(V, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > cond_limit:
+    if svals[-1] == 0.0 or svals[0] / svals[-1] > _DEFECT_COND_LIMIT:
         cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
         raise NonDiagonalizable(
             f"eigenvector matrix condition number {cond:.3e} exceeds "
-            f"{cond_limit:.1e}; matrix is defective to tolerance"
+            f"{_DEFECT_COND_LIMIT:.1e}; matrix is defective to tolerance"
         )
 
     order = np.lexsort((-evals.imag, -evals.real))

@@ -51,7 +51,12 @@ __all__ = [
 ]
 
 _DEFAULT_GRID = 4096
+#: a polished bracket is a root below this; one across a jump of amax is not
 _RESIDUAL_TOL = 1e-11
+#: a grid point with a residual this small is itself a root
+_ON_GRID_TOL = 1e-13
+#: roots this close (circularly) are one root found twice
+_MERGE_TOL = 1e-8
 _TRUST_RADIUS = 0.3
 _MAX_HALVINGS = 12
 #: stationary solutions with the extremizer angle within this of beta
@@ -117,7 +122,7 @@ def _grid_roots(p: VWPair, xs, amax_xs, betas):
     (row, x index) pairs where the grid residual itself vanishes, and each
     polished root with the row of its beta, ordered by row and then x."""
     D = _residual(p.V, xs, amax_xs, betas[:, None])
-    on_grid = np.nonzero(np.abs(D) <= 1e-13)
+    on_grid = np.nonzero(np.abs(D) <= _ON_GRID_TOL)
     neg = np.signbit(D)
     row, i_idx = np.nonzero(neg != np.roll(neg, -1, axis=1))
     dlo = D[row, i_idx]
@@ -320,9 +325,9 @@ def _stationary_roots(p: VWPair, betas, grid_points: int = 2048):
         roots = np.sort(wrap_angle(np.concatenate((grid_hits, mids))))
         keep = list(roots[:1])
         for r in roots[1:]:
-            if r - keep[-1] > 1e-8:
+            if r - keep[-1] > _MERGE_TOL:
                 keep.append(r)
-        if len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1])) <= 1e-8:
+        if len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1])) <= _MERGE_TOL:
             keep.pop()
         out.append(np.asarray(keep))
     return out

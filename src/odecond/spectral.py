@@ -40,10 +40,17 @@ __all__ = [
     "DEFAULT_GROUP_TOL",
 ]
 
+#: real parts this close (times max(1, ||A||_2)) group: above eigenvalue
+#: rounding, below a genuine gap; a gap up to _AMBIGUOUS_BAND times it is
+#: refused, since a nearby tolerance would regroup it
 DEFAULT_GROUP_TOL = 1e-8
+_AMBIGUOUS_BAND = 10.0
 
-#: |w u| at or below this (times ||u||_2) counts as a vanishing projection.
-PROJECTION_FLOOR = 1e-13
+#: |w_hat u| <= PROJECTION_FLOOR ||u||_2 vanishes (no polar angle, outside
+#: the generic case), for every caller; up to PROJECTION_WARN it is valid
+#: but the scale factor 1 / |w_hat y0_hat| is huge, so the caller is warned
+PROJECTION_FLOOR = 1e-12
+PROJECTION_WARN = 1e-6
 
 #: V or W at or below this counts as zero: the phase angle delta of
 #: v_hat^T v_hat is pinned to 0 there, and the envelope closed forms take
@@ -173,13 +180,13 @@ def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAna
     evals = es.eigenvalues
     n = evals.shape[0]
     gaps = evals.real[:-1] - evals.real[1:]
-    band = (gaps > tol_abs) & (gaps <= 10.0 * tol_abs)
+    band = (gaps > tol_abs) & (gaps <= _AMBIGUOUS_BAND * tol_abs)
     if np.any(band):
         k = int(np.flatnonzero(band)[0])
         raise AmbiguousGrouping(
             f"real-part gap {gaps[k]:.3e} between {evals[k]:.6g} and "
             f"{evals[k + 1]:.6g} lies in the ambiguous band "
-            f"({tol_abs:.1e}, {10 * tol_abs:.1e}]; "
+            f"({tol_abs:.1e}, {_AMBIGUOUS_BAND * tol_abs:.1e}]; "
             "choose a grouping tolerance explicitly"
         )
 
@@ -232,20 +239,15 @@ class BlockProjection(NamedTuple):
     d: float
 
 
-def block_project(block: EigenBlock, u) -> BlockProjection:
-    """Projection data of a real vector u onto a complex block.
+def checked_projection(block: EigenBlock, u, label: str = "u",
+                       notes=None) -> BlockProjection:
+    """|w_hat u|, its polar angle gamma in (-pi, pi], and the coordinates
+    c, d of a Euclidean-unit u along the right singular vectors of the
+    stacked Re/Im rows of w_hat (NaN without Euclidean block data).
 
-    Returns |w_hat u|, its polar angle gamma in (-pi, pi], and the
-    coordinates c, d of u along the right singular vectors of the stacked
-    Re/Im rows of w_hat (NaN when the block was not analyzed in the
-    Euclidean norm).  The c, d coordinates assume u is Euclidean-unit;
-    wu_mod and gamma only fix u up to positive scale.
-
-    Raises ZeroProjection when |w_hat u| <= 1e-13 * ||u||_2: the angle is
-    undefined there and the asymptotic formulas assume it away.
-    """
-    if not block.is_complex:
-        raise UnsupportedBlock("block_project expects a complex block")
+    The one vanishing-projection decision: raises ZeroProjection, naming u
+    by label, at or below PROJECTION_FLOOR; up to PROJECTION_WARN appends
+    a warning to the list notes, if given."""
     u = np.asarray(u, dtype=float)
     scale = float(np.linalg.norm(u))
     if scale == 0.0 or not np.isfinite(scale):
@@ -254,8 +256,13 @@ def block_project(block: EigenBlock, u) -> BlockProjection:
     wu_mod = abs(wu)
     if wu_mod <= PROJECTION_FLOOR * scale:
         raise ZeroProjection(
-            f"|w u| = {wu_mod:.3e} is numerically zero; the polar angle is "
-            "undefined"
+            f"|w_hat {label}| = {wu_mod:.3e} <= {PROJECTION_FLOOR:.0e} "
+            f"||{label}||; the generic-case assumption fails"
+        )
+    if notes is not None and wu_mod <= PROJECTION_WARN * scale:
+        notes.append(
+            f"near-degenerate projection |w_hat {label}| = {wu_mod:.3e}; "
+            "asymptotic factors are large but valid"
         )
     if block.right_major is not None:
         c = float(u @ block.right_major)
@@ -263,6 +270,13 @@ def block_project(block: EigenBlock, u) -> BlockProjection:
     else:
         c = d = float("nan")
     return BlockProjection(wu_mod=wu_mod, gamma=float(np.angle(wu)), c=c, d=d)
+
+
+def block_project(block: EigenBlock, u) -> BlockProjection:
+    """checked_projection of u onto a complex block."""
+    if not block.is_complex:
+        raise UnsupportedBlock("block_project expects a complex block")
+    return checked_projection(block, u)
 
 
 def build_Q(block: EigenBlock, t: float) -> np.ndarray:

@@ -210,6 +210,36 @@ def test_non_finite_grouping_tolerance_exits_1(tmp_path, capsys, tol):
     assert "tol must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field, want", [
+    ("--z0", "-0.6,0,0.8", "z0", (-0.6, 0.0, 0.8)),
+    ("--y0", "-1,2,3", "y0", (-1.0, 2.0, 3.0)),
+    ("--t0", "-1e3", "t_start", -1000.0),
+])
+def test_negative_value_after_flag(tmp_path, flag, value, field, want):
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    argv = ["analyze", "--matrix", mat, "--y0", "1,2,3", "--out",
+            str(tmp_path / "x"), flag, value]
+    assert getattr(parse_config(argv), field) == want
+
+
+def test_near_degenerate_projection_warns(tmp_path, capsys):
+    b = analyze_spectrum(EXAMPLE_A).blocks[0]
+    null = np.linalg.svd(np.vstack([b.w_hat.real, b.w_hat.imag]))[2][2]
+    y0 = null + 1e-8 * b.right_major
+    y0 /= np.linalg.norm(y0)
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    out = tmp_path / "x"
+    assert run_cli(["analyze", "--matrix", mat,
+                    "--y0=" + ",".join(f"{v:.17g}" for v in y0), "--t1", 1.0,
+                    "--steps", 5, "--out", out]) == 0
+    warned = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("warning: ")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning: near-degenerate projection")
+    with open(f"{out}.json") as fh:
+        assert json.load(fh)["warnings"] == [warned[0][len("warning: "):]]
+
+
 def test_zero_projection_exits_3(tmp_path, capsys):
     A = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -2.0]]
     mat = write_matrix_csv(tmp_path / "R.csv", A)

@@ -652,6 +652,28 @@ def test_sweep_unsupported_subdominant_block():
     assert np.all(np.isfinite(ser.k_exact)) and np.all(np.isfinite(ser.k_asym))
 
 
+@pytest.mark.parametrize("matrix, norm_p", [(EXAMPLE_A, 1),
+                                            (2.0 * EXAMPLE_A, 2)])
+def test_foreign_analysis_is_refused(matrix, norm_p):
+    # w_hat and f depend on the matrix and the norm: an analysis of
+    # another pair would give silently wrong osf, ot and k_asym
+    an = analyze_spectrum(EXAMPLE_A)
+    s = Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0], norm_p=norm_p,
+                 t_grid=two_point_grid())
+    for call in (lambda: sweep(s, an), lambda: k_asym(s, an, 1.0)):
+        with pytest.raises(ValueError, match="another matrix or norm"):
+            call()
+
+
+def test_osf_refuses_block_of_another_norm():
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=1,
+                 t_grid=two_point_grid())
+    with pytest.raises(ValueError, match="another norm"):
+        osf(s, analyze_spectrum(EXAMPLE_A).blocks[0])
+    good = analyze_spectrum(EXAMPLE_A, norm_p=1)
+    assert osf(s, good.blocks[0]) == sweep(s, good).osf
+
+
 def test_sweep_projection_warning_band():
     an = analyze_spectrum(EXAMPLE_A)
     b1 = an.blocks[0]

@@ -8,6 +8,7 @@ from oracles import sphere_max
 
 from odecond.errors import AmbiguousGrouping, ZeroProjection, UnsupportedBlock
 from odecond.matrix_core import mat_exp
+from odecond.oscillator import phase_offset, theta_norm_u
 from odecond.spectral import (
     BlockKind,
     analyze_spectrum,
@@ -171,6 +172,20 @@ def test_project_orthogonal_complement_raises():
     b = rightmost(EXAMPLE_A)
     with pytest.raises(ZeroProjection):
         block_project(b, np.array([1.0, 0.0, 0.0]))
+
+
+def test_projection_floor_holds_for_direct_calls():
+    # |w_hat u| = 5e-13 ||u||: below the one floor of 1e-12, so every
+    # direct projection refuses it, as the condition numbers do
+    b = rightmost(EXAMPLE_A)
+    null = np.linalg.svd(np.vstack([b.w_hat.real, b.w_hat.imag]))[2][2]
+    u = null + 5e-13 / b.sigma * b.right_major
+    assert abs(b.w_hat @ u) == pytest.approx(5e-13 * np.linalg.norm(u),
+                                             rel=1e-3)
+    for call in (lambda: block_project(b, u), lambda: phase_offset(b, u),
+                 lambda: theta_norm_u(b, 0.5, u)):
+        with pytest.raises(ZeroProjection):
+            call()
 
 
 def test_project_matches_direct_dot():
