@@ -220,7 +220,7 @@ def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
             out["t_start"] = float(doc["t"]["start"])
             out["t_end"] = float(doc["t"]["end"])
             out["steps"] = int(doc["t"]["steps"])
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         parser.error(f"{path}: malformed scenario value: {exc}")
     return out
 
@@ -270,6 +270,8 @@ def parse_config(argv) -> RunConfig:
         else file_vals.get("t_end", 4.0 * math.pi)
     steps = ns.steps if ns.steps is not None \
         else file_vals.get("steps", 1024)
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        parser.error("--t0 and --t1 must be finite")
     if not t_start < t_end:
         parser.error("--t0 must be smaller than --t1")
     if steps < 2:
@@ -519,7 +521,7 @@ def main(argv=None) -> int:
     except ZeroProjection as exc:
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OdecondError, ValueError) as exc:
+    except (OdecondError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -34,8 +34,8 @@ from .matrix_core import (
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
 from .oscillator import VWPair, f_vw, f_vw_max, f_vw_min, g_factor, phase_x
+from .oscillator import _require_euclidean
 from .spectral import (
-    ZERO_MODULUS,
     EigenBlock,
     SpectrumAnalysis,
     analyze_spectrum,
@@ -381,17 +381,15 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     matrix and norm.
     """
     block = _rightmost(s, analysis)
-    y, z = _projections(s, block)
-    base = (1.0 if z is None else z.wu_mod) / y.wu_mod
+    base = _osf(block, *_projections(s, block))
     if block.is_real:
         return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
-    gy = g_factor(block, t, u=s.y0_hat, p=s.norm_p)
-    gz = g_factor(block, t, u=s.z0, p=s.norm_p)
-    return base * gz / gy
+    return base * g_factor(block, t, u=s.z0) / g_factor(block, t, u=s.y0_hat)
 
 
 def _osf(block1: EigenBlock, y, z) -> float:
-    """OSF from the projections of y0_hat and z0 (None: worst case)."""
+    """OSF from the projections of y0_hat and z0 (None: worst case); for a
+    real block, the constant asymptotic condition number."""
     if block1.W_mod is not None:
         W = block1.W_mod
         recon = math.sqrt(((1.0 + W) * y.c ** 2
@@ -404,6 +402,17 @@ def _osf(block1: EigenBlock, y, z) -> float:
     return (1.0 if z is None else z.wu_mod) / y.wu_mod
 
 
+def _check_complex(s: Scenario, block1: EigenBlock) -> None:
+    """The block check of osf, ot and ot_envelope: UnsupportedBlock for a
+    block that is not complex, ValueError for one analyzed in another norm
+    than the scenario's."""
+    if not block1.is_complex:
+        raise UnsupportedBlock("a complex rightmost block is required")
+    if block1.norm_p != s.norm_p:
+        raise ValueError("the block was analyzed in another norm than the "
+                         "scenario's")
+
+
 def osf(s: Scenario, block1: EigenBlock) -> float:
     """Oscillation scale factor of a complex rightmost block.
 
@@ -413,22 +422,8 @@ def osf(s: Scenario, block1: EigenBlock) -> float:
     vectors of the stacked Re/Im rows of w_hat.  Raises ValueError when
     the block was analyzed in another norm than the scenario's.
     """
-    if not block1.is_complex:
-        raise UnsupportedBlock("the oscillation scale factor needs a "
-                               "complex rightmost block")
-    if block1.norm_p != s.norm_p:
-        raise ValueError("the block was analyzed in another norm than the "
-                         "scenario's")
+    _check_complex(s, block1)
     return _osf(block1, *_projections(s, block1))
-
-
-def _euclidean_complex(s: Scenario, block1: EigenBlock):
-    if not block1.is_complex:
-        raise UnsupportedBlock("a complex rightmost block is required")
-    if s.norm_p != 2 or block1.V_mod is None:
-        raise UnsupportedBlock(
-            "oscillating-term closed forms hold for the Euclidean norm only"
-        )
 
 
 def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
@@ -437,9 +432,11 @@ def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
     Directional: sqrt(f_{V1 V1}(alpha, x)) at alpha = x_1(t) + Delta(y0)
     + pi and the t-independent x = 2 (gamma(z0) - gamma(y0)) - pi.  Worst
     case: sqrt((1 - W1^2)/2 * fmax(x_1(t)) / (1 + V1 cos(x_1(t) +
-    Delta(y0)))).  Periodic in t with period pi / omega_1.
+    Delta(y0)))).  Periodic in t with period pi / omega_1.  Raises
+    ValueError for a block of another norm than the scenario's.
     """
-    _euclidean_complex(s, block1)
+    _check_complex(s, block1)
+    _require_euclidean(block1)
     y, z = _projections(s, block1)
     x_t = phase_x(block1, t)
     d_y = 2.0 * (y.gamma - block1.theta_axis)
@@ -467,12 +464,13 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     term sweeps x through a full period of the ratio envelope at fixed
     beta = Delta(y0).  The a_* fields bound ot_max (between a_minmax and
     a_max) and ot_min (between a_min and a_maxmin) over every admissible
-    initial value.
+    initial value.  Raises ValueError for a block of another norm than the
+    scenario's.
     """
-    _euclidean_complex(s, block1)
+    _check_complex(s, block1)
+    _require_euclidean(block1)
     y, z = _projections(s, block1)
-    V = block1.V_mod if block1.V_mod > ZERO_MODULUS else 0.0
-    W = block1.W_mod if block1.W_mod > ZERO_MODULUS else 0.0
+    V, W = block1.V_mod, block1.W_mod
     q1 = q1_threshold(VWPair(V, W))
     if s.directional:
         x = 2.0 * (z.gamma - y.gamma) - math.pi
@@ -515,22 +513,24 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     nothing and report a zero ratio; a zero projection on block 1 is an
     error because the sum is normalized by it.  Accepts array t: eps is then
     an array over t, the ratios broadcast against it, and the loop runs
-    over blocks, not samples.
+    over blocks, not samples.  An e^{(r_j - r_1) t} that overflows, at
+    negative t, gives eps = inf: nothing is certified there.  p, if given,
+    must be the analysis's norm (ValueError otherwise).
     """
     if not analysis.all_supported:
         raise UnsupportedBlock(
             "the dominance sums need every eigenvalue group classified as "
             "simple single real or complex"
         )
-    if p is None:
-        p = analysis.norm_p
-    p = _normalize_p(p)
+    if p is not None and _normalize_p(p) != analysis.norm_p:
+        raise ValueError(f"p = {p} is not the analysis's norm "
+                         f"{_norm_label(analysis.norm_p)}")
     blocks = analysis.blocks
     b1 = blocks[0]
     if u is not None:
         w1 = checked_projection(b1, u).wu_mod
     t = np.asarray(t, dtype=float)
-    g1 = g_factor(b1, t, u=u, p=p)
+    g1 = g_factor(b1, t, u=u)
     eps = np.zeros(t.shape)
     ratios = []
     for bj in blocks[1:]:
@@ -541,10 +541,10 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
             except ZeroProjection:
                 ratios.append(0.0)
                 continue
-        gj = g_factor(bj, t, u=u, p=p)
-        ratio = gj / g1
+        ratio = g_factor(bj, t, u=u) / g1
         ratios.append(ratio)
-        eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
+        with np.errstate(over="ignore"):
+            eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
     return (eps if np.ndim(eps) else float(eps)), ratios
 
 
@@ -618,11 +618,14 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     notes = []
     _projections(s, block, notes)
     grid = s.t_grid
+    # exact propagation first: its refusal of a non-finite e^{t(A - r1 I)}
+    # comes before any asymptotic layer sees such a t
+    ke = _k_exact_grid(s, grid)
     ka = k_asym(s, analysis, grid)
     profile = _profile_for(s, block, ka)
     if analysis.all_supported:
-        et, _ = epsilon_bounds(analysis, grid, u=s.z0, p=s.norm_p)
-        eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat, p=s.norm_p)
+        et, _ = epsilon_bounds(analysis, grid, u=s.z0)
+        eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat)
         bound = precision_bound(et, eu)
     else:
         notes.append(
@@ -633,7 +636,7 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
         bound = np.full(grid.shape, UNBOUNDED)
     return ConditionSeries(
         t=grid,
-        k_exact=_k_exact_grid(s, grid),
+        k_exact=ke,
         k_asym=ka,
         ot=ka / profile.osf,
         eps_t=et,

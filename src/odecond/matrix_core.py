@@ -237,11 +237,10 @@ _DEFECT_COND_LIMIT = 1e12
 def eigen_decompose(A) -> EigenSystem:
     """Full eigendecomposition of a real square matrix.
 
-    Eigenvalues are sorted by decreasing real part (conjugate pairs
-    adjacent, positive imaginary part first) and each pair is canonicalized
-    so the negative-imaginary member is the exact conjugate of its partner,
-    both in the eigenvalue and in the corresponding column of V and row of
-    V^{-1}.
+    Eigenvalues are sorted by decreasing real part, then decreasing
+    imaginary part.  The negative-imaginary member of each conjugate pair
+    is the exact conjugate of its partner, in the eigenvalue and in the
+    corresponding column of V and row of V^{-1}.
 
     Raises NonDiagonalizable when the eigenvector matrix condition number
     exceeds _DEFECT_COND_LIMIT: the matrix is defective to tolerance and the
@@ -261,31 +260,19 @@ def eigen_decompose(A) -> EigenSystem:
             f"{_DEFECT_COND_LIMIT:.1e}; matrix is defective to tolerance"
         )
 
+    # For real input dgeev returns each complex pair consecutively and
+    # exactly conjugate, positive imaginary part first, and numpy builds
+    # the two eigenvectors as exact conjugates; sorting keeps both exact.
+    first = np.flatnonzero(evals.imag > 0)
     order = np.lexsort((-evals.imag, -evals.real))
+    rank = np.argsort(order)
     evals = evals[order].astype(complex)
     V = V[:, order].astype(complex)
 
-    # Pair conjugate eigenvalues and overwrite the Im<0 member with the
-    # exact conjugate of its Im>0 partner.
-    unpaired = [i for i in range(len(evals)) if evals[i].imag != 0.0]
-    while unpaired:
-        i = next(k for k in unpaired if evals[k].imag > 0)
-        unpaired.remove(i)
-        negs = [k for k in unpaired if evals[k].imag < 0]
-        if not negs:
-            raise NonDiagonalizable(
-                "complex eigenvalues do not close under conjugation"
-            )
-        j = min(negs, key=lambda k: abs(evals[k] - np.conj(evals[i])))
-        unpaired.remove(j)
-        evals[j] = np.conj(evals[i])
-        V[:, j] = np.conj(V[:, i])
-
+    # inv does not keep the rows of a pair conjugate: the partner of the
+    # dgeev member at k, at k + 1, takes the conjugate of its row
     W = np.linalg.inv(V)
-    for i in range(len(evals)):
-        if evals[i].imag > 0:
-            j = int(np.argmin(np.abs(evals - np.conj(evals[i]))))
-            W[j, :] = np.conj(W[i, :])
+    W[rank[first + 1]] = np.conj(W[rank[first]])
 
     residual = float(max(np.linalg.norm(A @ V[:, i] - evals[i] * V[:, i])
                          for i in range(len(evals))))

@@ -165,7 +165,7 @@ def _require_euclidean(block: EigenBlock):
         raise UnsupportedBlock("a complex block is required")
     if block.V_mod is None:
         raise UnsupportedBlock(
-            "block carries no Euclidean data; analyze with norm_p=2"
+            "the closed forms hold for a block analyzed with norm_p=2 only"
         )
 
 
@@ -231,21 +231,19 @@ def theta_norm_p(block: EigenBlock, t, p, u=None):
     return val.reshape(t.shape) if t.ndim else float(val[0])
 
 
-def g_factor(block: EigenBlock, t, u=None, p=None):
-    """Oscillation factor g of a supported block.
+def g_factor(block: EigenBlock, t, u=None):
+    """Oscillation factor g of a supported block, in the norm the block
+    was analyzed with.
 
     Real block: 1.  Complex block: twice the Theta norm, in vector form
     when a direction u is given and in matrix form otherwise; accepts
-    array t.  p defaults to the norm the block was analyzed with."""
+    array t."""
     if not block.is_supported:
         raise UnsupportedBlock("g_factor needs a supported block")
-    if p is None:
-        p = block.norm_p
-    p = _normalize_p(p)
     if block.is_real:
         return 1.0
-    if p == 2:
+    if block.norm_p == 2:
         if u is None:
             return 2.0 * theta_norm_mat(block, t)
         return 2.0 * theta_norm_u(block, t, u)
-    return 2.0 * theta_norm_p(block, t, p, u)
+    return 2.0 * theta_norm_p(block, t, block.norm_p, u)

@@ -52,9 +52,9 @@ _AMBIGUOUS_BAND = 10.0
 PROJECTION_FLOOR = 1e-12
 PROJECTION_WARN = 1e-6
 
-#: V or W at or below this counts as zero: the phase angle delta of
-#: v_hat^T v_hat is pinned to 0 there, and the envelope closed forms take
-#: their V = 0 / W = 0 limits.
+#: V or W at or below this is rounding noise: the block stores it as 0.0,
+#: so delta is pinned to 0 and every closed form takes its V = 0 / W = 0
+#: limit.
 ZERO_MODULUS = 1e-13
 
 
@@ -128,10 +128,10 @@ def _build_supported_block(kind, members, v, w, p):
     lam = members[0]
     extra = {}
     if kind is BlockKind.SIMPLE_SINGLE_COMPLEX and p == 2:
-        vv = complex(v_hat @ v_hat)
-        V_mod = abs(vv)
-        delta = 0.0 if V_mod <= ZERO_MODULUS else float(np.angle(vv))
-        W_mod = abs(complex(w_hat @ w_hat))
+        vv, ww = complex(v_hat @ v_hat), complex(w_hat @ w_hat)
+        V_mod, W_mod = (0.0 if abs(z) <= ZERO_MODULUS else abs(z)
+                        for z in (vv, ww))
+        delta = 0.0 if V_mod == 0.0 else float(np.angle(vv))
         R = np.vstack([w_hat.real, w_hat.imag])
         sv = svd_2xn(R)
         extra = dict(

@@ -184,6 +184,45 @@ def test_reversed_time_range_exits_1(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_negative_time_overflow_exits_1_without_warning(tmp_path, capsys):
+    # exact propagation refuses the non-finite e^{t(A - r1 I)} before the
+    # dominance sums form their exponentials (a RuntimeWarning is an error
+    # under this suite's filter)
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--t0", -1e3, "--t1", 1, "--out", tmp_path / "x"]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1]}', ["--t1", "inf"]),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+     '"t": {"start": 0, "end": Infinity, "steps": 8}}', []),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+     '"t": {"start": 0, "end": 1, "steps": Infinity}}', []),
+], ids=["flag-inf", "json-end-inf", "json-steps-inf"])
+def test_non_finite_time_range_exits_1(tmp_path, capsys, doc, argv):
+    path = tmp_path / "scen.json"
+    path.write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["analyze", "--matrix", path, "--out", tmp_path / "x"]
+                + argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--matrix", "A.csv", "--y0", "1,2,3", "--steps", 4],
+    ["demo", "--steps", 2],
+    ["envelope", "--V", 0.5, "--W", 0.5, "--steps", 2],
+    ["branches", "--V", 0.5, "--W", 0.5, "--steps", 2],
+], ids=["analyze", "demo", "envelope", "branches"])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv):
+    write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    argv = [tmp_path / a if a == "A.csv" else a for a in argv]
+    assert run_cli(argv + ["--out", tmp_path / "no" / "x"]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_broken_scenario_json_reports_position(tmp_path, capsys):
     doc = tmp_path / "scen.json"
     doc.write_text('{"matrix": [[1, 0],\n [0, }')

@@ -311,6 +311,39 @@ def test_ot_rejects_non_euclidean():
         ot_envelope(s, an.blocks[0])
 
 
+def test_normal_matrix_moduli_are_exact_zeros():
+    # V and W of a normal matrix are rounding noise; the block stores 0.0,
+    # so the JSON and every closed form read the same exact zero
+    Q, _ = np.linalg.qr(np.random.default_rng(44).normal(size=(4, 4)))
+    D = np.zeros((4, 4))
+    D[:2, :2] = [[0.3, 1.7], [-1.7, 0.3]]
+    D[2:, 2:] = [[-0.5, 0.9], [-0.9, -0.5]]
+    A = Q @ D @ Q.T
+    b1 = analyze_spectrum(A).blocks[0]
+    assert b1.is_complex and (b1.V_mod, b1.W_mod, b1.delta) == (0.0, 0.0, 0.0)
+    worst = Scenario(matrix=A, y0=[1.0, 2.0, 3.0, 4.0], t_grid=two_point_grid())
+    block = sweep(worst).summary_dict()["block"]
+    assert (block["V"], block["W"]) == (0.0, 0.0)
+    along = Scenario(matrix=A, y0=worst.y0, z0=[1.0, 0.0, 0.0, 0.0],
+                     t_grid=two_point_grid())
+    for t in (0.0, 0.3, 1.9):
+        assert ot(worst, b1, t) == math.sqrt(0.5)
+        assert ot(along, b1, t) == 1.0
+
+
+@pytest.mark.parametrize("call", [ot, ot_envelope], ids=["ot", "ot_envelope"])
+def test_block_of_another_norm_is_refused(call):
+    # w_hat and f depend on the norm: a block of another norm than the
+    # scenario's is refused, as osf refuses it, not silently used
+    for scen_p, block_p in ((2, 1), (1, 2), (np.inf, 1)):
+        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=scen_p,
+                     t_grid=two_point_grid())
+        b1 = analyze_spectrum(EXAMPLE_A, norm_p=block_p).blocks[0]
+        args = (0.5,) if call is ot else ()
+        with pytest.raises(ValueError, match="another norm"):
+            call(s, b1, *args)
+
+
 # ------------------------------------------------------------- ot_envelope
 
 def test_ot_envelope_brackets_dense_grid(rng):
@@ -538,6 +571,32 @@ def test_epsilon_zero_projection_on_rightmost_raises():
     null = wplane_null_basis(an.blocks[0])[0]
     with pytest.raises(ZeroProjection):
         epsilon_bounds(an, 1.0, u=null)
+
+
+def test_epsilon_refuses_a_norm_other_than_the_analysis():
+    an = analyze_spectrum(EXAMPLE_A)
+    u = unit([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="norm"):
+        epsilon_bounds(an, 1.0, u=u, p=1)
+    with pytest.raises(ValueError, match="norm"):
+        epsilon_bounds(an, 1.0, p=np.inf)
+    assert epsilon_bounds(an, 1.0, u=u, p=2) == epsilon_bounds(an, 1.0, u=u)
+
+
+def test_epsilon_overflow_at_negative_t_is_uncertified():
+    # e^{(r_j - r_1) t} overflows at large negative t: eps is inf, quietly
+    an = analyze_spectrum(EXAMPLE_A)
+    eps, _ = epsilon_bounds(an, np.array([-1e3, 0.5]))
+    assert eps[0] == math.inf and math.isfinite(eps[1])
+    # a directional run whose propagated norms stay finite: a 45-degree
+    # rotation of diag(0, -1), in the max norm, at t = -710
+    A = [[-0.5, 0.5], [0.5, -0.5]]
+    s = Scenario(matrix=A, y0=[1.0, 0.5], z0=[1.0, 0.0], norm_p=np.inf,
+                 t_grid=np.array([-710.0, -700.0]))
+    ser = sweep(s)
+    assert np.all(np.isfinite(ser.k_exact))
+    assert ser.eps_t[0] == ser.eps_tu[0] == math.inf
+    assert np.all(ser.precision_bound == UNBOUNDED)
 
 
 def test_epsilon_p_norm_bound(rng):

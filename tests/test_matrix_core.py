@@ -160,14 +160,62 @@ def test_eigen_residual_and_biorthogonality():
         assert np.abs(G - np.eye(6)).max() <= 1e-9
 
 
-def test_eigen_conjugate_pairing_exact():
-    es = eigen_decompose(EXAMPLE_A)
+def _assert_pairs_exact(A):
+    # every complex eigenvalue has exactly one exact conjugate partner, and
+    # the partners' right columns and left rows are exact conjugates too
+    es = eigen_decompose(A)
     evals = es.eigenvalues
-    i = int(np.argmax(evals.imag))
-    j = int(np.argmin(evals.imag))
-    assert evals[j] == np.conj(evals[i])
-    assert np.array_equal(es.right_vectors[:, j], np.conj(es.right_vectors[:, i]))
-    assert np.array_equal(es.left_rows[j, :], np.conj(es.left_rows[i, :]))
+    pos = np.flatnonzero(evals.imag > 0)
+    assert pos.size == np.count_nonzero(evals.imag < 0)
+    partners = set()
+    for i in pos:
+        (j,) = np.flatnonzero(evals == np.conj(evals[i]))
+        partners.add(int(j))
+        assert np.array_equal(es.right_vectors[:, j],
+                              np.conj(es.right_vectors[:, i]))
+        assert np.array_equal(es.left_rows[j, :], np.conj(es.left_rows[i, :]))
+    assert len(partners) == pos.size
+    return pos.size
+
+
+def _rotation(a, b):
+    return np.array([[a, b], [-b, a]])
+
+
+def test_eigen_conjugate_pairing_exact():
+    assert _assert_pairs_exact(EXAMPLE_A) == 1
+    rng = np.random.default_rng(20260418)
+    pairs = 0
+    for n in range(2, 41):
+        for _ in range(4):
+            pairs += _assert_pairs_exact(rng.normal(size=(n, n)))
+    assert pairs > 1000
+    # two pairs with equal real parts: sorting puts them in the order
+    # +3i, +i, -i, -3i, so the partners are not adjacent
+    D = np.zeros((4, 4))
+    D[:2, :2], D[2:, 2:] = _rotation(-0.5, 1.0), _rotation(-0.5, 3.0)
+    assert _assert_pairs_exact(D) == 2
+    # pairs mixed with repeated real eigenvalues, exact and conjugated by
+    # an orthogonal similarity
+    D = np.zeros((8, 8))
+    D[:2, :2], D[4:6, 4:6] = _rotation(0.25, 2.0), _rotation(-1.0, 0.5)
+    D[2, 2] = D[3, 3] = 0.25
+    D[6, 6] = D[7, 7] = -1.0
+    Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    for M in (D, Q @ D @ Q.T):
+        assert _assert_pairs_exact(M) >= 2
+
+
+def test_eigen_repeated_pair_left_rows_invert():
+    # a pair repeated exactly: each left row takes its own partner's
+    # conjugate, so the rows stay the inverse of the columns
+    D = np.zeros((5, 5))
+    D[:2, :2] = D[2:4, 2:4] = _rotation(-0.5, 1.0)
+    D[4, 4] = -2.0
+    es = eigen_decompose(D)
+    assert np.count_nonzero(es.eigenvalues == complex(-0.5, 1.0)) == 2
+    assert np.allclose(es.left_rows @ es.right_vectors, np.eye(5),
+                       atol=1e-14)
 
 
 def test_eigen_sorted_by_real_part():
