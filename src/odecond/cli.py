@@ -521,7 +521,7 @@ def main(argv=None) -> int:
     except ZeroProjection as exc:
         print(f"genericity violation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OdecondError, ValueError, OSError) as exc:
+    except (OdecondError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -103,6 +103,8 @@ class Scenario:
             z0 = np.asarray(z0, dtype=float).reshape(-1)
             if z0.shape != y0.shape:
                 raise ValueError("z0 must have the same length as y0")
+            if not np.all(np.isfinite(z0)):
+                raise ValueError("z0 must be finite")
             if abs(vector_norm(z0, p) - 1.0) > _UNIT_TOL:
                 raise ValueError(
                     f"z0 must be a unit vector in the {p}-norm "

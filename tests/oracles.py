@@ -3,10 +3,22 @@
 Nothing here touches the library's closed forms: the matrix exponential is
 a scaled Taylor series, maxima come from dense grids or sphere sampling
 followed by a local polish.  Slow on purpose; correctness is the only goal.
+The one exception is the direct envelope sweep at the end, which reuses
+the kernel's closed forms but lays H and the stationarity residual out as
+full (beta, x) grids, one transcendental per cell: the reference the
+separable scan of `minimax` must reproduce bit for bit.
 """
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+
+from odecond import minimax
+from odecond.oscillator import (
+    VWPair,
+    _alpha_extrema_arrays,
+    f_vw_max,
+    wrap_angle,
+)
 
 
 def taylor_expm(A, t=1.0, terms=60):
@@ -105,3 +117,79 @@ def grid_extreme_1d(fun, lo, hi, npts=10 ** 5, which="max"):
     b = min(hi, xs[idx] + (hi - lo) / (npts - 1))
     scalar = lambda x: float(np.asarray(fun(np.asarray([x])))[0])
     return _polish_1d(scalar, a, b, -1.0 if which == "max" else 1.0)
+
+
+def direct_grid_roots(p, xs, amax_xs, betas):
+    """Stationary points of H( . , beta) for every beta from the full
+    residual grid -sin(x + amax) + sin(x + beta) - V sin(amax - beta):
+    (on_grid, root, row) as `minimax` returns them, each sign change
+    polished by 48 bisections."""
+    D = minimax._residual(p.V, xs, amax_xs, betas[:, None])
+    on_grid = np.nonzero(np.abs(D) <= minimax._ON_GRID_TOL)
+    neg = np.signbit(D)
+    row, i_idx = np.nonzero(neg != np.roll(neg, -1, axis=1))
+    dlo = D[row, i_idx]
+    lo = xs[i_idx]
+    hi = lo + 2.0 * np.pi / xs.size
+    bb = betas[row]
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        am, _ = _alpha_extrema_arrays(p, mid)
+        dm = minimax._residual(p.V, mid, am, bb)
+        same = np.signbit(dm) == np.signbit(dlo)
+        lo = np.where(same, mid, lo)
+        dlo = np.where(same, dm, dlo)
+        hi = np.where(same, hi, mid)
+    return on_grid, 0.5 * (lo + hi), row
+
+
+def _direct_grid(V, W, n):
+    xs = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    p = VWPair(V, W)
+    amax, _ = _alpha_extrema_arrays(p, xs)
+    return xs, np.asarray(f_vw_max(p, xs)), amax
+
+
+def direct_envelope_sweep(p, betas, grid_points=4096):
+    """(h_max, h_min, argmax_x, argmin_x) of H over x for every beta, with
+    H evaluated as fmax / (1 + V cos(x + beta)) on the full grid."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    xs, fmax_xs, amax_xs = _direct_grid(p.V, p.W, grid_points)
+    Hgrid = fmax_xs / (1.0 + p.V * np.cos(xs + betas[:, None]))
+    rows = np.arange(betas.size)
+    i_hi = Hgrid.argmax(axis=1)
+    i_lo = Hgrid.argmin(axis=1)
+    hi_val, lo_val = Hgrid[rows, i_hi], Hgrid[rows, i_lo]
+    hi_arg, lo_arg = xs[i_hi], xs[i_lo]
+    _, root, row = direct_grid_roots(p, xs, amax_xs, betas)
+    hval = minimax.h_func(p, root, betas[row])
+    minimax._merge_roots(hi_val, hi_arg, hval, root, row, 1.0)
+    minimax._merge_roots(lo_val, lo_arg, hval, root, row, -1.0)
+    return hi_val, lo_val, wrap_angle(hi_arg), wrap_angle(lo_arg)
+
+
+def direct_stationary_roots(p, betas, grid_points=2048):
+    """Sorted stationary points in (-pi, pi] for each beta, from the full
+    residual grid: on-grid hits and good polished roots, merged when
+    closer than the merge tolerance."""
+    betas = np.asarray(betas, dtype=float)
+    xs, _, amax_xs = _direct_grid(p.V, p.W, grid_points)
+    (g_row, g_idx), mid, row = direct_grid_roots(p, xs, amax_xs, betas)
+    am, _ = _alpha_extrema_arrays(p, mid)
+    good = (np.abs(minimax._residual(p.V, mid, am, betas[row]))
+            <= minimax._RESIDUAL_TOL)
+    cuts = np.arange(1, betas.size)
+    on_grid = np.split(xs[g_idx], np.searchsorted(g_row, cuts))
+    polished = np.split(mid[good], np.searchsorted(row[good], cuts))
+    out = []
+    for grid_hits, mids in zip(on_grid, polished):
+        roots = np.sort(wrap_angle(np.concatenate((grid_hits, mids))))
+        keep = list(roots[:1])
+        for r in roots[1:]:
+            if r - keep[-1] > minimax._MERGE_TOL:
+                keep.append(r)
+        if (len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1]))
+                <= minimax._MERGE_TOL):
+            keep.pop()
+        out.append(np.asarray(keep))
+    return out

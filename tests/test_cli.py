@@ -223,6 +223,32 @@ def test_unwritable_output_exits_1(tmp_path, capsys, argv):
     assert "No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--matrix", "A.csv", "--y0", "1,2,3", "--steps", 10 ** 15],
+    ["analyze", "--matrix", "scen.json"],
+    ["envelope", "--V", 0.5, "--W", 0.5, "--steps", 10 ** 15],
+], ids=["analyze-flag", "analyze-json", "envelope"])
+def test_unallocatable_step_count_exits_1(tmp_path, capsys, argv):
+    # 1e15 float64 samples are 8 PB, beyond any address space: numpy's
+    # allocation fails at once and must end as an error line, not a trace
+    write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    (tmp_path / "scen.json").write_text(
+        '{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+        '"t": {"start": 0, "end": 1, "steps": 1e15}}')
+    argv = [tmp_path / a if a in ("A.csv", "scen.json") else a
+            for a in argv]
+    assert run_cli(argv + ["--out", tmp_path / "x"]) == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err
+
+
+def test_non_finite_z0_exits_1(tmp_path, capsys):
+    mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--z0", "nan,0,0", "--steps", 8,
+                    "--out", tmp_path / "x"]) == 1
+    assert "error: z0 must be finite" in capsys.readouterr().err
+
+
 def test_broken_scenario_json_reports_position(tmp_path, capsys):
     doc = tmp_path / "scen.json"
     doc.write_text('{"matrix": [[1, 0],\n [0, }')

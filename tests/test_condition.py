@@ -67,6 +67,11 @@ def test_scenario_validation():
         Scenario(matrix=np.eye(2), y0=[0.0, 0.0], t_grid=g)
     with pytest.raises(ValueError):
         Scenario(matrix=np.eye(2), y0=[1.0, 0.0], z0=[0.7, 0.0], t_grid=g)
+    # abs(nan - 1) > tol is False: the unit check alone would let NaN in
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="z0"):
+            Scenario(matrix=np.eye(2), y0=[1.0, 0.0], z0=[bad, 0.0],
+                     t_grid=g)
     with pytest.raises(ValueError):
         Scenario(matrix=np.eye(2), y0=[1.0, 0.0], t_grid=[1.0, 1.0])
     with pytest.raises(ValueError):

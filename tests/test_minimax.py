@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_extreme_1d
+from oracles import (
+    direct_envelope_sweep,
+    direct_stationary_roots,
+    grid_extreme_1d,
+)
 
 from odecond import minimax
 from odecond.errors import BranchLost
@@ -148,6 +153,64 @@ def test_merge_roots_equals_per_row_loop(rng):
             minimax._merge_roots(got_val, got_arg, hval, root, row, sign)
             assert np.array_equal(sign * got_val, ref[0])
             assert np.array_equal(got_arg, ref[1])
+
+
+_RANDOM_PAIRS = [tuple(float(v) for v in pair) for pair in
+                 np.random.default_rng(9).uniform(0.02, 0.98, (3, 2))]
+
+
+@pytest.mark.parametrize("V, W", _RANDOM_PAIRS + [
+    (0.55, 0.55), (0.9, 0.9), (0.0, 0.5), (0.6, 0.0)])
+@pytest.mark.parametrize("count", [181, 721])
+def test_separable_sweep_equals_direct_grids(V, W, count):
+    # the blocked separable scan against full grids with cos(x + beta)
+    # and three sines per cell: same brackets, same located grid extremes,
+    # and the same values, since both are valued directly
+    p = VWPair(V, W)
+    betas = np.linspace(0.0, np.pi, count)
+    got = h_envelope_sweep(p, betas)
+    want = direct_envelope_sweep(p, betas)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if 0.0 < V == W:
+        # at V = W the minimum of most rows sits at a kink of fmax, not at
+        # a stationary point: the grid extreme wins the merge there
+        xs = wrap_angle(np.linspace(-np.pi, np.pi, 4096, endpoint=False))
+        assert np.isin(got[3], xs).sum() > count // 2
+
+
+@pytest.mark.parametrize("V, W", _RANDOM_PAIRS + [
+    (0.40, 0.50), (0.80, 0.30), (0.55, 0.55), (0.75, 0.72),
+    (0.7453573791774515, 0.28480058282631915)])
+def test_separable_roots_equal_direct_grids(V, W):
+    # the one allowed difference: an exact root on the grid, such as
+    # x = pi at beta = pi, that the direct grid reports only as a polished
+    # root a few ulp off while the separable residual also hits it; the
+    # last pair has one at beta = pi
+    p = VWPair(V, W)
+    betas = np.linspace(0.0, np.pi, 91)
+    xs = wrap_angle(np.linspace(-np.pi, np.pi, 2048, endpoint=False))
+    for got, want in zip(minimax._stationary_roots(p, betas),
+                         direct_stationary_roots(p, betas)):
+        assert got.shape == want.shape
+        moved = got != want
+        assert np.all(np.isin(got[moved], xs))
+        assert np.all(np.abs(got[moved] - want[moved])
+                      <= 4 * np.spacing(np.abs(got[moved])))
+
+
+def test_721_beta_sweep_peaks_below_8_mib():
+    # the scan holds a block of beta rows, about 1 MiB, where the full
+    # 721 x 4096 grid of H alone would take 22.5 MiB
+    p = VWPair(0.55, 0.55)
+    betas = np.linspace(0.0, np.pi, 721)
+    tracemalloc.start()
+    try:
+        h_envelope_sweep(p, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_envelope_rejects_coarse_grid():
