@@ -64,7 +64,6 @@ from .spectral import (
     EigenBlock,
     SpectrumAnalysis,
     analyze_spectrum,
-    block_project,
     build_Q,
 )
 

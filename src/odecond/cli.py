@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matrix_core import vector_norm
 from .minimax import h_envelope_sweep, h_extremes, trace_branches
-from .oscillator import VWPair, f_vw_max, f_vw_min
+from .oscillator import VWPair, _f_extremes
 from .spectral import analyze_spectrum
 
 EXIT_OK = 0
@@ -437,8 +437,7 @@ def cmd_demo(cfg: RunConfig) -> int:
 def cmd_envelope(cfg: RunConfig) -> int:
     pair = VWPair(cfg.V, cfg.W)
     xs = np.linspace(0.0, 2.0 * math.pi, cfg.steps + 1)
-    fmax = np.asarray(f_vw_max(pair, xs), dtype=float)
-    fmin = np.asarray(f_vw_min(pair, xs), dtype=float)
+    _, _, fmax, fmin = _f_extremes(pair, xs)
     f_path = cfg.out + "_f.csv"
     with open(f_path, "w") as fh:
         fh.write("x,f_max,f_min\n")

@@ -33,8 +33,8 @@ from .matrix_core import (
     _normalize_p,
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
-from .oscillator import VWPair, f_vw, f_vw_max, f_vw_min, g_factor, phase_x
-from .oscillator import _require_euclidean
+from .oscillator import VWPair, f_vw, f_vw_max, g_factor, phase_x
+from .oscillator import _f_extremes, _require_euclidean
 from .spectral import (
     EigenBlock,
     SpectrumAnalysis,
@@ -303,6 +303,13 @@ def _rightmost(s: Scenario, analysis: SpectrumAnalysis) -> EigenBlock:
     return block
 
 
+def _require_finite(t) -> None:
+    """The time check of every function of t: a non-finite t (scalar or
+    array entry) has no condition number, so it is refused, not NaN."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+
+
 def _shifted(s: Scenario) -> np.ndarray:
     """A - r1 I, r1 the largest real part of the spectrum: both condition
     numbers are ratios of norms of one propagator, so the factor e^{t r1}
@@ -359,8 +366,7 @@ def k_exact(s: Scenario, t: float) -> float:
     propagation as sweep, on a one-sample grid.
     """
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    _require_finite(t)
     return float(_k_exact_grid(s, np.array([t]))[0])
 
 
@@ -380,9 +386,10 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     pair: the same scale factors times the ratio of oscillation factors
     g_1(t, z0) / g_1(t, y0_hat) or g_1(t) / g_1(t, y0_hat).  Accepts
     array t.  Raises ValueError when the analysis is not of the scenario's
-    matrix and norm.
+    matrix and norm, or t is not finite.
     """
     block = _rightmost(s, analysis)
+    _require_finite(t)
     base = _osf(block, *_projections(s, block))
     if block.is_real:
         return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
@@ -404,41 +411,34 @@ def _osf(block1: EigenBlock, y, z) -> float:
     return (1.0 if z is None else z.wu_mod) / y.wu_mod
 
 
-def _check_complex(s: Scenario, block1: EigenBlock) -> None:
-    """The block check of osf, ot and ot_envelope: UnsupportedBlock for a
-    block that is not complex, ValueError for one analyzed in another norm
-    than the scenario's."""
-    if not block1.is_complex:
-        raise UnsupportedBlock("a complex rightmost block is required")
-    if block1.norm_p != s.norm_p:
-        raise ValueError("the block was analyzed in another norm than the "
-                         "scenario's")
-
-
-def osf(s: Scenario, block1: EigenBlock) -> float:
+def osf(s: Scenario, analysis: SpectrumAnalysis) -> float:
     """Oscillation scale factor of a complex rightmost block.
 
     directional: |w_hat z0| / |w_hat y0_hat|; worst case: 1 / |w_hat
     y0_hat|.  In the Euclidean norm the modulus is cross-checked against
     its expression in the coordinates of y0_hat along the right singular
     vectors of the stacked Re/Im rows of w_hat.  Raises ValueError when
-    the block was analyzed in another norm than the scenario's.
+    the analysis is not of the scenario's matrix and norm.
     """
-    _check_complex(s, block1)
+    block1 = _rightmost(s, analysis)
+    if not block1.is_complex:
+        raise UnsupportedBlock("a complex rightmost block is required")
     return _osf(block1, *_projections(s, block1))
 
 
-def ot(s: Scenario, block1: EigenBlock, t: float) -> float:
+def ot(s: Scenario, analysis: SpectrumAnalysis, t: float) -> float:
     """Oscillating term at time t (Euclidean norm, complex block).
 
     Directional: sqrt(f_{V1 V1}(alpha, x)) at alpha = x_1(t) + Delta(y0)
     + pi and the t-independent x = 2 (gamma(z0) - gamma(y0)) - pi.  Worst
     case: sqrt((1 - W1^2)/2 * fmax(x_1(t)) / (1 + V1 cos(x_1(t) +
     Delta(y0)))).  Periodic in t with period pi / omega_1.  Raises
-    ValueError for a block of another norm than the scenario's.
+    ValueError when the analysis is not of the scenario's matrix and
+    norm, or t is not finite.
     """
-    _check_complex(s, block1)
+    block1 = _rightmost(s, analysis)
     _require_euclidean(block1)
+    _require_finite(t)
     y, z = _projections(s, block1)
     x_t = phase_x(block1, t)
     d_y = 2.0 * (y.gamma - block1.theta_axis)
@@ -458,7 +458,8 @@ def _universal_directional(V: float):
     return a_max, 1.0, 1.0, 1.0 / a_max
 
 
-def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
+def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
+                ) -> OscillationProfile:
     """Extremes of the oscillating term over t, plus universal envelopes.
 
     ot_min/ot_max are tight for this scenario: the directional term sweeps
@@ -466,10 +467,10 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     term sweeps x through a full period of the ratio envelope at fixed
     beta = Delta(y0).  The a_* fields bound ot_max (between a_minmax and
     a_max) and ot_min (between a_min and a_maxmin) over every admissible
-    initial value.  Raises ValueError for a block of another norm than the
-    scenario's.
+    initial value.  Raises ValueError when the analysis is not of the
+    scenario's matrix and norm.
     """
-    _check_complex(s, block1)
+    block1 = _rightmost(s, analysis)
     _require_euclidean(block1)
     y, z = _projections(s, block1)
     V, W = block1.V_mod, block1.W_mod
@@ -477,8 +478,9 @@ def ot_envelope(s: Scenario, block1: EigenBlock) -> OscillationProfile:
     if s.directional:
         x = 2.0 * (z.gamma - y.gamma) - math.pi
         pair = VWPair(V, V)
-        ot_max = math.sqrt(f_vw_max(pair, x))
-        ot_min = math.sqrt(f_vw_min(pair, x))
+        _, _, f_hi, f_lo = _f_extremes(pair, x)
+        ot_max = math.sqrt(f_hi)
+        ot_min = math.sqrt(f_lo)
         a_max, a_minmax, a_maxmin, a_min = _universal_directional(V)
     else:
         # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), with the
@@ -517,7 +519,8 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     an array over t, the ratios broadcast against it, and the loop runs
     over blocks, not samples.  An e^{(r_j - r_1) t} that overflows, at
     negative t, gives eps = inf: nothing is certified there.  p, if given,
-    must be the analysis's norm (ValueError otherwise).
+    must be the analysis's norm, and t must be finite (ValueError
+    otherwise).
     """
     if not analysis.all_supported:
         raise UnsupportedBlock(
@@ -532,6 +535,7 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     if u is not None:
         w1 = checked_projection(b1, u).wu_mod
     t = np.asarray(t, dtype=float)
+    _require_finite(t)
     g1 = g_factor(b1, t, u=u)
     eps = np.zeros(t.shape)
     ratios = []
@@ -562,18 +566,19 @@ def precision_bound(eps_t, eps_tu):
     return float(out) if out.ndim == 0 else out
 
 
-def _profile_for(s: Scenario, block: EigenBlock,
+def _profile_for(s: Scenario, analysis: SpectrumAnalysis,
                  ka: np.ndarray) -> OscillationProfile:
     """Oscillation profile of a sweep whose k_asym column is ka."""
+    block = analysis.blocks[0]
     if block.is_real:
         # k_asym is the constant scale factor
         return OscillationProfile(osf=float(ka[0]), block_kind="real")
     if s.norm_p == 2:
-        return ot_envelope(s, block)
+        return ot_envelope(s, analysis)
     # p in {1, inf}: the scale/oscillation split still holds but the
     # closed-form envelopes do not; the ot range is that of the series
     # over the grid
-    factor = osf(s, block)
+    factor = osf(s, analysis)
     ot_vals = ka / factor
     return OscillationProfile(
         osf=factor,
@@ -624,7 +629,7 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     # comes before any asymptotic layer sees such a t
     ke = _k_exact_grid(s, grid)
     ka = k_asym(s, analysis, grid)
-    profile = _profile_for(s, block, ka)
+    profile = _profile_for(s, analysis, ka)
     if analysis.all_supported:
         et, _ = epsilon_bounds(analysis, grid, u=s.z0)
         eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat)

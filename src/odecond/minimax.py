@@ -36,7 +36,8 @@ import numpy as np
 
 from . import matrix_core
 from .errors import BranchLost
-from .oscillator import VWPair, _alpha_extrema_arrays, f_vw_max, wrap_angle
+from .oscillator import (VWPair, _alpha_extrema_arrays, _f_extremes, f_vw_max,
+                         wrap_angle)
 
 __all__ = [
     "BranchPolyline",
@@ -113,9 +114,8 @@ class HExtremes(NamedTuple):
 @lru_cache(maxsize=16)
 def _grid_data(V: float, W: float, n: int):
     xs = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    p = VWPair(V, W)
-    amax, _ = _alpha_extrema_arrays(p, xs)
-    return xs, np.asarray(f_vw_max(p, xs)), amax
+    amax, _, fmax, _ = _f_extremes(VWPair(V, W), xs)
+    return xs, fmax, amax
 
 
 def _grid_roots(p: VWPair, xs, amax_xs, betas, fmax_xs=None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
 from .matrix_core import _normalize_p, stack_slices
-from .spectral import EigenBlock, block_project
+from .spectral import EigenBlock, checked_projection
 
 __all__ = [
     "VWPair",
@@ -134,27 +134,28 @@ def alpha_extrema(p: VWPair, x: float):
     return float(amax), float(amin)
 
 
-def f_vw_max(p: VWPair, x):
-    """Maximum of f( . , x) over alpha; accepts array x.
-
-    V = 0 or W = 0 short-circuits to the constant (1 + V) / (1 - W)."""
+def _f_extremes(p: VWPair, x):
+    """(amax, amin, fmax, fmin): the extremizer angles of f( . , x) over
+    alpha and its maximum and minimum, from one solve of the angles.  V = 0
+    or W = 0 short-circuits the values to the constants (1 + V) / (1 - W)
+    and (1 - V) / (1 + W)."""
     x = np.asarray(x, dtype=float)
+    amax, amin = _alpha_extrema_arrays(p, x)
     if p.V == 0.0 or p.W == 0.0:
-        val = np.full(x.shape, (1.0 + p.V) / (1.0 - p.W))
-        return val if val.ndim else float(val)
-    amax, _ = _alpha_extrema_arrays(p, x)
-    val = f_vw(p, amax, x)
+        return (amax, amin, np.full(x.shape, (1.0 + p.V) / (1.0 - p.W)),
+                np.full(x.shape, (1.0 - p.V) / (1.0 + p.W)))
+    return amax, amin, f_vw(p, amax, x), f_vw(p, amin, x)
+
+
+def f_vw_max(p: VWPair, x):
+    """Maximum of f( . , x) over alpha; accepts array x."""
+    val = _f_extremes(p, x)[2]
     return val if np.ndim(val) else float(val)
 
 
 def f_vw_min(p: VWPair, x):
     """Minimum of f( . , x) over alpha; accepts array x."""
-    x = np.asarray(x, dtype=float)
-    if p.V == 0.0 or p.W == 0.0:
-        val = np.full(x.shape, (1.0 - p.V) / (1.0 + p.W))
-        return val if val.ndim else float(val)
-    _, amin = _alpha_extrema_arrays(p, x)
-    val = f_vw(p, amin, x)
+    val = _f_extremes(p, x)[3]
     return val if np.ndim(val) else float(val)
 
 
@@ -180,7 +181,7 @@ def phase_x(block: EigenBlock, t):
 def phase_offset(block: EigenBlock, u) -> float:
     """The phase offset Delta(u) = 2 (gamma(u) - theta)."""
     _require_euclidean(block)
-    pr = block_project(block, u)
+    pr = checked_projection(block, u)
     return 2.0 * (pr.gamma - block.theta_axis)
 
 
@@ -226,7 +227,7 @@ def theta_norm_p(block: EigenBlock, t, p, u=None):
                 wt[sl, :, None] + av[:, None] + aw[None, :])
             val[sl] = np.linalg.norm(Th, p, axis=(-2, -1))
     else:
-        pr = block_project(block, u)
+        pr = checked_projection(block, u)
         val = np.linalg.norm(mv * np.cos(wt + av + pr.gamma), p, axis=-1)
     return val.reshape(t.shape) if t.ndim else float(val[0])
 

@@ -35,7 +35,6 @@ __all__ = [
     "EigenBlock",
     "SpectrumAnalysis",
     "analyze_spectrum",
-    "block_project",
     "build_Q",
     "DEFAULT_GROUP_TOL",
 ]
@@ -270,13 +269,6 @@ def checked_projection(block: EigenBlock, u, label: str = "u",
     else:
         c = d = float("nan")
     return BlockProjection(wu_mod=wu_mod, gamma=float(np.angle(wu)), c=c, d=d)
-
-
-def block_project(block: EigenBlock, u) -> BlockProjection:
-    """checked_projection of u onto a complex block."""
-    if not block.is_complex:
-        raise UnsupportedBlock("block_project expects a complex block")
-    return checked_projection(block, u)
 
 
 def build_Q(block: EigenBlock, t: float) -> np.ndarray:

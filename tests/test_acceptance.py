@@ -69,8 +69,8 @@ def test_example_reproduction(capsys):
         grid = np.array([0.0, 1.0])
         s_minor = Scenario(matrix=EXAMPLE_A, y0=b.right_minor, t_grid=grid)
         s_major = Scenario(matrix=EXAMPLE_A, y0=b.right_major, t_grid=grid)
-        pa = ot_envelope(s_minor, b)
-        pb = ot_envelope(s_major, b)
+        pa = ot_envelope(s_minor, an)
+        pb = ot_envelope(s_major, an)
         close(b.V_mod, 0.9988, 1e-4, "V1")
         close(b.W_mod, 0.9986, 1e-4, "W1")
         close(pa.q1, 0.9995, 1e-4, "Q1")
@@ -278,12 +278,12 @@ def test_invariant_suites(capsys, rng):
             grid = np.array([0.3, 1.1, 2.6])
             for s in (Scenario(matrix=A, y0=y0, t_grid=grid),
                       Scenario(matrix=A, y0=y0, z0=z0, t_grid=grid)):
-                base = osf(s, b1)
+                base = osf(s, an)
                 for t in grid:
                     ka = k_asym(s, an, t)
                     close(k_asym(s, an, t + period) / ka, 1.0, 1e-10,
                           "periodicity")
-                    close(base * ot(s, b1, t) / ka, 1.0, 1e-12,
+                    close(base * ot(s, an, t) / ka, 1.0, 1e-12,
                           "factorization")
 
         # ellipse semi-axis identity for the projection row

@@ -35,12 +35,17 @@ from odecond.oscillator import (
     theta_norm_mat,
 )
 from odecond.spectral import (
-    BlockKind,
-    _build_supported_block,
     analyze_spectrum,
-    block_project,
     build_Q,
+    checked_projection,
 )
+
+
+# Re(L^-1 diag(lam, conj(lam), -1) L) with left rows (1, i, 0), (1, -i, 0),
+# (0.6, 0.8, 1): the rightmost left row w has w w^T = 0, so W_1 = 0
+_LAM = -0.2 + 1.3j
+_L = np.array([[1.0, 1.0j, 0.0], [1.0, -1.0j, 0.0], [0.6, 0.8, 1.0]])
+W_ZERO_A = np.linalg.solve(_L, np.diag([_LAM, np.conj(_LAM), -1.0]) @ _L).real
 
 
 def two_point_grid():
@@ -185,7 +190,7 @@ def test_k_asym_factorizes_and_is_periodic(rng):
         period = math.pi / abs(b1.omega)
         for t in rng.uniform(0.0, 9.0, size=4):
             ka = k_asym(s, an, t)
-            assert osf(s, b1) * ot(s, b1, t) == pytest.approx(ka, rel=1e-12)
+            assert osf(s, an) * ot(s, an, t) == pytest.approx(ka, rel=1e-12)
             assert k_asym(s, an, t + period) == pytest.approx(ka, rel=1e-10)
 
 
@@ -235,19 +240,18 @@ def test_osf_example_values():
     major = Scenario(matrix=EXAMPLE_A, y0=b1.right_major, t_grid=grid)
     # orthogonal to the major (minor) singular direction pins the
     # projection modulus to the minor (major) semi-axis
-    assert osf(minor, b1) == pytest.approx(math.sqrt(2 / (1 - W)), rel=1e-9)
-    assert osf(major, b1) == pytest.approx(math.sqrt(2 / (1 + W)), rel=1e-9)
-    assert round(osf(minor, b1), 1) == 38.1
-    assert round(osf(major, b1), 4) == 1.0003
+    assert osf(minor, an) == pytest.approx(math.sqrt(2 / (1 - W)), rel=1e-9)
+    assert osf(major, an) == pytest.approx(math.sqrt(2 / (1 + W)), rel=1e-9)
+    assert round(osf(minor, an), 1) == 38.1
+    assert round(osf(major, an), 4) == 1.0003
 
 
 def test_osf_directional_unit(rng):
     an = analyze_spectrum(EXAMPLE_A)
-    b1 = an.blocks[0]
     y0 = rng.normal(size=3)
     s = Scenario(matrix=EXAMPLE_A, y0=y0, z0=unit(y0),
                  t_grid=two_point_grid())
-    assert osf(s, b1) == pytest.approx(1.0, rel=1e-14)
+    assert osf(s, an) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_osf_coordinate_form(rng):
@@ -257,9 +261,9 @@ def test_osf_coordinate_form(rng):
     for _ in range(25):
         y0 = rng.normal(size=3)
         s = Scenario(matrix=EXAMPLE_A, y0=y0, t_grid=two_point_grid())
-        pr = block_project(b1, s.y0_hat)
+        pr = checked_projection(b1, s.y0_hat)
         want = math.sqrt(2.0 / ((1 + W) * pr.c ** 2 + (1 - W) * pr.d ** 2))
-        assert osf(s, b1) == pytest.approx(want, rel=1e-10)
+        assert osf(s, an) == pytest.approx(want, rel=1e-10)
 
 
 def test_osf_requires_complex_block():
@@ -267,7 +271,7 @@ def test_osf_requires_complex_block():
     s = Scenario(matrix=np.diag([-1.0, -2.0]), y0=[1.0, 1.0],
                  t_grid=two_point_grid())
     with pytest.raises(UnsupportedBlock):
-        osf(s, an.blocks[0])
+        osf(s, an)
 
 
 # ---------------------------------------------------------------------- ot
@@ -275,12 +279,11 @@ def test_osf_requires_complex_block():
 def test_ot_directional_phase_trivials(rng):
     # projections with equal (or pi-shifted) angles give a flat term
     an = analyze_spectrum(EXAMPLE_A)
-    b1 = an.blocks[0]
     y0 = rng.normal(size=3)
     for z0 in (unit(y0), -unit(y0)):
         s = Scenario(matrix=EXAMPLE_A, y0=y0, z0=z0, t_grid=two_point_grid())
         for t in np.linspace(0.0, 3.0, 11):
-            assert ot(s, b1, t) == pytest.approx(1.0, abs=1e-12)
+            assert ot(s, an, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ot_rotation_block_constants(rng):
@@ -298,9 +301,9 @@ def test_ot_rotation_block_constants(rng):
     sd = Scenario(matrix=A, y0=y0, z0=z0, t_grid=two_point_grid())
     sw = Scenario(matrix=A, y0=y0, t_grid=two_point_grid())
     for t in (0.0, 0.7, 2.9):
-        assert ot(sd, b1, t) == pytest.approx(1.0, abs=1e-12)
-        assert ot(sw, b1, t) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    prof = ot_envelope(sw, b1)
+        assert ot(sd, an, t) == pytest.approx(1.0, abs=1e-12)
+        assert ot(sw, an, t) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    prof = ot_envelope(sw, an)
     assert prof.ot_min == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert prof.ot_max == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert prof.q1 == 0.0
@@ -311,9 +314,9 @@ def test_ot_rejects_non_euclidean():
     s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 1.0, 0.0],
                  t_grid=two_point_grid(), norm_p=1)
     with pytest.raises(UnsupportedBlock):
-        ot(s, an.blocks[0], 0.5)
+        ot(s, an, 0.5)
     with pytest.raises(UnsupportedBlock):
-        ot_envelope(s, an.blocks[0])
+        ot_envelope(s, an)
 
 
 def test_normal_matrix_moduli_are_exact_zeros():
@@ -324,7 +327,8 @@ def test_normal_matrix_moduli_are_exact_zeros():
     D[:2, :2] = [[0.3, 1.7], [-1.7, 0.3]]
     D[2:, 2:] = [[-0.5, 0.9], [-0.9, -0.5]]
     A = Q @ D @ Q.T
-    b1 = analyze_spectrum(A).blocks[0]
+    an = analyze_spectrum(A)
+    b1 = an.blocks[0]
     assert b1.is_complex and (b1.V_mod, b1.W_mod, b1.delta) == (0.0, 0.0, 0.0)
     worst = Scenario(matrix=A, y0=[1.0, 2.0, 3.0, 4.0], t_grid=two_point_grid())
     block = sweep(worst).summary_dict()["block"]
@@ -332,21 +336,8 @@ def test_normal_matrix_moduli_are_exact_zeros():
     along = Scenario(matrix=A, y0=worst.y0, z0=[1.0, 0.0, 0.0, 0.0],
                      t_grid=two_point_grid())
     for t in (0.0, 0.3, 1.9):
-        assert ot(worst, b1, t) == math.sqrt(0.5)
-        assert ot(along, b1, t) == 1.0
-
-
-@pytest.mark.parametrize("call", [ot, ot_envelope], ids=["ot", "ot_envelope"])
-def test_block_of_another_norm_is_refused(call):
-    # w_hat and f depend on the norm: a block of another norm than the
-    # scenario's is refused, as osf refuses it, not silently used
-    for scen_p, block_p in ((2, 1), (1, 2), (np.inf, 1)):
-        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=scen_p,
-                     t_grid=two_point_grid())
-        b1 = analyze_spectrum(EXAMPLE_A, norm_p=block_p).blocks[0]
-        args = (0.5,) if call is ot else ()
-        with pytest.raises(ValueError, match="another norm"):
-            call(s, b1, *args)
+        assert ot(worst, an, t) == math.sqrt(0.5)
+        assert ot(along, an, t) == 1.0
 
 
 # ------------------------------------------------------------- ot_envelope
@@ -357,13 +348,12 @@ def test_ot_envelope_brackets_dense_grid(rng):
     # a_min <= ot_min <= a_maxmin and a_minmax <= ot_max <= a_max
     for trial in range(8):
         A, an = sample_supported(rng, 5, need_complex_rightmost=True)
-        b1 = an.blocks[0]
         y0 = rng.normal(size=5)
         z0 = unit(rng.normal(size=5)) if trial % 2 else None
         s = Scenario(matrix=A, y0=y0, z0=z0, t_grid=two_point_grid())
-        prof = ot_envelope(s, b1)
+        prof = ot_envelope(s, an)
         ts = np.linspace(0.0, prof.period, 2049)
-        vals = np.array([ot(s, b1, t) for t in ts])
+        vals = np.array([ot(s, an, t) for t in ts])
         assert vals.max() <= prof.ot_max * (1 + 1e-9)
         assert vals.min() >= prof.ot_min * (1 - 1e-9)
         assert vals.max() >= prof.ot_max * (1 - 1e-4)
@@ -380,11 +370,11 @@ def test_ot_envelope_attains_universal_at_special_y0():
     b1 = an.blocks[0]
     grid = two_point_grid()
     outer = ot_envelope(
-        Scenario(matrix=EXAMPLE_A, y0=b1.right_minor, t_grid=grid), b1)
+        Scenario(matrix=EXAMPLE_A, y0=b1.right_minor, t_grid=grid), an)
     assert outer.ot_max == pytest.approx(outer.a_max, rel=1e-6)
     assert outer.ot_min == pytest.approx(outer.a_min, rel=1e-6)
     inner = ot_envelope(
-        Scenario(matrix=EXAMPLE_A, y0=b1.right_major, t_grid=grid), b1)
+        Scenario(matrix=EXAMPLE_A, y0=b1.right_major, t_grid=grid), an)
     assert inner.ot_max == pytest.approx(inner.a_minmax, rel=1e-6)
     assert inner.ot_min == pytest.approx(inner.a_maxmin, rel=1e-6)
 
@@ -394,7 +384,7 @@ def test_ot_envelope_example_displayed_values():
     b1 = an.blocks[0]
     s = Scenario(matrix=EXAMPLE_A, y0=b1.right_minor,
                  t_grid=two_point_grid())
-    prof = ot_envelope(s, b1)
+    prof = ot_envelope(s, an)
     assert b1.V_mod == pytest.approx(0.9988, abs=5e-5)
     assert b1.W_mod == pytest.approx(0.9986, abs=5e-5)
     assert prof.q1 == pytest.approx(0.9995, abs=5e-5)
@@ -410,7 +400,8 @@ def test_w_squared_scale_does_not_cancel():
     # the demo's W = 0.99862...: 1 - W**2 is 3.7e-15 off the exact 1 - W^2
     # of that float, (1 + W)(1 - W) within 1e-16; the worst-case ot, its
     # range and the matrix Theta norm must carry the second form
-    b1 = analyze_spectrum(EXAMPLE_A).blocks[0]
+    an = analyze_spectrum(EXAMPLE_A)
+    b1 = an.blocks[0]
     V, W = b1.V_mod, b1.W_mod
     exact = 1 - Fraction(W) ** 2
 
@@ -428,10 +419,10 @@ def test_w_squared_scale_does_not_cancel():
         x = phase_x(b1, t)
         ref = math.sqrt(scale / 2.0 * f_vw_max(pair, x)
                         / (1.0 + V * math.cos(x + d_y)))
-        assert ot(s, b1, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
+        assert ot(s, an, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
         ref = math.sqrt(scale / 4.0 * f_vw_max(pair, x))
         assert theta_norm_mat(b1, t) == pytest.approx(ref, rel=1e-15, abs=0.0)
-    prof = ot_envelope(s, b1)
+    prof = ot_envelope(s, an)
     env = h_envelope(pair, d_y)
     for got, h in ((prof.ot_max, env.h_max), (prof.ot_min, env.h_min)):
         assert got == pytest.approx(math.sqrt(scale / 2.0 * h),
@@ -440,18 +431,13 @@ def test_w_squared_scale_does_not_cancel():
 
 def test_ot_envelope_w_zero_crafted(rng):
     # w w^T = 0 kills the beta dependence: every y0 sees the same extremes
-    c = 1.7
-    v = np.array([c, 0.0, 1.0], dtype=complex)
-    w = np.array([1.0, 1.0j, 0.0]) / c
-    members = np.array([-0.2 + 1.3j, -0.2 - 1.3j])
-    b = _build_supported_block(
-        BlockKind.SIMPLE_SINGLE_COMPLEX, members, v, w, 2)
-    assert b.W_mod == pytest.approx(0.0, abs=1e-15)
-    V = b.V_mod
+    an = analyze_spectrum(W_ZERO_A)
+    V, W = an.blocks[0].V_mod, an.blocks[0].W_mod
+    assert W == 0.0 and V > 0.0
     for _ in range(5):
-        s = Scenario(matrix=np.eye(3), y0=rng.normal(size=3),
+        s = Scenario(matrix=W_ZERO_A, y0=rng.normal(size=3),
                      t_grid=two_point_grid())
-        prof = ot_envelope(s, b)
+        prof = ot_envelope(s, an)
         assert prof.ot_max == pytest.approx(
             math.sqrt((1 + V) / (2 * (1 - V))), rel=1e-12)
         assert prof.ot_min == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -470,7 +456,7 @@ def test_ot_envelope_directional_universal(rng):
         y0 = rng.normal(size=3)
         z0 = unit(rng.normal(size=3))
         s = Scenario(matrix=EXAMPLE_A, y0=y0, z0=z0, t_grid=two_point_grid())
-        prof = ot_envelope(s, b1)
+        prof = ot_envelope(s, an)
         assert prof.a_max == pytest.approx(hi, rel=1e-13)
         assert prof.a_min == pytest.approx(1.0 / hi, rel=1e-13)
         assert prof.a_minmax == 1.0 and prof.a_maxmin == 1.0
@@ -716,26 +702,47 @@ def test_sweep_unsupported_subdominant_block():
     assert np.all(np.isfinite(ser.k_exact)) and np.all(np.isfinite(ser.k_asym))
 
 
-@pytest.mark.parametrize("matrix, norm_p", [(EXAMPLE_A, 1),
-                                            (2.0 * EXAMPLE_A, 2)])
+@pytest.mark.parametrize("matrix, norm_p", [(EXAMPLE_A, 1), (W_ZERO_A, 2)])
 def test_foreign_analysis_is_refused(matrix, norm_p):
-    # w_hat and f depend on the matrix and the norm: an analysis of
-    # another pair would give silently wrong osf, ot and k_asym
+    # w_hat and f depend on the matrix and the norm: every scenario-level
+    # function refuses an analysis of another pair, which would give a
+    # silently wrong osf, ot and k_asym; here the demo scenario meets its
+    # matrix in another norm, or another 3x3 in its own norm
+    foreign = analyze_spectrum(matrix, norm_p=norm_p)
+    for p in (1, 2, np.inf):
+        if matrix is EXAMPLE_A and p == norm_p:
+            continue
+        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=p,
+                     t_grid=two_point_grid())
+        for call in (lambda: sweep(s, foreign),
+                     lambda: k_asym(s, foreign, 1.0),
+                     lambda: osf(s, foreign),
+                     lambda: ot(s, foreign, 1.0),
+                     lambda: ot_envelope(s, foreign)):
+            with pytest.raises(ValueError, match="another matrix or norm"):
+                call()
+        own = analyze_spectrum(EXAMPLE_A, norm_p=p)
+        assert osf(s, own) == sweep(s, own).osf
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("call, takes_array", [
+    (lambda s, an, t: k_exact(s, t), False),
+    (lambda s, an, t: k_asym(s, an, t), True),
+    (lambda s, an, t: ot(s, an, t), False),
+    (lambda s, an, t: epsilon_bounds(an, t, u=s.z0), True),
+], ids=["k_exact", "k_asym", "ot", "epsilon_bounds"])
+def test_non_finite_t_is_refused(call, takes_array, t):
+    # a non-finite t has no condition number: refused, never NaN; the
+    # array forms refuse a grid holding one
     an = analyze_spectrum(EXAMPLE_A)
-    s = Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0], norm_p=norm_p,
-                 t_grid=two_point_grid())
-    for call in (lambda: sweep(s, an), lambda: k_asym(s, an, 1.0)):
-        with pytest.raises(ValueError, match="another matrix or norm"):
-            call()
-
-
-def test_osf_refuses_block_of_another_norm():
-    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=1,
-                 t_grid=two_point_grid())
-    with pytest.raises(ValueError, match="another norm"):
-        osf(s, analyze_spectrum(EXAMPLE_A).blocks[0])
-    good = analyze_spectrum(EXAMPLE_A, norm_p=1)
-    assert osf(s, good.blocks[0]) == sweep(s, good).osf
+    bad = [t, np.array([0.0, t])] if takes_array else [t]
+    for z0 in (None, [0.0, 1.0, 0.0]):
+        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], z0=z0,
+                     t_grid=two_point_grid())
+        for tb in bad:
+            with pytest.raises(ValueError, match="t must be finite"):
+                call(s, an, tb)
 
 
 def test_sweep_projection_warning_band():

@@ -12,8 +12,8 @@ from odecond.oscillator import phase_offset, theta_norm_u
 from odecond.spectral import (
     BlockKind,
     analyze_spectrum,
-    block_project,
     build_Q,
+    checked_projection,
 )
 from odecond.spectral import _build_supported_block
 
@@ -156,11 +156,11 @@ def test_phase_gauge_invariance():
         assert abs(diff) < 1e-9
 
 
-# ------------------------------------------------------------ block_project
+# ------------------------------------------------------- checked_projection
 
 def test_project_right_major_gives_sigma():
     b = rightmost(EXAMPLE_A)
-    pr = block_project(b, b.right_major)
+    pr = checked_projection(b, b.right_major)
     assert pr.wu_mod == pytest.approx(b.sigma, abs=1e-12)
     assert pr.c == pytest.approx(1.0, abs=1e-12)
     assert pr.d == pytest.approx(0.0, abs=1e-12)
@@ -171,7 +171,7 @@ def test_project_orthogonal_complement_raises():
     # vectors for this matrix
     b = rightmost(EXAMPLE_A)
     with pytest.raises(ZeroProjection):
-        block_project(b, np.array([1.0, 0.0, 0.0]))
+        checked_projection(b, np.array([1.0, 0.0, 0.0]))
 
 
 def test_projection_floor_holds_for_direct_calls():
@@ -182,7 +182,8 @@ def test_projection_floor_holds_for_direct_calls():
     u = null + 5e-13 / b.sigma * b.right_major
     assert abs(b.w_hat @ u) == pytest.approx(5e-13 * np.linalg.norm(u),
                                              rel=1e-3)
-    for call in (lambda: block_project(b, u), lambda: phase_offset(b, u),
+    for call in (lambda: checked_projection(b, u),
+                 lambda: phase_offset(b, u),
                  lambda: theta_norm_u(b, 0.5, u)):
         with pytest.raises(ZeroProjection):
             call()
@@ -194,19 +195,13 @@ def test_project_matches_direct_dot():
     b = an.blocks[0]
     for _ in range(25):
         u = unit(rng.normal(size=6))
-        pr = block_project(b, u)
+        pr = checked_projection(b, u)
         direct = complex(b.w_hat @ u)
         assert pr.wu_mod == pytest.approx(abs(direct), abs=1e-12)
         assert pr.gamma == pytest.approx(float(np.angle(direct)), abs=1e-12)
         assert pr.wu_mod == pytest.approx(
             np.hypot(b.sigma * pr.c, b.mu * pr.d), abs=1e-12)
         assert -np.pi < pr.gamma <= np.pi
-
-
-def test_project_rejects_real_block():
-    an = analyze_spectrum(np.diag([2.0, -1.0]))
-    with pytest.raises(UnsupportedBlock):
-        block_project(an.blocks[0], np.array([1.0, 0.0]))
 
 
 # ----------------------------------------------------------------- build_Q
@@ -250,7 +245,7 @@ def test_projection_identity_at_time_zero():
     Q0 = build_Q(b, 0.0)
     for _ in range(20):
         u = unit(rng.normal(size=5))
-        pr = block_project(b, u)
+        pr = checked_projection(b, u)
         lhs = np.linalg.norm(Q0 @ u)
         rhs = b.f * pr.wu_mod * np.sqrt(
             2.0 * (1.0 + b.V_mod * np.cos(b.delta + 2.0 * pr.gamma)))
