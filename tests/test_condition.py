@@ -340,6 +340,19 @@ def test_normal_matrix_moduli_are_exact_zeros():
         assert ot(along, an, t) == 1.0
 
 
+@pytest.mark.parametrize("call", [ot, ot_envelope], ids=["ot", "ot_envelope"])
+def test_block_of_another_norm_is_refused(call):
+    # w_hat and f depend on the norm: an analysis in another norm than the
+    # scenario's is refused, as osf refuses it, not silently used
+    for scen_p, analysis_p in ((2, 1), (1, 2), (np.inf, 1)):
+        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=scen_p,
+                     t_grid=two_point_grid())
+        an = analyze_spectrum(EXAMPLE_A, norm_p=analysis_p)
+        args = (0.5,) if call is ot else ()
+        with pytest.raises(ValueError, match="another matrix or norm"):
+            call(s, an, *args)
+
+
 # ------------------------------------------------------------- ot_envelope
 
 def test_ot_envelope_brackets_dense_grid(rng):
@@ -723,6 +736,15 @@ def test_foreign_analysis_is_refused(matrix, norm_p):
                 call()
         own = analyze_spectrum(EXAMPLE_A, norm_p=p)
         assert osf(s, own) == sweep(s, own).osf
+
+
+def test_osf_refuses_block_of_another_norm():
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], norm_p=1,
+                 t_grid=two_point_grid())
+    with pytest.raises(ValueError, match="another matrix or norm"):
+        osf(s, analyze_spectrum(EXAMPLE_A))
+    good = analyze_spectrum(EXAMPLE_A, norm_p=1)
+    assert osf(s, good) == sweep(s, good).osf
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
