@@ -29,6 +29,7 @@ from .matrix_core import (
     as_real_matrix,
     expm_grid,
     mat_exp,
+    sigma_max,
     vector_norm,
     _normalize_p,
 )
@@ -135,12 +136,9 @@ class Scenario:
 
     @cached_property
     def _shift(self) -> float:
-        """Largest real part of the spectrum, r1: exact propagation runs
-        with A - r1 I.  An r1 within the rounding of the eigenvalues,
-        n eps ||A||_1, counts as 0: shifting by it would only perturb A."""
-        r1 = float(np.linalg.eigvals(self.matrix).real.max())
-        noise = self.n * np.finfo(float).eps * np.linalg.norm(self.matrix, 1)
-        return 0.0 if abs(r1) <= noise else r1
+        """The shift r1 of exact propagation, from the scenario's own
+        eigenvalues; sweep takes it from its spectrum analysis instead."""
+        return _shift_for(self.matrix, np.linalg.eigvals(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -310,41 +308,50 @@ def _require_finite(t) -> None:
         raise ValueError("t must be finite")
 
 
-def _shifted(s: Scenario) -> np.ndarray:
-    """A - r1 I, r1 the largest real part of the spectrum: both condition
-    numbers are ratios of norms of one propagator, so the factor e^{t r1}
-    cancels, and e^{t(A - r1 I)} stays finite and nonzero where e^{tA}
-    overflows or underflows."""
-    return s.matrix - s._shift * np.eye(s.n)
+def _shift_for(A: np.ndarray, eigenvalues) -> float:
+    """r1, the largest real part of the eigenvalues of A: exact
+    propagation runs with A - r1 I.  An r1 within the rounding of the
+    eigenvalues, n eps ||A||_1, counts as 0: shifting by it would only
+    perturb A."""
+    r1 = float(np.real(eigenvalues).max())
+    noise = A.shape[0] * np.finfo(float).eps * np.linalg.norm(A, 1)
+    return 0.0 if abs(r1) <= noise else r1
+
+
+def _shifted(s: Scenario, r1: float) -> np.ndarray:
+    """A - r1 I: both condition numbers are ratios of norms of one
+    propagator, so the factor e^{t r1} cancels, and e^{t(A - r1 I)} stays
+    finite and nonzero where e^{tA} overflows or underflows."""
+    return s.matrix - r1 * np.eye(s.n)
 
 
 def shifted_propagator(s: Scenario, t: float) -> np.ndarray:
     """e^{t(A - r1 I)} at one t: the propagator the exact condition
     numbers are computed from, by the same kernel.  Raises OdecondError
     when it is not finite."""
-    return mat_exp(_shifted(s), t)
+    return mat_exp(_shifted(s, s._shift), t)
 
 
-def _k_exact_grid(s: Scenario, ts: np.ndarray) -> np.ndarray:
+def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
     """k_exact at every t of the 1-D array ts.
 
     Propagates with e^{t(A - r1 I)} from matrix_core.expm_grid, one
     batched Pade kernel over the grid; the p = 2 worst case takes the
-    largest singular value of each matrix from one batched SVD.  Raises
-    OdecondError when a propagated value is not finite or the denominator
-    vanishes.
+    largest singular value of each matrix from its Gram matrix
+    (matrix_core.sigma_max).  Raises OdecondError when a propagated value
+    is not finite or the denominator vanishes.
     """
     y0h, p = s.y0_hat, s.norm_p
     out = np.empty(ts.shape)
-    for sl, E in expm_grid(_shifted(s), ts):
-        chunk = ts[sl]
-        span = f"t in [{chunk[0]:.6g}, {chunk[-1]:.6g}]"
+    for idx, E in expm_grid(_shifted(s, r1), ts):
+        chunk = ts[idx]
+        span = f"t in [{chunk.min():.6g}, {chunk.max():.6g}]"
         with np.errstate(over="ignore"):
             denom = np.linalg.norm(E @ y0h, p, axis=-1)
             if s.directional:
                 num = np.linalg.norm(E @ s.z0, p, axis=-1)
             elif p == 2:
-                num = np.linalg.svd(E, compute_uv=False)[..., 0]
+                num = sigma_max(E)
             else:
                 num = np.linalg.norm(E, p, axis=(-2, -1))
         if not (np.all(np.isfinite(num)) and np.all(np.isfinite(denom))):
@@ -353,7 +360,7 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray) -> np.ndarray:
         if not np.all(denom > 0.0):
             raise OdecondError(
                 f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
-        out[sl] = num / denom
+        out[idx] = num / denom
     return out
 
 
@@ -367,7 +374,7 @@ def k_exact(s: Scenario, t: float) -> float:
     """
     t = float(t)
     _require_finite(t)
-    return float(_k_exact_grid(s, np.array([t]))[0])
+    return float(_k_exact_grid(s, np.array([t]), s._shift)[0])
 
 
 def _projections(s: Scenario, block1: EigenBlock, notes=None):
@@ -627,7 +634,8 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     grid = s.t_grid
     # exact propagation first: its refusal of a non-finite e^{t(A - r1 I)}
     # comes before any asymptotic layer sees such a t
-    ke = _k_exact_grid(s, grid)
+    r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
+    ke = _k_exact_grid(s, grid, r1)
     ka = k_asym(s, analysis, grid)
     profile = _profile_for(s, analysis, ka)
     if analysis.all_supported:

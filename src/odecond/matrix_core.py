@@ -7,8 +7,12 @@ wrapper class.  All functions are pure.  expm_grid evaluates e^{tB} over a
 whole grid of t as one batched scaling-and-squaring Pade kernel: the
 powers of B are formed once, and each chunk of the grid costs three
 matrix products, one batched solve and the squarings; mat_exp is that
-kernel at one t.  Grid functions hold their (T, n, n) stacks in slices
-from stack_slices, so memory stays flat in the grid length.
+kernel at one t.  A sample whose half is also a sample is squared from
+it instead of solved, so a grid that starts at 0 solves about half of
+its samples; expm_grid yields (index array, E) pairs in no set order.
+sigma_max takes the largest singular values of a stack from its Gram
+matrices.  Grid functions hold their (T, n, n) stacks in chunks from
+stack_slices, so memory stays flat in the grid length.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ __all__ = [
     "expm_grid",
     "induced_matrix_norm",
     "mat_exp",
+    "sigma_max",
     "stack_slices",
     "svd_2xn",
 ]
@@ -75,12 +80,13 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
 def expm_grid(B, ts):
     """e^{tB} for every t of the 1-D array ts, chunk by chunk.
 
-    Yields (sl, E) with E[i] = e^{ts[sl][i] B}, the slices covering ts in
-    order.  Scaling and squaring with the Pade-13 approximant r_13 = p/q
-    (Higham 2005): e^{tB} = r_13(t B / 2^s)^(2^s), where s is the least
-    s >= 0 with |t| alpha / 2^s <= theta_13, alpha = min(max(d6, d8),
-    max(d8, d10)) and d_k = ||B^k||_1^{1/k} (Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31(3), 2009).
+    Yields (idx, E) with E[i] = e^{ts[idx[i]] B}; every index of ts comes
+    in exactly one idx, in no set order.  Scaling and squaring with the
+    Pade-13 approximant r_13 = p/q (Higham 2005): e^{tB} =
+    r_13(t B / 2^s)^(2^s), where s is the least s >= 0 with
+    |t| alpha / 2^s <= theta_13, alpha = min(max(d6, d8), max(d8, d10))
+    and d_k = ||B^k||_1^{1/k} (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31(3), 2009).
 
     Every matrix of the grid is a multiple of B, so the even powers
     B^0..B^12 are formed once, of B scaled by an exact power of two 2^-e
@@ -92,6 +98,16 @@ def expm_grid(B, ts):
     times B 2^-e, which keeps its rounding a polynomial in B as Higham's
     U = A (...) does.  Then one batched solve q r = p with p = V + U,
     q = V - U, and the squarings of the samples whose s is not reached.
+
+    The kernel reuses its own squarings across the grid.  A sample t with
+    s(t) >= 1 whose half t/2 is also a sample is not solved: e^{tB} =
+    (e^{(t/2)B})^2, which is the last squaring the kernel would do for t,
+    since t/2 has the same Pade argument c; the two agree bit for bit
+    when s(t/2) = s(t) - 1.  Only the other samples, the roots (about half
+    of a grid that starts at 0, every sample of one that does not), go
+    through the solve, chunk by chunk, and each chunk is then squared
+    down its chains t, 2t, 4t, ... one yield per link.  A repeated t is a
+    root of its own.
 
     Raises ValueError for a t that is not finite, and OdecondError when
     e^{tB} is not finite: it overflows, or B is so far from normal that
@@ -122,45 +138,82 @@ def expm_grid(B, ts):
         B1 = np.ldexp(B1, -f)
         e += f
         alpha = np.ldexp(alpha, -f)
+    # a sum of logs: |t| alpha itself may overflow
     with np.errstate(divide="ignore"):
-        log_ratio = np.log2(alpha / _THETA13) + e
+        s = np.maximum(np.ceil(np.log2(np.abs(ts))
+                               + (np.log2(alpha / _THETA13) + e)),
+                       0.0).astype(int)
+    child, roots = _doubling_links(ts, s)
     even = P.reshape(7, n * n)
-    for sl in stack_slices(ts.size, n, _EXPM_LIVE_STACKS):
-        t = ts[sl]
-        # a sum of logs: |t| alpha itself may overflow
-        with np.errstate(divide="ignore"):
-            s = np.maximum(np.ceil(np.log2(np.abs(t)) + log_ratio),
-                           0.0).astype(int)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # b_k c^k; a running product is ten times faster than ** here
-            coef = np.empty((t.size, 14))
-            coef[:, 0] = 1.0
-            coef[:, 1:] = np.ldexp(t, e - s)[:, None]
-            np.cumprod(coef, axis=1, out=coef)
-            coef *= _PADE13
-            V = coef[:, 0::2] @ even
-            U = coef[:, 1::2] @ even
-            U = (U.reshape(-1, n) @ B1).reshape(-1, n * n)
-            V -= U          # denominator q = V - U
-            U *= 2.0
-            U += V          # numerator p = V + U
-            try:
-                E = np.linalg.solve(V.reshape(-1, n, n), U.reshape(-1, n, n))
-            except np.linalg.LinAlgError as exc:
+    for sl in stack_slices(roots.size, n, _EXPM_LIVE_STACKS):
+        idx = roots[sl]
+        E = _pade_squared(even, B1, ts[idx], e, s[idx])
+        while idx.size:
+            if not np.all(np.isfinite(E)):
+                t = ts[idx]
                 raise OdecondError(
-                    f"the Pade denominator of e^{{tB}} is singular for t in "
-                    f"[{t.min():.6g}, {t.max():.6g}]") from exc
-            del U, V
-            for step in range(1, int(s.max(initial=0)) + 1):
-                sel = np.flatnonzero(s >= step)
-                if sel[-1] - sel[0] + 1 == sel.size:  # a run, as for t >= 0
-                    sel = slice(sel[0], sel[-1] + 1)
-                E[sel] = E[sel] @ E[sel]
-        if not np.all(np.isfinite(E)):
+                    f"e^{{tB}} is not finite for t in [{t.min():.6g}, "
+                    f"{t.max():.6g}]")
+            yield idx, E
+            idx = child[idx]
+            linked = idx >= 0
+            idx = idx[linked]
+            E = E[linked]
+            with np.errstate(over="ignore", invalid="ignore"):
+                E = E @ E
+
+
+def _doubling_links(ts, s):
+    """The chains t, 2t, 4t, ... of the grid: child[i] = j when
+    ts[j] = 2 ts[i] exactly and s[j] >= 1, else -1, and the roots, the
+    indices that are no sample's child.
+
+    Only the first sample of each value is linked, as parent or child, so
+    a sample has at most one child, and a repeated t is a root."""
+    order = np.argsort(ts, kind="stable")
+    ordered = ts[order]
+    first = np.ones(ts.size, dtype=bool)
+    first[order[1:]] = ordered[1:] != ordered[:-1]
+    half = ts / 2.0
+    # the leftmost match in stable order is the first sample of t/2
+    pos = np.searchsorted(ordered, half)
+    found = pos < ts.size
+    found[found] = ordered[pos[found]] == half[found]
+    linked = first & found & (s >= 1) & (half * 2.0 == ts)
+    child = np.full(ts.size, -1)
+    child[order[pos[linked]]] = np.flatnonzero(linked)
+    return child, np.flatnonzero(~linked)
+
+
+def _pade_squared(even, B1, t, e, s):
+    """r_13(t B 2^-s)^(2^s) for the samples t with scaling counts s."""
+    n = B1.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # b_k c^k; a running product is ten times faster than ** here
+        coef = np.empty((t.size, 14))
+        coef[:, 0] = 1.0
+        coef[:, 1:] = np.ldexp(t, e - s)[:, None]
+        np.cumprod(coef, axis=1, out=coef)
+        coef *= _PADE13
+        V = coef[:, 0::2] @ even
+        U = coef[:, 1::2] @ even
+        U = (U.reshape(-1, n) @ B1).reshape(-1, n * n)
+        V -= U          # denominator q = V - U
+        U *= 2.0
+        U += V          # numerator p = V + U
+        try:
+            E = np.linalg.solve(V.reshape(-1, n, n), U.reshape(-1, n, n))
+        except np.linalg.LinAlgError as exc:
             raise OdecondError(
-                f"e^{{tB}} is not finite for t in [{t.min():.6g}, "
-                f"{t.max():.6g}]")
-        yield sl, E
+                f"the Pade denominator of e^{{tB}} is singular for t in "
+                f"[{t.min():.6g}, {t.max():.6g}]") from exc
+        del U, V
+        for step in range(1, int(s.max(initial=0)) + 1):
+            sel = np.flatnonzero(s >= step)
+            if sel[-1] - sel[0] + 1 == sel.size:  # a run, as for t >= 0
+                sel = slice(sel[0], sel[-1] + 1)
+            E[sel] = E[sel] @ E[sel]
+    return E
 
 
 def stack_slices(count: int, n: int, stacks: int = 1) -> list:
@@ -169,6 +222,23 @@ def stack_slices(count: int, n: int, stacks: int = 1) -> list:
     per run)."""
     step = max(1, STACK_BYTES // (8 * stacks * n * n))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def sigma_max(E) -> np.ndarray:
+    """Largest singular value of each matrix of the stack E (..., m, k).
+
+    sigma_max(E) = sqrt(lambda_max(E^T E)) from one batched eigvalsh,
+    which is cheaper than the SVD; the error of lambda_max is
+    eps sigma_max^2, so sigma_max keeps full relative accuracy.  Each
+    matrix is first scaled by the exact power of two 2^-k that brings its
+    largest entry to [1/2, 1), so E^T E cannot overflow where the SVD
+    would not; the result is scaled back by 2^k.
+    """
+    E = np.asarray(E, dtype=float)
+    k = np.frexp(np.abs(E).max(axis=(-2, -1)))[1]
+    F = np.ldexp(E, -k[..., None, None])
+    lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
+    return np.ldexp(np.sqrt(lam), k)
 
 
 def _normalize_p(p):
@@ -274,8 +344,7 @@ def eigen_decompose(A) -> EigenSystem:
     W = np.linalg.inv(V)
     W[rank[first + 1]] = np.conj(W[rank[first]])
 
-    residual = float(max(np.linalg.norm(A @ V[:, i] - evals[i] * V[:, i])
-                         for i in range(len(evals))))
+    residual = float(np.linalg.norm(A @ V - V * evals, axis=0).max())
     return EigenSystem(
         eigenvalues=evals,
         right_vectors=V,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from odecond.condition import (
     ot,
     ot_envelope,
     precision_bound,
+    shifted_propagator,
     sweep,
 )
 from odecond.errors import OdecondError, UnsupportedBlock, ZeroProjection
@@ -884,6 +886,35 @@ def test_k_exact_invariant_under_spectral_shift(shift):
     ser = sweep(Scenario(matrix=s.matrix, y0=s.y0,
                          t_grid=np.linspace(90.0, 160.0, 9)))
     assert np.all(np.isfinite(ser.k_exact))
+
+
+def test_k_exact_worst_case_near_overflow():
+    # far from normal: e^{tA} has entries near 1e198, whose squares
+    # overflow; sigma_max scales each matrix by a power of two before it
+    # forms the Gram matrix.  e^{tA} e_1 = e_1 keeps the denominator 1.
+    n = 6
+    A = np.diag(-np.arange(n, dtype=float)) + np.diag(np.full(n - 1, 1e40), 1)
+    s = Scenario(matrix=A, y0=np.eye(n)[0], t_grid=two_point_grid())
+    E = shifted_propagator(s, 1.0)
+    assert np.abs(E).max() > 1e197
+    ref = (np.linalg.svd(E, compute_uv=False)[0]
+           / np.linalg.norm(E @ s.y0_hat))
+    got = k_exact(s, 1.0)
+    assert math.isfinite(got)
+    assert abs(got / ref - 1.0) <= 1e-14
+
+
+def test_sweep_shifts_by_the_analysis_r1():
+    # sweep takes r1 from its spectrum analysis; only k_exact, which has
+    # none, runs an eigensolver of its own
+    s = Scenario(matrix=EXAMPLE_A + 5.0 * np.eye(3), y0=[1.0, 2.0, 3.0],
+                 t_grid=np.linspace(90.0, 160.0, 9))
+    an = analyze_spectrum(s.matrix)
+    with mock.patch.object(np.linalg, "eigvals",
+                           side_effect=AssertionError("eigvals called")):
+        ser = sweep(s, an)
+    ref = [k_exact(s, t) for t in s.t_grid]
+    np.testing.assert_allclose(ser.k_exact, ref, rtol=1e-12)
 
 
 def test_k_exact_raises_typed_error_when_propagation_fails():

@@ -15,6 +15,7 @@ from odecond.matrix_core import (
     expm_grid,
     induced_matrix_norm,
     mat_exp,
+    sigma_max,
     svd_2xn,
 )
 
@@ -77,11 +78,16 @@ def _kernel_matrix(kind, rng):
 
 
 def _grid_stack(B, ts):
-    chunks = list(expm_grid(B, ts))
-    assert [sl.start for sl, _ in chunks] == \
-        [0] + [sl.stop for sl, _ in chunks[:-1]]
-    assert chunks[-1][0].stop == len(ts)
-    return np.concatenate([E for _, E in chunks])
+    # the stack by index: every index of ts must be yielded exactly once
+    n = np.asarray(B).shape[0]
+    E = np.full((len(ts), n, n), np.nan)
+    seen = np.zeros(len(ts), dtype=int)
+    for idx, chunk in expm_grid(B, ts):
+        assert chunk.shape == (len(idx), n, n)
+        np.add.at(seen, idx, 1)
+        E[idx] = chunk
+    assert np.all(seen == 1), f"indices yielded {seen.tolist()} times"
+    return E
 
 
 @settings(max_examples=80, deadline=None)
@@ -106,6 +112,46 @@ def test_expm_grid_matches_series_oracle(kind, seed, ts, per_chunk):
     assert np.array_equal(E[-1], np.eye(n))
 
 
+def test_expm_grid_repeated_negative_and_unsorted_t():
+    # a repeated t is a root of its own; the others square their halves
+    B = _kernel_matrix("triangular", None)
+    ts = np.array([1.0, 2.0, 2.0, 4.0, -1.0, -2.0, 0.0, 0.0])
+    E = _grid_stack(B, ts)
+    for t, got in zip(ts, E):
+        ref = taylor_expm(B, t)
+        rel = np.linalg.norm(got - ref, 2) / np.linalg.norm(ref, 2)
+        assert rel <= 1e-10, f"t = {t}: relative gap {rel:.2e}"
+    assert np.array_equal(E[1], E[2])
+
+
+def test_expm_grid_squares_halves_on_a_grid_from_zero():
+    # A sample whose half is a sample and whose scaling count is >= 1 is
+    # squared from it, not solved.  Samples with no squaring of their own
+    # stay roots; on the demo matrix that is t <= 4.8, so the grid is long
+    # enough that every even sample but t = 0 is squared.
+    ts = np.linspace(0.0, 4096.0, 1025)
+    rows = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        rows.append(a.shape[0])
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", counting_solve):
+        E = _grid_stack(EXAMPLE_A, ts)
+    assert sum(rows) <= -(-ts.size // 2) + 1
+    # against the kernel that solves every sample in one batch; mat_exp,
+    # a batch of one, rounds its Pade products another way, which the
+    # squarings of this far-from-normal matrix amplify to 2e-9 relative
+    no_links = (np.full(ts.size, -1), np.arange(ts.size))
+    with mock.patch.object(matrix_core, "_doubling_links",
+                           return_value=no_links):
+        ref = _grid_stack(EXAMPLE_A, ts)
+    rel = (np.linalg.norm(E - ref, 2, axis=(1, 2))
+           / np.linalg.norm(ref, 2, axis=(1, 2)))
+    assert rel.max() <= 4e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(-2.0, 2.0), d=st.floats(-2.0, 2.0),
        b=st.floats(1e2, 1e8), t=st.floats(-6.0, 6.0))
@@ -124,11 +170,29 @@ def test_expm_grid_triangular_closed_form(a, d, b, t):
 def test_expm_grid_refuses_what_it_cannot_compute():
     with pytest.raises(OdecondError, match="not finite"):
         list(expm_grid(np.diag([1.0, -1.0]), np.array([0.0, 800.0])))
+    # e^{400} is finite; e^{800}, squared from it, is refused as well
+    grid = expm_grid(np.diag([1.0, -1.0]), np.array([400.0, 800.0]))
+    idx, E = next(grid)
+    assert idx.tolist() == [0] and np.isfinite(E).all()
+    with pytest.raises(OdecondError, match="not finite"):
+        next(grid)
     # an off-diagonal 1e60 times the spectrum: the scaled powers underflow,
     # and the kernel refuses rather than return a value spoilt by the
     # many squarings such a matrix would need
     with pytest.raises(OdecondError, match="not finite"):
         mat_exp(np.array([[0.0, 1e60], [0.0, -1.0]]), 10.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       k=st.integers(2, 8), count=st.integers(1, 6),
+       decade=st.integers(-300, 300))
+def test_sigma_max_matches_svd(seed, m, k, count, decade):
+    E = np.random.default_rng(seed).normal(size=(count, m, k))
+    E *= 10.0 ** decade
+    ref = np.linalg.svd(E, compute_uv=False)[:, 0]
+    rel = np.abs(sigma_max(E) / ref - 1.0)
+    assert rel.max() <= 4e-15
 
 
 # --------------------------------------------------------- eigen_decompose
@@ -158,6 +222,20 @@ def test_eigen_residual_and_biorthogonality():
         assert es.residual <= 1e-9 * np.linalg.norm(A, 2)
         G = es.left_rows @ es.right_vectors
         assert np.abs(G - np.eye(6)).max() <= 1e-9
+
+
+def test_eigen_residual_is_the_worst_eigenpair():
+    # against one norm per eigenpair; A V and A v round differently, and
+    # the residual is itself rounding, so they agree to n eps ||A||
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 8, 40):
+        A = rng.normal(size=(n, n))
+        es = eigen_decompose(A)
+        V, lam = es.right_vectors, es.eigenvalues
+        loop = max(np.linalg.norm(A @ V[:, i] - lam[i] * V[:, i])
+                   for i in range(n))
+        eps = np.finfo(float).eps
+        assert abs(es.residual - loop) <= n * eps * np.linalg.norm(A, 2)
 
 
 def _assert_pairs_exact(A):
