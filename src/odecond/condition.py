@@ -31,6 +31,7 @@ from .matrix_core import (
     mat_exp,
     sigma_max,
     vector_norm,
+    vector_norms,
     _normalize_p,
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
@@ -347,9 +348,9 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
         chunk = ts[idx]
         span = f"t in [{chunk.min():.6g}, {chunk.max():.6g}]"
         with np.errstate(over="ignore"):
-            denom = np.linalg.norm(E @ y0h, p, axis=-1)
+            denom = vector_norms(E @ y0h, p)
             if s.directional:
-                num = np.linalg.norm(E @ s.z0, p, axis=-1)
+                num = vector_norms(E @ s.z0, p)
             elif p == 2:
                 num = sigma_max(E)
             else:

@@ -11,8 +11,10 @@ kernel at one t.  A sample whose half is also a sample is squared from
 it instead of solved, so a grid that starts at 0 solves about half of
 its samples; expm_grid yields (index array, E) pairs in no set order.
 sigma_max takes the largest singular values of a stack from its Gram
-matrices.  Grid functions hold their (T, n, n) stacks in chunks from
-stack_slices, so memory stays flat in the grid length.
+matrices, and vector_norms the norms of a stack of vectors; at p = 2 both
+scale by exact powers of two first, so no square overflows.  Grid
+functions hold their (T, n, n) stacks in chunks from stack_slices, so
+memory stays flat in the grid length.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ __all__ = [
     "sigma_max",
     "stack_slices",
     "svd_2xn",
+    "vector_norms",
 ]
 
 #: bytes of the float64 (T, n, n) stacks a grid function holds at a time
@@ -224,6 +227,16 @@ def stack_slices(count: int, n: int, stacks: int = 1) -> list:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _unit_scaled(X, axes):
+    """X scaled, over each slice along axes, by the exact power of two
+    2^-k that brings the slice's largest |entry| to [1/2, 1): (X 2^-k, k),
+    k keeping the reduced axes.  Squares of the scaled entries cannot
+    overflow, and the scaling rounds only entries it pushes below the
+    normal range, 2^-1022 times the largest or less."""
+    k = np.frexp(np.abs(X).max(axis=axes, keepdims=True))[1]
+    return np.ldexp(X, -k), k
+
+
 def sigma_max(E) -> np.ndarray:
     """Largest singular value of each matrix of the stack E (..., m, k).
 
@@ -234,11 +247,24 @@ def sigma_max(E) -> np.ndarray:
     largest entry to [1/2, 1), so E^T E cannot overflow where the SVD
     would not; the result is scaled back by 2^k.
     """
-    E = np.asarray(E, dtype=float)
-    k = np.frexp(np.abs(E).max(axis=(-2, -1)))[1]
-    F = np.ldexp(E, -k[..., None, None])
+    F, k = _unit_scaled(np.asarray(E, dtype=float), (-2, -1))
     lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
-    return np.ldexp(np.sqrt(lam), k)
+    return np.ldexp(np.sqrt(lam), k[..., 0, 0])
+
+
+def vector_norms(X, p) -> np.ndarray:
+    """p-norm of each vector along the last axis of X, p in {1, 2, inf}.
+
+    For p = 2 each vector is scaled as in sigma_max, so its squares
+    cannot overflow where the norm itself would not, and the norm is
+    scaled back by the same power of two.  Where the squares of X stay
+    in the normal range, the result is np.linalg.norm(X, 2, axis=-1)
+    bit for bit."""
+    X = np.asarray(X, dtype=float)
+    if p != 2:
+        return np.linalg.norm(X, p, axis=-1)
+    Y, k = _unit_scaled(X, -1)
+    return np.ldexp(np.linalg.norm(Y, axis=-1), k[..., 0])
 
 
 def _normalize_p(p):

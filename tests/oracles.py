@@ -1,18 +1,24 @@
 """Independent brute-force references used by the test suite.
 
-Nothing here touches the library's closed forms: the matrix exponential is
-a scaled Taylor series, maxima come from dense grids or sphere sampling
-followed by a local polish.  Slow on purpose; correctness is the only goal.
-The one exception is the direct envelope sweep at the end, which reuses
-the kernel's closed forms but lays H and the stationarity residual out as
-full (beta, x) grids, one transcendental per cell: the reference the
-separable scan of `minimax` must reproduce bit for bit.
+Apart from the two references at the end, nothing here touches the
+library's closed forms: the matrix exponential is a scaled Taylor series,
+maxima come from dense grids or sphere sampling followed by a local
+polish.  Slow on purpose; correctness is the only goal.  The direct
+envelope sweep reuses the kernel's closed forms but lays H and the
+stationarity residual out as full (beta, x) grids, one transcendental per
+cell: the separable scan of `minimax` must reproduce it bit for bit.  The
+one-midpoint tracer is the branch tracer as it was before it solved its
+halving midpoints in batches: the tracer must reproduce its branches and
+warnings bit for bit.
 """
+import warnings
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
 from odecond import minimax
+from odecond.errors import BranchLost
 from odecond.oscillator import (
     VWPair,
     _alpha_extrema_arrays,
@@ -193,3 +199,74 @@ def direct_stationary_roots(p, betas, grid_points=2048):
             keep.pop()
         out.append(np.asarray(keep))
     return out
+
+
+def argmin_match(prev_x, roots):
+    """The tracer's greedy nearest-neighbour match, one np.argmin per
+    pair: {prev index: root index} in the order the pairs are taken."""
+    assign = {}
+    if len(prev_x) and len(roots):
+        dist = np.abs(wrap_angle(np.asarray(prev_x)[:, None]
+                                 - np.asarray(roots)[None, :]))
+        while True:
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            if (not np.isfinite(dist[i, j])
+                    or dist[i, j] > minimax._TRUST_RADIUS):
+                break
+            assign[int(i)] = int(j)
+            dist[i, :] = np.inf
+            dist[:, j] = np.inf
+    return assign
+
+
+def one_midpoint_trace(p, beta_grid):
+    """Stationary-point branches as the tracer followed them before its
+    halving midpoints were solved in batches: the grid in one batch, and
+    each midpoint alone when the depth-first halving first reaches it,
+    matched by argmin_match.
+    Returns the polylines; BranchLost warnings are raised as the tracer
+    raises them."""
+    beta_grid = np.asarray(beta_grid, dtype=float)
+    solved = dict(zip(beta_grid.tolist(),
+                      minimax._branch_points(p, beta_grid)))
+
+    def points_at(beta):
+        if beta not in solved:
+            solved[beta] = minimax._branch_points(p, [beta])[0]
+        return solved[beta]
+
+    active = [minimax._OpenBranch(beta_grid[0], *pt)
+              for pt in zip(*points_at(beta_grid[0]))]
+    done = []
+
+    def step(b0, b1, depth):
+        nonlocal active
+        roots, axis, h = points_at(b1)
+        assign = argmin_match([br.xs[-1] for br in active], roots)
+        taken = np.zeros(len(roots), dtype=bool)
+        taken[list(assign.values())] = True
+        lost = [i for i in range(len(active)) if i not in assign]
+        if lost and depth < minimax._MAX_HALVINGS:
+            mid = 0.5 * (b0 + b1)
+            step(b0, mid, depth + 1)
+            step(mid, b1, depth + 1)
+            return
+        for i, j in assign.items():
+            active[i].extend(b1, roots[j], axis[j], h[j])
+        survivors = []
+        for i, br in enumerate(active):
+            if i in assign:
+                survivors.append(br)
+            else:
+                warnings.warn(
+                    f"branch lost at beta={b1:.6g} (last x={br.xs[-1]:.6g})",
+                    BranchLost)
+                done.append(br.close())
+        for j in np.nonzero(~taken)[0]:
+            survivors.append(minimax._OpenBranch(b1, roots[j], axis[j], h[j]))
+        active = survivors
+
+    for b0, b1 in zip(beta_grid[:-1], beta_grid[1:]):
+        step(b0, b1, 0)
+    done.extend(br.close() for br in active)
+    return done

@@ -904,6 +904,25 @@ def test_k_exact_worst_case_near_overflow():
     assert abs(got / ref - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("y0, z0", [("ones", None), ("e1", "ones")])
+def test_k_exact_vector_norms_near_overflow(y0, z0):
+    # the matrix above: e^{tA} ones peaks at 3.4e197, so the 2-norms of
+    # e^{tA} y0_hat and e^{tA} z0 scale by a power of two before they
+    # square, as sigma_max does
+    n = 6
+    A = np.diag(-np.arange(n, dtype=float)) + np.diag(np.full(n - 1, 1e40), 1)
+    vec = {"e1": np.eye(n)[0], "ones": np.ones(n)}
+    z = None if z0 is None else vec[z0] / math.sqrt(n)
+    s = Scenario(matrix=A, y0=vec[y0], z0=z, t_grid=two_point_grid())
+    E = shifted_propagator(s, 1.0)
+    num = (np.linalg.svd(E, compute_uv=False)[0] if z is None
+           else math.hypot(*(E @ z)))
+    ref = num / math.hypot(*(E @ s.y0_hat))
+    got = k_exact(s, 1.0)
+    assert math.isfinite(got)
+    assert abs(got / ref - 1.0) <= 1e-14
+
+
 def test_sweep_shifts_by_the_analysis_r1():
     # sweep takes r1 from its spectrum analysis; only k_exact, which has
     # none, runs an eigensolver of its own

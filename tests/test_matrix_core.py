@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from odecond.matrix_core import (
     mat_exp,
     sigma_max,
     svd_2xn,
+    vector_norms,
 )
 
 
@@ -193,6 +195,23 @@ def test_sigma_max_matches_svd(seed, m, k, count, decade):
     ref = np.linalg.svd(E, compute_uv=False)[:, 0]
     rel = np.abs(sigma_max(E) / ref - 1.0)
     assert rel.max() <= 4e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       count=st.integers(1, 6), decade=st.integers(-300, 300))
+def test_vector_norms_scale_without_overflow(seed, n, count, decade):
+    # the 2-norm of each row at any scale; where the squares stay normal
+    # it is np.linalg.norm's value bit for bit
+    X = np.random.default_rng(seed).normal(size=(count, n)) * 10.0 ** decade
+    got = vector_norms(X, 2)
+    ref = np.array([math.hypot(*row) for row in X])
+    assert np.abs(got / ref - 1.0).max() <= 4e-16 * n
+    if -140 <= decade <= 140:
+        assert np.array_equal(got, np.linalg.norm(X, 2, axis=-1))
+    for p in (1, np.inf):
+        assert np.array_equal(vector_norms(X, p),
+                              np.linalg.norm(X, p, axis=-1))
 
 
 # --------------------------------------------------------- eigen_decompose

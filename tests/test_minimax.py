@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    argmin_match,
     direct_envelope_sweep,
     direct_stationary_roots,
     grid_extreme_1d,
+    one_midpoint_trace,
 )
 
 from odecond import minimax
@@ -416,6 +418,71 @@ def test_trace_solves_no_beta_twice(monkeypatch):
     assert len(solved) > grid.size  # this pair needs halving midpoints
     assert len(set(solved)) == len(solved)
     assert set(grid.tolist()) <= set(solved)
+
+
+def test_trace_solves_midpoints_in_five_batches(monkeypatch):
+    # the grid, then one batch per round of 3 halving levels down to 12;
+    # solving each midpoint alone took 23 calls here
+    calls = []
+    solve = minimax._stationary_roots
+
+    def counting(p, betas, *args):
+        calls.append(len(betas))
+        return solve(p, betas, *args)
+
+    monkeypatch.setattr(minimax, "_stationary_roots", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchLost)
+        trace_branches(VWPair(0.55, 0.55), np.linspace(0.0, np.pi, 91))
+    assert len(calls) <= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(prev=st.lists(st.integers(-31, 31), max_size=6),
+       roots=st.lists(st.integers(-31, 31), max_size=6))
+def test_match_equals_argmin_loop(prev, roots):
+    # tenths of a radian: many equal distances, some of them across the
+    # branch cut at pi
+    prev = np.asarray(prev) / 10.0
+    roots = np.asarray(roots) / 10.0
+    got = minimax._match(prev, roots)
+    assert list(got.items()) == list(argmin_match(prev, roots).items())
+
+
+def _traces(trace, p, betas):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BranchLost)
+        polylines = trace(p, betas)
+    return polylines, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_trace(p, steps):
+    betas = np.linspace(0.0, np.pi, steps + 1)
+    got, got_lost = _traces(trace_branches, p, betas)
+    want, want_lost = _traces(one_midpoint_trace, p, betas)
+    assert got_lost == want_lost
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.source == w.source
+        for name in ("beta_samples", "x_samples", "h_samples"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("steps", [90, 360])
+@pytest.mark.parametrize("V, W", [(0.40, 0.50), (0.80, 0.30),
+                                  (0.55, 0.55), (0.75, 0.72)])
+def test_trace_equals_one_midpoint_reference(V, W, steps):
+    # the batched midpoints leave every branch, sample and loss as the
+    # depth-first one-beta solves made them, bit for bit
+    _assert_same_trace(VWPair(V, W), steps)
+
+
+@settings(max_examples=15, deadline=None)
+@given(V=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       W=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_trace_equals_one_midpoint_reference_anywhere(V, W):
+    _assert_same_trace(VWPair(V, W), 90)
 
 
 def test_trace_rejects_bad_grids():
