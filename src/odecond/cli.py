@@ -15,6 +15,7 @@ block).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -120,7 +121,10 @@ def _join_negative_values(argv):
     return out
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged."""
     parser = _Parser(prog="odecond",
                      description="Condition numbers of y0 -> exp(tA) y0")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,16 +445,16 @@ def cmd_envelope(cfg: RunConfig) -> int:
     f_path = cfg.out + "_f.csv"
     with open(f_path, "w") as fh:
         fh.write("x,f_max,f_min\n")
-        for x, hi, lo in zip(xs, fmax, fmin):
-            fh.write(f"{x:.17g},{hi:.17g},{lo:.17g}\n")
+        fh.write("".join("%.17g,%.17g,%.17g\n" % row for row in
+                         zip(xs.tolist(), fmax.tolist(), fmin.tolist())))
 
     betas = np.linspace(0.0, math.pi, cfg.steps + 1)
     h_hi, h_lo, _, _ = h_envelope_sweep(pair, betas)
     h_path = cfg.out + "_h.csv"
     with open(h_path, "w") as fh:
         fh.write("beta,h_max,h_min\n")
-        for b, hi, lo in zip(betas, h_hi, h_lo):
-            fh.write(f"{b:.17g},{hi:.17g},{lo:.17g}\n")
+        fh.write("".join("%.17g,%.17g,%.17g\n" % row for row in
+                         zip(betas.tolist(), h_hi.tolist(), h_lo.tolist())))
 
     V, W = cfg.V, cfg.W
     h = h_extremes(pair)._asdict()
@@ -486,10 +490,11 @@ def cmd_branches(cfg: RunConfig) -> int:
     with open(csv_path, "w") as fh:
         fh.write("branch_id,source,beta,x,h\n")
         for bid, poly in enumerate(polylines):
-            for b, x, h in zip(poly.beta_samples, poly.x_samples,
-                               poly.h_samples):
-                fh.write(f"{bid},{poly.source},"
-                         f"{b:.17g},{x:.17g},{h:.17g}\n")
+            head = f"{bid},{poly.source},"
+            fh.write("".join(head + "%.17g,%.17g,%.17g\n" % row for row in
+                             zip(poly.beta_samples.tolist(),
+                                 poly.x_samples.tolist(),
+                                 poly.h_samples.tolist())))
     log_path = cfg.out + "_lost.log"
     with open(log_path, "w") as fh:
         for w in caught:

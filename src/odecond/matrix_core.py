@@ -11,8 +11,9 @@ kernel at one t.  A sample whose half is also a sample is squared from
 it instead of solved, so a grid that starts at 0 solves about half of
 its samples; expm_grid yields (index array, E) pairs in no set order.
 sigma_max takes the largest singular values of a stack from its Gram
-matrices, and vector_norms the norms of a stack of vectors; at p = 2 both
-scale by exact powers of two first, so no square overflows.  Grid
+matrices, and vector_norms and vector_norm the norms of a stack of
+vectors and of one vector; at p = 2 all three scale by exact powers of
+two first, so no square overflows.  Grid
 functions hold their (T, n, n) stacks in chunks from stack_slices, so
 memory stays flat in the grid length.
 """
@@ -230,10 +231,13 @@ def stack_slices(count: int, n: int, stacks: int = 1) -> list:
 def _unit_scaled(X, axes):
     """X scaled, over each slice along axes, by the exact power of two
     2^-k that brings the slice's largest |entry| to [1/2, 1): (X 2^-k, k),
+    real and imaginary parts alike for complex X,
     k keeping the reduced axes.  Squares of the scaled entries cannot
     overflow, and the scaling rounds only entries it pushes below the
     normal range, 2^-1022 times the largest or less."""
     k = np.frexp(np.abs(X).max(axis=axes, keepdims=True))[1]
+    if np.iscomplexobj(X):
+        return np.ldexp(X.real, -k) + 1j * np.ldexp(X.imag, -k), k
     return np.ldexp(X, -k), k
 
 
@@ -293,8 +297,18 @@ def induced_matrix_norm(M, p) -> float:
 
 
 def vector_norm(u, p) -> float:
-    """Vector p-norm of a real or complex vector, p in {1, 2, inf}."""
-    return float(np.linalg.norm(np.asarray(u), _normalize_p(p)))
+    """Vector p-norm of a real or complex vector, p in {1, 2, inf}.
+
+    For p = 2 the vector is scaled as in vector_norms, so its squares
+    cannot overflow where the norm itself would not.  Where the squares
+    of u stay in the normal range, the result is np.linalg.norm(u) bit
+    for bit."""
+    u = np.asarray(u)
+    p = _normalize_p(p)
+    if p != 2 or not u.size:
+        return float(np.linalg.norm(u, p))
+    Y, k = _unit_scaled(u, None)
+    return float(np.ldexp(np.linalg.norm(Y), k.item()))
 
 
 def dual_vector_norm(u, p) -> float:

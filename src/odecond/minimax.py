@@ -18,7 +18,10 @@ beta grid in one batch: sign changes of this residual on a dense
 (beta, x) grid bracket them, and one bisection polishes every bracket of
 every beta at once.  The residual and the denominator of H are linear in
 (cos beta, sin beta), so both grids are scanned as products of x-only
-vectors, a block of beta rows at a time.  The envelope sweep takes its
+vectors, a block of beta rows at a time, in buffers of one block
+allocated once per solve.  Each bisection step forms the residual at the
+midpoints only, with the kernel's maximizer alone, and keeps the fixed
+sign of each bracket's low end.  The envelope sweep takes its
 extremes from them; the branch tracer solves its beta grid up front,
 then its halving midpoints, found breadth-first, in a few more batches,
 and follows them across beta for diagnostics.  Envelopes and extremes
@@ -99,7 +102,7 @@ def stationarity_residual(p: VWPair, x, beta):
     """Left side of the stationarity equation; zero exactly at the
     stationary points of H( . , beta), with the sign of dH/dx."""
     x = np.asarray(x, dtype=float)
-    amax, _ = _alpha_extrema_arrays(p, x)
+    amax, _ = _alpha_extrema_arrays(p, x, with_min=False)
     val = _residual(p.V, x, amax, np.asarray(beta, dtype=float))
     return val if np.ndim(val) else float(val)
 
@@ -139,13 +142,16 @@ def _grid_roots(p: VWPair, xs, amax_xs, betas, fmax_xs=None):
         1 + V cos(x + beta) = 1 + (V cos beta) cos x - (V sin beta) sin x,
 
     so a scan over blocks of beta rows costs products and sums, not a
-    transcendental per cell.  A root is bracketed between a sign change of
-    D along its row and the next grid point; 48 bisections of the direct
-    residual polish all roots of all rows at once.  Returns (on_grid,
-    root, row, ext): the (row, x index) pairs where the grid residual
-    itself vanishes, each polished root with the row of its beta, ordered
-    by row and then x, and, given fmax_xs, each row's (argmax, argmin)
-    x indices of H on the grid (else None)."""
+    transcendental per cell, and it runs in buffers of one block,
+    allocated once.  A root is bracketed between a sign change of D along
+    its row (the last column against the first) and the next grid point;
+    48 bisections of the direct residual polish all roots of all rows at
+    once.  The low end of a bracket only moves to a midpoint of its own
+    sign, so that sign is fixed and only the midpoint residual is formed.
+    Returns (on_grid, root, row, ext): the (row, x index) pairs where the
+    grid residual itself vanishes, each polished root with the row of its
+    beta, ordered by row and then x, and, given fmax_xs, each row's
+    (argmax, argmin) x indices of H on the grid (else None)."""
     V, n = p.V, xs.size
     sx, cx = np.sin(xs), np.cos(xs)
     a = -np.sin(xs + amax_xs)
@@ -155,22 +161,42 @@ def _grid_roots(p: VWPair, xs, amax_xs, betas, fmax_xs=None):
     ext = None
     if fmax_xs is not None:
         ext = np.empty((2, betas.size), dtype=np.intp)
-    # D, H and a temporary: about three (rows, x) float arrays at a time
-    step = max(1, matrix_core.STACK_BYTES // (24 * n))
+        vcb, vsb = V * cb, V * sb
+    # (rows, x) buffers: D, H and a temporary in float, which set the
+    # block size, then the signs of D and a mask (on-grid hits, then sign
+    # changes) in bool
+    step = max(1, min(betas.size, matrix_core.STACK_BYTES // (24 * n)))
+    D_buf, H_buf, T_buf = np.empty((3, step, n))
+    neg_buf, mask_buf = np.empty((2, step, n), dtype=bool)
     parts = []
     for start in range(0, betas.size, step):
         sl = slice(start, start + step)
-        D = a + cb[sl] * b + sb[sl] * c
+        rows = cb[sl].shape[0]
+        D, H, T = D_buf[:rows], H_buf[:rows], T_buf[:rows]
+        neg, mask = neg_buf[:rows], mask_buf[:rows]
+        np.multiply(cb[sl], b, out=D)
+        np.add(a, D, out=D)
+        np.multiply(sb[sl], c, out=T)
+        np.add(D, T, out=D)
+        np.abs(D, out=T)
+        np.less_equal(T, _ON_GRID_TOL, out=mask)
         # flat indices: np.nonzero of a 2-D mask costs ten times more
-        hits = np.flatnonzero(np.abs(D) <= _ON_GRID_TOL)
-        neg = np.signbit(D)
-        cross = np.flatnonzero(neg != np.roll(neg, -1, axis=1))
-        parts.append((hits + start * n, cross + start * n, D.ravel()[cross]))
+        hits = np.flatnonzero(mask)
+        np.signbit(D, out=neg)
+        np.not_equal(neg[:, :-1], neg[:, 1:], out=mask[:, :-1])
+        np.not_equal(neg[:, -1], neg[:, 0], out=mask[:, -1])
+        cross = np.flatnonzero(mask)
+        parts.append((hits + start * n, cross + start * n,
+                      neg.ravel()[cross]))
         if ext is not None:
-            H = fmax_xs / (1.0 + V * cb[sl] * cx - V * sb[sl] * sx)
-            ext[0, sl] = H.argmax(axis=1)
-            ext[1, sl] = H.argmin(axis=1)
-    hits, cross, dlo = (np.concatenate(col) for col in zip(*parts))
+            np.multiply(vcb[sl], cx, out=H)
+            np.add(1.0, H, out=H)
+            np.multiply(vsb[sl], sx, out=T)
+            np.subtract(H, T, out=H)
+            np.divide(fmax_xs, H, out=H)
+            H.argmax(axis=1, out=ext[0, sl])
+            H.argmin(axis=1, out=ext[1, sl])
+    hits, cross, neg_lo = (np.concatenate(col) for col in zip(*parts))
     g_row, g_idx = np.divmod(hits, n)
     row, i_idx = np.divmod(cross, n)
     lo = xs[i_idx]
@@ -178,11 +204,9 @@ def _grid_roots(p: VWPair, xs, amax_xs, betas, fmax_xs=None):
     bb = betas[row]
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        am, _ = _alpha_extrema_arrays(p, mid)
-        dm = _residual(V, mid, am, bb)
-        same = np.signbit(dm) == np.signbit(dlo)
+        am, _ = _alpha_extrema_arrays(p, mid, with_min=False)
+        same = np.signbit(_residual(V, mid, am, bb)) == neg_lo
         lo = np.where(same, mid, lo)
-        dlo = np.where(same, dm, dlo)
         hi = np.where(same, hi, mid)
     return (g_row, g_idx), 0.5 * (lo + hi), row, ext
 
@@ -208,9 +232,10 @@ def h_envelope_sweep(p: VWPair, betas, grid_points: int = _DEFAULT_GRID):
     batched bisection polishes them.  The located grid extremes are
     valued directly as fmax / (1 + V cos(x + beta)), so the merge with
     the roots compares the values full grids would give.  At 721 beta
-    and 4096 x the sweep takes about 70 ms on a 2-core x86 host, 40 ms
-    for the scan and 28 ms for the bisection, and its traced memory
-    peaks at 1.8 MiB.
+    and 4096 x the sweep takes about 28 ms on a 2-core x86 host (best of
+    15 CPU-timed calls), roughly half in the scan and half in the
+    bisection (12 ms for its 48 steps over 1896 brackets), and its
+    traced memory peaks at 1.5 MiB.
     Returns arrays shaped like betas: (h_max, h_min, argmax_x, argmin_x).
     Holds on all of [0, 1)^2."""
     if grid_points < 2048:
@@ -364,7 +389,7 @@ def _stationary_roots(p: VWPair, betas, grid_points: int = 2048):
     betas = np.asarray(betas, dtype=float)
     xs, _, amax_xs = _grid_data(p.V, p.W, grid_points)
     (g_row, g_idx), mid, row, _ = _grid_roots(p, xs, amax_xs, betas)
-    am, _ = _alpha_extrema_arrays(p, mid)
+    am, _ = _alpha_extrema_arrays(p, mid, with_min=False)
     good = np.abs(_residual(p.V, mid, am, betas[row])) <= _RESIDUAL_TOL
     cuts = np.arange(1, betas.size)
     on_grid = np.split(xs[g_idx], np.searchsorted(g_row, cuts))
@@ -396,7 +421,7 @@ def _branch_points(p: VWPair, betas):
     counts = [r.size for r in roots]
     x = np.concatenate(roots)
     b = np.repeat(betas, counts)
-    am, _ = _alpha_extrema_arrays(p, x)
+    am, _ = _alpha_extrema_arrays(p, x, with_min=False)
     axis = np.abs(wrap_angle(am - b)) <= _AXIS_TOL
     h = np.where(axis, 1.0 / (1.0 - p.W * np.cos(b)), h_func(p, x, b))
     cuts = np.cumsum(counts)[:-1]
@@ -411,8 +436,13 @@ class _OpenBranch:
         self.hs = [h]
 
     def extend(self, beta, x_wrapped, axis, h):
+        # wrap_angle in Python floats: float % takes fmod and the sign of
+        # the divisor, as np.mod does
+        last = float(self.xs[-1])
+        d = float(x_wrapped) - last
+        step = math.pi - (math.pi - d) % (2.0 * math.pi)
         self.betas.append(beta)
-        self.xs.append(self.xs[-1] + wrap_angle(x_wrapped - self.xs[-1]))
+        self.xs.append(last + step)
         self.axis.append(axis)
         self.hs.append(h)
 

@@ -78,41 +78,39 @@ def f_vw(p: VWPair, alpha, x):
 
 def _u_polar(p: VWPair, x):
     U = p.V * np.exp(1j * np.asarray(x, dtype=float)) + p.W
-    return np.abs(U), np.angle(U)
+    return np.abs(U), np.arctan2(U.imag, U.real)
 
 
-def _alpha_extrema_arrays(p: VWPair, x):
-    """Vectorized extremizer angles; degenerate entries take their
-    continuity limits instead of raising."""
+def _alpha_extrema_arrays(p: VWPair, x, with_min: bool = True):
+    """Vectorized extremizer angles (amax, amin); degenerate entries take
+    their continuity limits instead of raising.  With with_min false the
+    minimizer is not formed and amin is None.
+
+    The stationary angles of f( . , x) are asin(s) - theta_U and
+    pi - asin(s) - theta_U, s = V W sin x / |U|.  Over x, |s| peaks at
+    min(V, W) < 1 (where cos x = -min(V, W) / max(V, W)), so
+    cos(asin s) > 0 and the curvature of f in alpha, a positive multiple
+    of -cos(theta_U + alpha), is negative at the first angle and positive
+    at the second: the arcsin branch alone tells the maximizer."""
     x = np.asarray(x, dtype=float)
     absU, thU = _u_polar(p, x)
     tiny = absU <= _U_FLOOR_FACTOR * (p.V + p.W)
 
     safe = np.where(tiny, 1.0, absU)
-    s = np.clip(p.V * p.W * np.sin(x) / safe, -1.0, 1.0)
+    s = np.minimum(np.maximum(p.V * p.W * np.sin(x) / safe, -1.0), 1.0)
     asn = np.arcsin(s)
-    a1 = asn - thU
-    a2 = np.pi - asn - thU
-    # classify by curvature sign, not by arcsin branch: the maximizer is the
-    # candidate with negative second derivative in alpha, which at a
-    # stationary point is |U| (-cos(theta_U + alpha)) / (1 - W cos alpha)^2
-    # (the two coincide when both curvatures vanish, so the tie direction
-    # is irrelevant)
-    c1, c2 = (absU * (-np.cos(thU + a)) / (1.0 - p.W * np.cos(a)) ** 2
-              for a in (a1, a2))
-    amax = np.where(c1 <= c2, a1, a2)
-    amin = np.where(c1 <= c2, a2, a1)
+    amax = asn - thU
+    amin = np.pi - asn - thU if with_min else None
 
-    if np.any(tiny):
+    if tiny.any():
         # near V = W with x near an odd multiple of pi; the limits follow
         # the principal branch after reducing x mod 2 pi
         x0 = wrap_angle(x)
-        g = np.sin(x0 / 2.0)
-        aE_max = np.arcsin(p.V * g) - x0 / 2.0
-        aE_min = np.pi - np.arcsin(p.V * g) - x0 / 2.0
-        amax = np.where(tiny, aE_max, amax)
-        amin = np.where(tiny, aE_min, amin)
-    return wrap_angle(amax), wrap_angle(amin)
+        aE = np.arcsin(p.V * np.sin(x0 / 2.0))
+        amax = np.where(tiny, aE - x0 / 2.0, amax)
+        if with_min:
+            amin = np.where(tiny, np.pi - aE - x0 / 2.0, amin)
+    return wrap_angle(amax), wrap_angle(amin) if with_min else None
 
 
 def alpha_extrema(p: VWPair, x: float):

@@ -1,7 +1,7 @@
 """Independent brute-force references used by the test suite.
 
-Apart from the two references at the end, nothing here touches the
-library's closed forms: the matrix exponential is a scaled Taylor series,
+Apart from the references from curvature_extrema on, nothing here
+touches the library's closed forms: the matrix exponential is a scaled Taylor series,
 maxima come from dense grids or sphere sampling followed by a local
 polish.  Slow on purpose; correctness is the only goal.  The direct
 envelope sweep reuses the kernel's closed forms but lays H and the
@@ -9,7 +9,9 @@ stationarity residual out as full (beta, x) grids, one transcendental per
 cell: the separable scan of `minimax` must reproduce it bit for bit.  The
 one-midpoint tracer is the branch tracer as it was before it solved its
 halving midpoints in batches: the tracer must reproduce its branches and
-warnings bit for bit.
+warnings bit for bit.  The curvature-classified extremizer is the
+kernel's angle solve as it was before it took the maximizer from the
+arcsin branch: the two must agree bit for bit.
 """
 import warnings
 
@@ -20,6 +22,7 @@ import scipy.optimize
 from odecond import minimax
 from odecond.errors import BranchLost
 from odecond.oscillator import (
+    _U_FLOOR_FACTOR,
     VWPair,
     _alpha_extrema_arrays,
     f_vw_max,
@@ -123,6 +126,34 @@ def grid_extreme_1d(fun, lo, hi, npts=10 ** 5, which="max"):
     b = min(hi, xs[idx] + (hi - lo) / (npts - 1))
     scalar = lambda x: float(np.asarray(fun(np.asarray([x])))[0])
     return _polish_1d(scalar, a, b, -1.0 if which == "max" else 1.0)
+
+
+def curvature_extrema(p, x):
+    """(amax, amin) of alpha -> f(alpha, x), reduced to (-pi, pi]: the two
+    stationary angles of the arcsin solve, told apart by the sign of the
+    curvature |U| (-cos(theta_U + alpha)) / (1 - W cos alpha)^2, with the
+    continuity limits where |U| is below the kernel's floor."""
+    x = np.asarray(x, dtype=float)
+    U = p.V * np.exp(1j * x) + p.W
+    absU, thU = np.abs(U), np.angle(U)
+    tiny = absU <= _U_FLOOR_FACTOR * (p.V + p.W)
+    safe = np.where(tiny, 1.0, absU)
+    s = np.clip(p.V * p.W * np.sin(x) / safe, -1.0, 1.0)
+    asn = np.arcsin(s)
+    a1 = asn - thU
+    a2 = np.pi - asn - thU
+    c1, c2 = (absU * (-np.cos(thU + a)) / (1.0 - p.W * np.cos(a)) ** 2
+              for a in (a1, a2))
+    amax = np.where(c1 <= c2, a1, a2)
+    amin = np.where(c1 <= c2, a2, a1)
+    if np.any(tiny):
+        x0 = wrap_angle(x)
+        g = np.sin(x0 / 2.0)
+        aE_max = np.arcsin(p.V * g) - x0 / 2.0
+        aE_min = np.pi - np.arcsin(p.V * g) - x0 / 2.0
+        amax = np.where(tiny, aE_max, amax)
+        amin = np.where(tiny, aE_min, amin)
+    return wrap_angle(amax), wrap_angle(amin)
 
 
 def direct_grid_roots(p, xs, amax_xs, betas):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import odecond
-from odecond.cli import RunConfig, main, parse_config
+from odecond.cli import RunConfig, build_parser, main, parse_config
 from odecond.minimax import h_extremes
 from odecond.oscillator import VWPair
 from odecond.spectral import analyze_spectrum
@@ -194,6 +194,18 @@ def test_negative_time_overflow_exits_1_without_warning(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
+    # the norm of y0 = (1e200, 1e200) overflows unless scaled first; the
+    # run then equals the one from y0 = (1, 1)
+    mat = write_matrix_csv(tmp_path / "D.csv", np.diag([0.0, -1.0]))
+    for tag, y0 in (("big", "1e200,1e200"), ("one", "1,1")):
+        assert run_cli(["analyze", "--matrix", mat, "--y0", y0, "--t1", 1,
+                        "--out", tmp_path / tag]) == 0
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "big.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
+
+
 @pytest.mark.parametrize("doc, argv", [
     ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1]}', ["--t1", "inf"]),
     ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
@@ -273,6 +285,10 @@ def test_non_finite_grouping_tolerance_exits_1(tmp_path, capsys, tol):
     assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
                     "--tol-group", tol, "--out", tmp_path / "x"]) == 1
     assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("flag, value, field, want", [

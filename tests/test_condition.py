@@ -923,6 +923,17 @@ def test_k_exact_vector_norms_near_overflow(y0, z0):
     assert abs(got / ref - 1.0) <= 1e-14
 
 
+def test_scenario_normalizes_y0_near_overflow():
+    # ||y0|| squares entries near 1e200; scaled by a power of two first,
+    # y0_hat is the unit vector of y0 = (1, 1) and k_exact its value
+    big = Scenario(matrix=np.diag([0.0, -1.0]), y0=[1e200, 1e200],
+                   t_grid=two_point_grid())
+    unit_y0 = Scenario(matrix=np.diag([0.0, -1.0]), y0=[1.0, 1.0],
+                       t_grid=two_point_grid())
+    assert np.array_equal(big.y0_hat, unit_y0.y0_hat)
+    assert k_exact(big, 1.0) == k_exact(unit_y0, 1.0)
+
+
 def test_sweep_shifts_by_the_analysis_r1():
     # sweep takes r1 from its spectrum analysis; only k_exact, which has
     # none, runs an eigensolver of its own

@@ -18,6 +18,7 @@ from odecond.matrix_core import (
     mat_exp,
     sigma_max,
     svd_2xn,
+    vector_norm,
     vector_norms,
 )
 
@@ -212,6 +213,25 @@ def test_vector_norms_scale_without_overflow(seed, n, count, decade):
     for p in (1, np.inf):
         assert np.array_equal(vector_norms(X, p),
                               np.linalg.norm(X, p, axis=-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       decade=st.integers(-300, 300), imag=st.booleans())
+def test_vector_norm_scales_without_overflow(seed, n, decade, imag):
+    # one real or complex vector at any scale; where the squares stay
+    # normal it is np.linalg.norm's value bit for bit
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) * 10.0 ** decade
+    if imag:
+        u = u + 1j * rng.normal(size=n) * 10.0 ** decade
+    got = vector_norm(u, 2)
+    ref = math.hypot(*np.abs(u))
+    assert abs(got / ref - 1.0) <= 4e-16 * (n + 1)
+    if -140 <= decade <= 140:
+        assert got == float(np.linalg.norm(u))
+    for p in (1, np.inf):
+        assert vector_norm(u, p) == float(np.linalg.norm(u, p))
 
 
 # --------------------------------------------------------- eigen_decompose

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_supported, unit
-from oracles import grid_extreme_f, sphere_max
+from oracles import curvature_extrema, grid_extreme_f, sphere_max
 
 from odecond.errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
 from odecond.matrix_core import induced_matrix_norm
 from odecond.oscillator import (
+    _U_FLOOR_FACTOR,
     VWPair,
+    _alpha_extrema_arrays,
     alpha_extrema,
     f_vw,
     f_vw_max,
@@ -127,6 +129,53 @@ def test_arcsin_argument_strictly_admissible(rng):
     absU = np.abs(V * np.exp(1j * x) + W)
     keep = absU > 0
     assert np.all(np.abs(V * W * np.sin(x))[keep] < absU[keep])
+
+
+_BELOW_ONE = 1.0 - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=st.floats(0.0, _BELOW_ONE), W=st.floats(0.0, _BELOW_ONE),
+       tie=st.sampled_from(["free", "V=W", "W=0", "near floor"]),
+       x=st.floats(-30.0, 30.0), d=st.floats(-1e-6, 1e-6),
+       k=st.integers(-3, 3), f=st.floats(0.25, 4.0))
+def test_arcsin_branch_equals_curvature_reference(V, W, tie, x, d, k, f):
+    # the maximizer from the arcsin branch is the curvature-classified
+    # one bit for bit: V = W, x within 1e-6 of an odd multiple of pi,
+    # |U| on both sides of the floor, W = 0, min(V, W) up to 1 - 1e-12
+    if tie == "V=W":
+        W = V
+    elif tie == "W=0":
+        W = 0.0
+    elif tie == "near floor":
+        W = V * (1.0 - f * _U_FLOOR_FACTOR)  # |U| >= |V - W| near the floor
+    p = VWPair(V, W)
+    odd = (2 * k + 1) * np.pi
+    # at V = W, |U| = 2 V |cos(x / 2)| crosses the floor near 2e-10 from pi
+    xs = [x, odd + d, odd + f * 2e-10, odd - f * 2e-10, 0.0, np.pi]
+    if max(V, W) > 0.0:
+        peak = np.arccos(-min(V, W) / max(V, W))  # where |s| peaks
+        xs += [peak + 2 * k * np.pi, -peak]
+    xs = np.array(xs)
+    amax, amin = _alpha_extrema_arrays(p, xs)
+    ref_max, ref_min = curvature_extrema(p, xs)
+    assert amax.tobytes() == ref_max.tobytes()
+    assert amin.tobytes() == ref_min.tobytes()
+    alone, none = _alpha_extrema_arrays(p, xs, with_min=False)
+    assert none is None and alone.tobytes() == ref_max.tobytes()
+
+
+@pytest.mark.parametrize("V, W", [(0.3, 0.8), (0.8, 0.3), (0.55, 0.55),
+                                  (0.999, 0.2), (0.2, 0.999)])
+def test_arcsin_argument_peaks_at_smaller_modulus(V, W):
+    # max over x of |V W sin x| / |U| is min(V, W) < 1, reached where
+    # cos x = -min / max: the reason the arcsin branch tells the maximizer
+    peak = np.arccos(-min(V, W) / max(V, W))
+    xs = np.concatenate((np.linspace(-np.pi, np.pi, 2 ** 20), [peak]))
+    ratio = np.abs(V * W * np.sin(xs)) / np.abs(V * np.exp(1j * xs) + W)
+    assert abs(ratio.max() - min(V, W)) <= 4 * np.finfo(float).eps
+    grid = ratio[:-1].max()
+    assert min(V, W) - 1e-10 <= grid <= min(V, W) + 4 * np.finfo(float).eps
 
 
 # ------------------------------------------------------ f_vw_max / f_vw_min
