@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .condition import Scenario, k_exact, shifted_propagator, sweep
+from .condition import (Scenario, _k_exact_ratios, _norm_label,
+                        shifted_propagator, sweep)
 from .errors import (
     AmbiguousGrouping,
     BranchLost,
@@ -92,10 +93,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _norm_from_label(label):
     return np.inf if label == "inf" else int(label)
-
-
-def _norm_to_label(p):
-    return "inf" if p == np.inf else int(p)
 
 
 def _float_list(text: str, flag: str, parser: _Parser):
@@ -302,7 +299,7 @@ def _scenario_echo(cfg: RunConfig) -> dict:
         "matrix": [list(row) for row in cfg.matrix],
         "y0": list(cfg.y0),
         "z0": list(cfg.z0) if cfg.z0 is not None else None,
-        "norm": _norm_to_label(cfg.norm_p),
+        "norm": _norm_label(cfg.norm_p),
         "t": {"start": cfg.t_start, "end": cfg.t_end, "steps": cfg.steps},
     }
     return doc
@@ -317,12 +314,13 @@ def _write_json(path: str, doc) -> None:
 def _spot_check(s: Scenario, seed: int) -> dict:
     """Randomized directional oracle at the final grid time: the worst
     case must dominate every sampled direction and be nearly attained.
-    The directions are propagated by e^{t(A - r1 I)}, as k_exact is."""
+    The directions and the worst case are propagated by one
+    e^{t(A - r1 I)}, the worst case valued as k_exact values it."""
     rng = np.random.default_rng(seed)
     t = float(s.t_grid[-1])
-    worst = k_exact(Scenario(matrix=s.matrix, y0=s.y0,
-                             t_grid=np.array([t]), norm_p=s.norm_p), t)
     E = shifted_propagator(s, t)
+    worst = float(_k_exact_ratios(E[None], s.y0_hat, None, s.norm_p,
+                                  f"t = {t:.6g}")[0])
     Z = rng.standard_normal((512, s.n))
     Z /= np.linalg.norm(Z, s.norm_p, axis=1)[:, None]
     best = float(np.max(np.linalg.norm(Z @ E.T, s.norm_p, axis=1))

@@ -33,6 +33,7 @@ from .matrix_core import (
     vector_norm,
     vector_norms,
     _normalize_p,
+    _unit_scaled,
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
 from .oscillator import VWPair, f_vw, f_vw_max, g_factor, phase_x
@@ -98,7 +99,7 @@ class Scenario:
             raise ValueError(
                 f"y0 has length {y0.shape[0]}, matrix is {A.shape[0]}x{A.shape[0]}"
             )
-        if not np.all(np.isfinite(y0)) or vector_norm(y0, p) == 0.0:
+        if not (np.all(np.isfinite(y0)) and np.any(y0)):
             raise ValueError("y0 must be finite and nonzero")
         z0 = self.z0
         if z0 is not None:
@@ -129,7 +130,11 @@ class Scenario:
 
     @property
     def y0_hat(self) -> np.ndarray:
-        return self.y0 / vector_norm(self.y0, self.norm_p)
+        """y0 / ||y0||_p, formed from y0 scaled by the exact power of two
+        that brings its largest |entry| to [1/2, 1), so neither a norm
+        that overflows nor subnormal entries cost it bits."""
+        y, _ = _unit_scaled(self.y0, None)
+        return y / vector_norm(y, self.norm_p)
 
     @property
     def directional(self) -> bool:
@@ -342,27 +347,35 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
     (matrix_core.sigma_max).  Raises OdecondError when a propagated value
     is not finite or the denominator vanishes.
     """
-    y0h, p = s.y0_hat, s.norm_p
+    y0h = s.y0_hat
     out = np.empty(ts.shape)
     for idx, E in expm_grid(_shifted(s, r1), ts):
         chunk = ts[idx]
         span = f"t in [{chunk.min():.6g}, {chunk.max():.6g}]"
-        with np.errstate(over="ignore"):
-            denom = vector_norms(E @ y0h, p)
-            if s.directional:
-                num = vector_norms(E @ s.z0, p)
-            elif p == 2:
-                num = sigma_max(E)
-            else:
-                num = np.linalg.norm(E, p, axis=(-2, -1))
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(denom))):
-            raise OdecondError(
-                f"||e^{{t(A - r1 I)}}|| is not finite for {span}")
-        if not np.all(denom > 0.0):
-            raise OdecondError(
-                f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
-        out[idx] = num / denom
+        out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, span)
     return out
+
+
+def _k_exact_ratios(E, y0h, z0, p, span: str) -> np.ndarray:
+    """k_exact for each propagator of the stack E: ||E z0|| / ||E y0h||,
+    or the induced norm of E over ||E y0h|| when z0 is None.  span names
+    the times of E in the error raised when a norm is not finite or the
+    denominator vanishes."""
+    with np.errstate(over="ignore"):
+        denom = vector_norms(E @ y0h, p)
+        if z0 is not None:
+            num = vector_norms(E @ z0, p)
+        elif p == 2:
+            num = sigma_max(E)
+        else:
+            num = np.linalg.norm(E, p, axis=(-2, -1))
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(denom))):
+        raise OdecondError(
+            f"||e^{{t(A - r1 I)}}|| is not finite for {span}")
+    if not np.all(denom > 0.0):
+        raise OdecondError(
+            f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
+    return num / denom
 
 
 def k_exact(s: Scenario, t: float) -> float:

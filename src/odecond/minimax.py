@@ -22,11 +22,12 @@ vectors, a block of beta rows at a time, in buffers of one block
 allocated once per solve.  Each bisection step forms the residual at the
 midpoints only, with the kernel's maximizer alone, and keeps the fixed
 sign of each bracket's low end.  The envelope sweep takes its
-extremes from them; the branch tracer solves its beta grid up front,
-then its halving midpoints, found breadth-first, in a few more batches,
-and follows them across beta for diagnostics.  Envelopes and extremes
-hold on all of [0, 1)^2; the beta = 0 analysis and the branch tracer need
-the open square (0, 1)^2.
+extremes from them.  The branch tracer refines, then walks: it solves
+its beta grid in one batch, halves each interval where a root would go
+unmatched, a few batches of midpoints in all, and then follows the
+roots once across the refined betas for diagnostics.  Envelopes and
+extremes hold on all of [0, 1)^2; the beta = 0 analysis and the branch
+tracer need the open square (0, 1)^2.
 """
 from __future__ import annotations
 
@@ -487,31 +488,29 @@ def _midpoints(b0, b1, levels):
             + _midpoints(mid, b1, levels - 1))
 
 
-def _presolve_midpoints(p: VWPair, solved, beta_grid):
-    """Solve, into the dict solved, the halving midpoints the tracer will
-    reach, a batch per round.
+def _step_betas(p: VWPair, solved, beta_grid):
+    """The betas the trace steps to, in order, each solved into the dict
+    solved.
 
-    After a tracer step ends at beta, its open branches sit at the roots
-    of beta: each root extends a branch or opens one, and each unmatched
-    branch is closed.  So a step (b0, b1) halves exactly when _match
-    loses a root of b0 to the roots of b1, and the halvings can be found
-    breadth-first from the solved roots.  Each interval found to halve
-    whose midpoint is unsolved queues its subtree of _PRESOLVE_LEVELS
-    levels; one _branch_points call solves every queued beta of the
-    round.  The prediction matches the roots of b0 where the tracer
-    matches the branch ends, which equal them up to a turn of 2 pi and
-    their order, so a rounding tie can make it miss or over-solve a
-    midpoint, never change the trace: the tracer solves what it misses."""
-    def halves(b0, b1):
-        prev = solved[b0][0]
-        return len(_match(prev, solved[b1][0])) < len(prev)
-
+    After a step ends at beta, the open branches sit at the roots of
+    beta: each root extends a branch or opens one, and each unmatched
+    branch is closed.  So a grid interval (b0, b1) is halved exactly when
+    _match loses a root of b0 to the roots of b1, down to _MAX_HALVINGS
+    halvings.  The halvings are found breadth-first: each interval that
+    halves at an unsolved midpoint queues its subtree of _PRESOLVE_LEVELS
+    levels, and one _branch_points call solves every queued beta of a
+    round.  The intervals left over partition the grid; the sorted right
+    ends are the steps."""
+    ends = []
     pending = [(b0, b1, 0) for b0, b1 in zip(beta_grid[:-1], beta_grid[1:])]
     while pending:
         queued, waiting = {}, []
         while pending:
             b0, b1, depth = pending.pop()
-            if depth == _MAX_HALVINGS or not halves(b0, b1):
+            prev = solved[b0][0]
+            if (depth == _MAX_HALVINGS
+                    or len(_match(prev, solved[b1][0])) == len(prev)):
+                ends.append(b1)
                 continue
             mid = 0.5 * (b0 + b1)
             if mid in solved:
@@ -524,22 +523,22 @@ def _presolve_midpoints(p: VWPair, solved, beta_grid):
         if queued:
             solved.update(zip(queued, _branch_points(p, list(queued))))
         pending = waiting
+    return sorted(ends)
 
 
 def trace_branches(p: VWPair, beta_grid):
     """Follow every stationary-point family across the beta grid.
 
-    Matching is nearest-neighbour in x (circular); a match farther than
-    the trust radius triggers beta-step halving, and a branch whose
-    continuation still cannot be matched is closed with a BranchLost
-    warning.  Unmatched new roots open new polylines (branch domains need
-    not start at the first beta).  The stationary points of the whole grid
-    are solved in one batch up front.  The halving midpoints are then
-    found from those roots breadth-first and solved in a few more
-    batches, subtrees of _PRESOLVE_LEVELS levels at a time
-    (_presolve_midpoints); the trace itself reads them from that cache
-    and solves only a midpoint the prediction missed.  No beta is solved
-    twice, and each root has the bits a one-beta solve gives it."""
+    Matching is nearest-neighbour in x (circular), no farther than the
+    trust radius.  The trace first refines, then walks.  The stationary
+    points of the whole grid are solved in one batch, and _step_betas
+    halves each grid interval where a root would go unmatched, solving
+    the midpoints in a few more batches.  The walk then steps once
+    through the refined betas: it extends each matched branch, closes
+    each unmatched one with a BranchLost warning, and opens a polyline at
+    each unmatched root (branch domains need not start at the first
+    beta).  No beta is solved twice, and each root has the bits a
+    one-beta solve gives it."""
     _open_unit(p)
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.ndim != 1 or beta_grid.size < 2:
@@ -550,45 +549,23 @@ def trace_branches(p: VWPair, beta_grid):
         raise ValueError("beta_grid must lie within [0, pi]")
 
     solved = dict(zip(beta_grid.tolist(), _branch_points(p, beta_grid)))
-    _presolve_midpoints(p, solved, beta_grid)
-
-    def points_at(beta):
-        if beta not in solved:
-            solved[beta] = _branch_points(p, [beta])[0]
-        return solved[beta]
-
     active = [_OpenBranch(beta_grid[0], *pt)
-              for pt in zip(*points_at(beta_grid[0]))]
+              for pt in zip(*solved[beta_grid[0]])]
     done: list[BranchPolyline] = []
-
-    def step(b0, b1, depth):
-        nonlocal active
-        roots, axis, h = points_at(b1)
+    for beta in _step_betas(p, solved, beta_grid):
+        roots, axis, h = solved[beta]
         assign = _match([br.xs[-1] for br in active], roots)
-        lost = [i for i in range(len(active)) if i not in assign]
-        if lost and depth < _MAX_HALVINGS:
-            mid = 0.5 * (b0 + b1)
-            step(b0, mid, depth + 1)
-            step(mid, b1, depth + 1)
-            return
         for i, j in assign.items():
-            active[i].extend(b1, roots[j], axis[j], h[j])
-        survivors = []
+            active[i].extend(beta, roots[j], axis[j], h[j])
         for i, br in enumerate(active):
-            if i in assign:
-                survivors.append(br)
-            else:
+            if i not in assign:
                 warnings.warn(
-                    f"branch lost at beta={b1:.6g} (last x={br.xs[-1]:.6g})",
+                    f"branch lost at beta={beta:.6g} (last x={br.xs[-1]:.6g})",
                     BranchLost)
                 done.append(br.close())
-        taken = np.zeros(len(roots), dtype=bool)
-        taken[list(assign.values())] = True
-        for j in np.nonzero(~taken)[0]:
-            survivors.append(_OpenBranch(b1, roots[j], axis[j], h[j]))
-        active = survivors
-
-    for b0, b1 in zip(beta_grid[:-1], beta_grid[1:]):
-        step(b0, b1, 0)
+        taken = set(assign.values())
+        active = ([br for i, br in enumerate(active) if i in assign]
+                  + [_OpenBranch(beta, roots[j], axis[j], h[j])
+                     for j in range(roots.size) if j not in taken])
     done.extend(br.close() for br in active)
     return done

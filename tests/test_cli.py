@@ -195,15 +195,54 @@ def test_negative_time_overflow_exits_1_without_warning(tmp_path, capsys):
 
 
 def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
-    # the norm of y0 = (1e200, 1e200) overflows unless scaled first; the
-    # run then equals the one from y0 = (1, 1)
+    # the 2-norm of y0 = (1e200, 1e200) overflows unless scaled first, the
+    # norms of (1.5e308, 1.5e308) overflow even then, and (1e-320, 1e-320)
+    # is subnormal.  In every norm each run equals the one from
+    # y0 = (1, 1), the first byte for byte.  y0_hat of the last two may
+    # differ from that of (1, 1) by an ulp, which moves k_exact by up to
+    # 3 ulps.
     mat = write_matrix_csv(tmp_path / "D.csv", np.diag([0.0, -1.0]))
-    for tag, y0 in (("big", "1e200,1e200"), ("one", "1,1")):
-        assert run_cli(["analyze", "--matrix", mat, "--y0", y0, "--t1", 1,
-                        "--out", tmp_path / tag]) == 0
-    assert capsys.readouterr().err == ""
-    assert ((tmp_path / "big.csv").read_bytes()
-            == (tmp_path / "one.csv").read_bytes())
+    y0s = {"one": "1,1", "big": "1e200,1e200", "huge": "1.5e308,1.5e308",
+           "tiny": "1e-320,1e-320"}
+    for norm in ("1", "2", "inf"):
+        for tag, y0 in y0s.items():
+            assert run_cli(["analyze", "--matrix", mat, "--y0", y0,
+                            "--t1", 1, "--norm", norm,
+                            "--out", tmp_path / f"{tag}{norm}"]) == 0
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / f"big{norm}.csv").read_bytes()
+                == (tmp_path / f"one{norm}.csv").read_bytes())
+        want = float_columns(tmp_path / f"one{norm}.csv")
+        for tag in ("huge", "tiny"):
+            got = float_columns(tmp_path / f"{tag}{norm}.csv")
+            for name, ref in want.items():
+                np.testing.assert_allclose(
+                    got[name], ref, rtol=8e-16,
+                    err_msg=f"y0 {y0s[tag]}, norm {norm}: {name}")
+
+
+def test_spot_check_propagates_once(monkeypatch):
+    # the worst case and the sampled directions share one propagator: one
+    # eigenvalue solve for its shift, one expm_grid call
+    s = odecond.condition.Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
+                                   t_grid=np.linspace(0.0, 3.0, 8))
+    calls = {"expm_grid": 0, "eigvals": 0}
+    expm_grid, eigvals = odecond.matrix_core.expm_grid, np.linalg.eigvals
+
+    def counting_expm_grid(*args):
+        calls["expm_grid"] += 1
+        return expm_grid(*args)
+
+    def counting_eigvals(*args):
+        calls["eigvals"] += 1
+        return eigvals(*args)
+
+    monkeypatch.setattr(odecond.matrix_core, "expm_grid", counting_expm_grid)
+    monkeypatch.setattr(odecond.condition, "expm_grid", counting_expm_grid)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    spot = odecond.cli._spot_check(s, 1)
+    assert calls == {"expm_grid": 1, "eigvals": 1}
+    assert spot["dominates_samples"] is True
 
 
 @pytest.mark.parametrize("doc, argv", [
