@@ -320,7 +320,7 @@ def _spot_check(s: Scenario, seed: int) -> dict:
     t = float(s.t_grid[-1])
     E = shifted_propagator(s, t)
     worst = float(_k_exact_ratios(E[None], s.y0_hat, None, s.norm_p,
-                                  f"t = {t:.6g}")[0])
+                                  np.array([t]))[0])
     Z = rng.standard_normal((512, s.n))
     Z /= np.linalg.norm(Z, s.norm_p, axis=1)[:, None]
     best = float(np.max(np.linalg.norm(Z @ E.T, s.norm_p, axis=1))

@@ -33,6 +33,7 @@ from .matrix_core import (
     vector_norm,
     vector_norms,
     _normalize_p,
+    _t_span,
     _unit_scaled,
 )
 from .minimax import h_envelope, h_extremes, q1_threshold
@@ -350,17 +351,15 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
     y0h = s.y0_hat
     out = np.empty(ts.shape)
     for idx, E in expm_grid(_shifted(s, r1), ts):
-        chunk = ts[idx]
-        span = f"t in [{chunk.min():.6g}, {chunk.max():.6g}]"
-        out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, span)
+        out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
     return out
 
 
-def _k_exact_ratios(E, y0h, z0, p, span: str) -> np.ndarray:
+def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:
     """k_exact for each propagator of the stack E: ||E z0|| / ||E y0h||,
-    or the induced norm of E over ||E y0h|| when z0 is None.  span names
-    the times of E in the error raised when a norm is not finite or the
-    denominator vanishes."""
+    or the induced norm of E over ||E y0h|| when z0 is None.  ts holds
+    the times of E; the error raised when a norm is not finite or the
+    denominator vanishes names those of the failing samples."""
     with np.errstate(over="ignore"):
         denom = vector_norms(E @ y0h, p)
         if z0 is not None:
@@ -369,12 +368,13 @@ def _k_exact_ratios(E, y0h, z0, p, span: str) -> np.ndarray:
             num = sigma_max(E)
         else:
             num = np.linalg.norm(E, p, axis=(-2, -1))
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(denom))):
+    bad = ~(np.isfinite(num) & np.isfinite(denom))
+    if bad.any():
         raise OdecondError(
-            f"||e^{{t(A - r1 I)}}|| is not finite for {span}")
-    if not np.all(denom > 0.0):
-        raise OdecondError(
-            f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero for {span}")
+            f"||e^{{t(A - r1 I)}}|| is not finite for {_t_span(ts[bad])}")
+    if not denom.all():
+        raise OdecondError(f"||e^{{t(A - r1 I)}} y0_hat|| underflows to zero "
+                           f"for {_t_span(ts[denom == 0.0])}")
     return num / denom
 
 

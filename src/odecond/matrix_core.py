@@ -5,17 +5,17 @@ small 2xn SVD.
 Matrices are plain numpy arrays throughout; the validators below replace a
 wrapper class.  All functions are pure.  expm_grid evaluates e^{tB} over a
 whole grid of t as one batched scaling-and-squaring Pade kernel: the
-powers of B are formed once, and each chunk of the grid costs three
-matrix products, one batched solve and the squarings; mat_exp is that
-kernel at one t.  A sample whose half is also a sample is squared from
-it instead of solved, so a grid that starts at 0 solves about half of
+powers of B are formed once, and each chunk of the grid costs two sums of
+them, one matrix product, one batched solve and the squarings, each on
+every sample alone, so mat_exp, that kernel at one t, equals any grid's
+sample at t bit for bit.  A sample whose half is also a sample is squared
+from it instead of solved, so a grid that starts at 0 solves about half of
 its samples; expm_grid yields (index array, E) pairs in no set order.
 sigma_max takes the largest singular values of a stack from its Gram
-matrices, and vector_norms and vector_norm the norms of a stack of
-vectors and of one vector; at p = 2 all three scale by exact powers of
-two first, so no square overflows.  Grid
-functions hold their (T, n, n) stacks in chunks from stack_slices, so
-memory stays flat in the grid length.
+matrices, and vector_norms and vector_norm the norms of a stack of vectors
+and of one vector; at p = 2 all three scale by exact powers of two first,
+so no square overflows.  Grid functions hold their (T, n, n) stacks in
+chunks from stack_slices, so memory stays flat in the grid length.
 """
 from __future__ import annotations
 
@@ -97,26 +97,25 @@ def expm_grid(B, ts):
     that keeps them from overflowing; the d_k are exact norms of them.  A
     second power of two then brings alpha to [1/2, 1), so that with
     c = t 2^(e-s), |c| <= 2 theta_13 and no c^k overflows.  For a chunk
-    of the grid, V = sum of b_k c^k (B 2^-e)^k over even k is one (T, 7)
-    by (7, n^2) matrix product; U, the odd terms, is the same product
-    times B 2^-e, which keeps its rounding a polynomial in B as Higham's
-    U = A (...) does.  Then one batched solve q r = p with p = V + U,
-    q = V - U, and the squarings of the samples whose s is not reached.
+    of the grid, V = sum of b_k c^k (B 2^-e)^k over even k, in order of k;
+    U, the odd terms, is the same sum times B 2^-e, which keeps its
+    rounding a polynomial in B as Higham's U = A (...) does.  Then one
+    batched solve q r = p with p = V + U, q = V - U, and the squarings of
+    the samples whose s is not reached.
 
     The kernel reuses its own squarings across the grid.  A sample t with
-    s(t) >= 1 whose half t/2 is also a sample is not solved: e^{tB} =
-    (e^{(t/2)B})^2, which is the last squaring the kernel would do for t,
-    since t/2 has the same Pade argument c; the two agree bit for bit
-    when s(t/2) = s(t) - 1.  Only the other samples, the roots (about half
-    of a grid that starts at 0, every sample of one that does not), go
-    through the solve, chunk by chunk, and each chunk is then squared
-    down its chains t, 2t, 4t, ... one yield per link.  A repeated t is a
-    root of its own.
+    s(t) >= 1 whose half t/2 is also a sample with s(t/2) = s(t) - 1 is
+    not solved: e^{tB} = (e^{(t/2)B})^2, which is the last squaring the
+    kernel would do for t, since t/2 has the same Pade argument c.  Only
+    the other samples, the roots (about half of a grid that starts at 0,
+    every sample of one that does not), go through the solve, chunk by
+    chunk, and each chunk is then squared down its chains t, 2t, 4t, ...
+    one yield per link.  A repeated t is a root of its own.
 
-    Raises ValueError for a t that is not finite, and OdecondError when
-    e^{tB} is not finite: it overflows, or B is so far from normal that
-    its scaled powers underflow, where the many squarings B would need
-    spoil the result anyway.
+    Raises ValueError for a t that is not finite, and OdecondError, naming
+    the range of the failing t, when e^{tB} is not finite: it overflows,
+    or B is so far from normal that its scaled powers underflow, where the
+    many squarings B would need spoil the result anyway.
     """
     B = as_real_matrix(B, square=True)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -153,11 +152,10 @@ def expm_grid(B, ts):
         idx = roots[sl]
         E = _pade_squared(even, B1, ts[idx], e, s[idx])
         while idx.size:
-            if not np.all(np.isfinite(E)):
-                t = ts[idx]
+            bad = ~np.isfinite(E).all(axis=(-2, -1))
+            if bad.any():
                 raise OdecondError(
-                    f"e^{{tB}} is not finite for t in [{t.min():.6g}, "
-                    f"{t.max():.6g}]")
+                    f"e^{{tB}} is not finite for {_t_span(ts[idx[bad]])}")
             yield idx, E
             idx = child[idx]
             linked = idx >= 0
@@ -169,8 +167,8 @@ def expm_grid(B, ts):
 
 def _doubling_links(ts, s):
     """The chains t, 2t, 4t, ... of the grid: child[i] = j when
-    ts[j] = 2 ts[i] exactly and s[j] >= 1, else -1, and the roots, the
-    indices that are no sample's child.
+    ts[j] = 2 ts[i] exactly and s[i] = s[j] - 1 >= 0, else -1, and the
+    roots, the indices that are no sample's child.
 
     Only the first sample of each value is linked, as parent or child, so
     a sample has at most one child, and a repeated t is a root."""
@@ -184,6 +182,7 @@ def _doubling_links(ts, s):
     found = pos < ts.size
     found[found] = ordered[pos[found]] == half[found]
     linked = first & found & (s >= 1) & (half * 2.0 == ts)
+    linked[linked] = s[order[pos[linked]]] == s[linked] - 1
     child = np.full(ts.size, -1)
     child[order[pos[linked]]] = np.flatnonzero(linked)
     return child, np.flatnonzero(~linked)
@@ -199,9 +198,11 @@ def _pade_squared(even, B1, t, e, s):
         coef[:, 1:] = np.ldexp(t, e - s)[:, None]
         np.cumprod(coef, axis=1, out=coef)
         coef *= _PADE13
-        V = coef[:, 0::2] @ even
-        U = coef[:, 1::2] @ even
-        U = (U.reshape(-1, n) @ B1).reshape(-1, n * n)
+        # no BLAS product over the chunk, whose rounding depends on its
+        # row count (einsum without optimize sums the powers in order)
+        V = np.einsum("tj,jk->tk", coef[:, 0::2], even, optimize=False)
+        U = np.einsum("tj,jk->tk", coef[:, 1::2], even, optimize=False)
+        U = (U.reshape(-1, n, n) @ B1).reshape(-1, n * n)
         V -= U          # denominator q = V - U
         U *= 2.0
         U += V          # numerator p = V + U
@@ -209,8 +210,8 @@ def _pade_squared(even, B1, t, e, s):
             E = np.linalg.solve(V.reshape(-1, n, n), U.reshape(-1, n, n))
         except np.linalg.LinAlgError as exc:
             raise OdecondError(
-                f"the Pade denominator of e^{{tB}} is singular for t in "
-                f"[{t.min():.6g}, {t.max():.6g}]") from exc
+                f"the Pade denominator of e^{{tB}} is singular for "
+                f"{_t_span(t)}") from exc
         del U, V
         for step in range(1, int(s.max(initial=0)) + 1):
             sel = np.flatnonzero(s >= step)
@@ -218,6 +219,11 @@ def _pade_squared(even, B1, t, e, s):
                 sel = slice(sel[0], sel[-1] + 1)
             E[sel] = E[sel] @ E[sel]
     return E
+
+
+def _t_span(t) -> str:
+    """'t in [min, max]' of the times t, for error messages."""
+    return f"t in [{t.min():.6g}, {t.max():.6g}]"
 
 
 def stack_slices(count: int, n: int, stacks: int = 1) -> list:

@@ -7,11 +7,11 @@ Central object: for V, W in [0, 1),
 For fixed x this oscillates monotonically in alpha between a closed-form
 maximum and minimum.  The norms of the oscillation vector
 
-    Theta(t, u) = (|v_k| cos(omega t + alpha_k + gamma(u)))_k
+    Theta(t, u) = Re(e^{i(omega t + gamma(u))} v_hat)
 
 and the oscillation matrix
 
-    Theta(t) = (|v_k| |w_l| cos(omega t + alpha_k + beta_l))_{k,l}
+    Theta(t) = Re(e^{i omega t} v_hat w_hat)
 
 drive every time-dependent factor of the asymptotic condition numbers:
 in the Euclidean norm they reduce to closed forms in the block moduli
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
-from .matrix_core import _normalize_p, stack_slices
+from .errors import DegenerateConstant, UnsupportedBlock
+from .matrix_core import stack_slices
 from .spectral import EigenBlock, checked_projection
 
 __all__ = [
@@ -202,31 +202,30 @@ def theta_norm_mat(block: EigenBlock, t):
     return val if np.ndim(val) else float(val)
 
 
-def theta_norm_p(block: EigenBlock, t, p, u=None):
-    """Entrywise Theta norm for p in {1, inf}; accepts array t.
+def theta_norm_p(block: EigenBlock, t, u=None):
+    """Theta norm of a block analyzed with p in {1, inf}; accepts array t.
 
-    Builds the oscillation vector (u given) or matrix (u omitted) from the
-    component moduli and angles, over a (T, n) or (T, n, n) stack for T
-    samples, and returns the vector p-norm or induced matrix p-norm of each.
-    Both are at most 1 when the block was analyzed with the same p."""
+    The induced p-norm of Re(e^{i omega t} v_hat w_hat) (u omitted) or the
+    p-norm of Re(e^{i(omega t + gamma(u))} v_hat) (u given), formed over a
+    (T, n, n) or (T, n) stack for T samples, in the block's own p.  Both
+    are at most 1, since v_hat and w_hat are normalized in that p."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
-    p = _normalize_p(p)
+    p = block.norm_p
     if p == 2:
         raise ValueError("use theta_norm_u / theta_norm_mat for the 2-norm")
     t = np.asarray(t, dtype=float)
-    wt = block.omega * t.reshape(-1, 1)
-    mv, av = block.comp_moduli_v, block.comp_angles_v
+    rot = np.exp(1j * block.omega * t.reshape(-1))
     if u is None:
-        mw, aw = block.comp_moduli_w, block.comp_angles_w
-        val = np.empty(wt.shape[0])
-        for sl in stack_slices(wt.shape[0], mv.shape[0]):
-            Th = mv[:, None] * mw[None, :] * np.cos(
-                wt[sl, :, None] + av[:, None] + aw[None, :])
-            val[sl] = np.linalg.norm(Th, p, axis=(-2, -1))
+        M = np.outer(block.v_hat, block.w_hat)
+        val = np.empty(rot.size)
+        for sl in stack_slices(rot.size, M.shape[0], 3):
+            val[sl] = np.linalg.norm((rot[sl, None, None] * M).real, p,
+                                     axis=(-2, -1))
     else:
-        pr = checked_projection(block, u)
-        val = np.linalg.norm(mv * np.cos(wt + av + pr.gamma), p, axis=-1)
+        # no sum omega t + gamma: the large phase is rounded once
+        vg = np.exp(1j * checked_projection(block, u).gamma) * block.v_hat
+        val = np.linalg.norm((rot[:, None] * vg).real, p, axis=-1)
     return val.reshape(t.shape) if t.ndim else float(val[0])
 
 
@@ -245,4 +244,4 @@ def g_factor(block: EigenBlock, t, u=None):
         if u is None:
             return 2.0 * theta_norm_mat(block, t)
         return 2.0 * theta_norm_u(block, t, u)
-    return 2.0 * theta_norm_p(block, t, block.norm_p, u)
+    return 2.0 * theta_norm_p(block, t, u)

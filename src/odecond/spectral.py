@@ -65,9 +65,9 @@ class BlockKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EigenBlock:
-    """All per-block quantities.  Euclidean-only fields (V_mod through
-    right_minor) are None unless the block is complex and was analyzed with
-    the 2-norm."""
+    """All per-block quantities, v_hat and w_hat normalized in norm_p (w_hat
+    in its dual norm).  Euclidean-only fields (V_mod through right_minor)
+    are None unless the block is complex and was analyzed with the 2-norm."""
 
     kind: BlockKind
     r: float
@@ -78,10 +78,6 @@ class EigenBlock:
     v_hat: Optional[np.ndarray] = None
     w_hat: Optional[np.ndarray] = None
     f: Optional[float] = None
-    comp_moduli_v: Optional[np.ndarray] = None
-    comp_angles_v: Optional[np.ndarray] = None
-    comp_moduli_w: Optional[np.ndarray] = None
-    comp_angles_w: Optional[np.ndarray] = None
     V_mod: Optional[float] = None
     delta: Optional[float] = None
     W_mod: Optional[float] = None
@@ -153,10 +149,6 @@ def _build_supported_block(kind, members, v, w, p):
         v_hat=v_hat,
         w_hat=w_hat,
         f=f,
-        comp_moduli_v=np.abs(v_hat),
-        comp_angles_v=np.angle(v_hat),
-        comp_moduli_w=np.abs(w_hat),
-        comp_angles_w=np.angle(w_hat),
         **extra,
     )
 

@@ -11,7 +11,10 @@ one-midpoint tracer is the branch tracer as it was before it solved its
 halving midpoints in batches: the tracer must reproduce its branches and
 warnings bit for bit.  The curvature-classified extremizer is the
 kernel's angle solve as it was before it took the maximizer from the
-arcsin branch: the two must agree bit for bit.
+arcsin branch: the two must agree bit for bit.  The cosine Theta norm is
+the 1- and max-norm oscillation factor as it was before it took the real
+part of e^{i omega t} v_hat w_hat: one cosine per entry, of a phase
+rounded at the size of omega t.
 """
 import warnings
 
@@ -301,3 +304,19 @@ def one_midpoint_trace(p, beta_grid):
         step(b0, b1, 0)
     done.extend(br.close() for br in active)
     return done
+
+
+def cosine_theta_norm_p(block, t, u=None):
+    """The Theta norm of a block analyzed with p in {1, inf} at one t,
+    entry by entry: |v_k| |w_l| cos(omega t + alpha_k + beta_l) for the
+    matrix, |v_k| cos(omega t + alpha_k + gamma(u)) for the vector, with
+    alpha, beta the angles of v_hat, w_hat and gamma that of w_hat u."""
+    mv, av = np.abs(block.v_hat), np.angle(block.v_hat)
+    wt = block.omega * float(t)
+    if u is None:
+        mw, aw = np.abs(block.w_hat), np.angle(block.w_hat)
+        Th = mv[:, None] * mw[None, :] * np.cos(
+            wt + av[:, None] + aw[None, :])
+        return float(np.linalg.norm(Th, block.norm_p))
+    gamma = np.angle(block.w_hat @ np.asarray(u, dtype=float))
+    return float(np.linalg.norm(mv * np.cos(wt + av + gamma), block.norm_p))

@@ -194,6 +194,38 @@ def test_negative_time_overflow_exits_1_without_warning(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_non_finite_error_names_only_failing_samples(tmp_path, capsys):
+    # on a rotation e^{tA} is finite at t = 0; the squarings past 1e299
+    # overflow, and only those samples are named
+    mat = write_matrix_csv(tmp_path / "R.csv", [[0.0, 1.0], [-1.0, 0.0]])
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2",
+                    "--t1", 1e300, "--steps", 5,
+                    "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert "e^{tB} is not finite for t in [2.5e+299, 7.5e+299]" in err
+
+
+@pytest.mark.parametrize("case", ["demo", "n8"])
+def test_spot_check_worst_case_is_last_k_exact(tmp_path, capsys, case):
+    # the spot check and the sweep take e^{t(A - r1 I)} at the last t from
+    # one kernel, which forms each sample alone: the two worst cases
+    # agree bit for bit (the n = 8 case is 1.1e-15 apart when the kernel's
+    # rounding depends on the chunk)
+    if case == "demo":
+        args = ["--matrix", write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A),
+                "--y0", "1,2,3", "--t1", 4096]
+    else:
+        rng = np.random.default_rng(1)
+        mat = write_matrix_csv(tmp_path / "A.csv", rng.standard_normal((8, 8)))
+        y0 = ",".join(repr(float(v)) for v in rng.standard_normal(8))
+        args = ["--matrix", mat, "--y0", y0, "--t1", 20, "--steps", 64]
+    out = tmp_path / case
+    assert run_cli(["analyze", *args, "--seed", 1, "--out", out]) == 0
+    spot = json.load(open(f"{out}.json"))["spot_check"]
+    assert spot["worst_case"] == float_columns(f"{out}.csv")["k_exact"][-1]
+    capsys.readouterr()
+
+
 def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
     # the 2-norm of y0 = (1e200, 1e200) overflows unless scaled first, the
     # norms of (1.5e308, 1.5e308) overflow even then, and (1e-320, 1e-320)

@@ -26,6 +26,7 @@ from odecond.condition import (
     shifted_propagator,
     sweep,
 )
+from odecond.condition import _k_exact_grid, _k_exact_ratios
 from odecond.errors import OdecondError, UnsupportedBlock, ZeroProjection
 from odecond.matrix_core import induced_matrix_norm, mat_exp
 from odecond.minimax import h_envelope
@@ -959,6 +960,19 @@ def test_k_exact_raises_typed_error_when_propagation_fails():
                  t_grid=two_point_grid())
     with pytest.raises(OdecondError, match="not finite"):
         k_exact(s, 10.0)
+
+
+def test_k_exact_errors_name_only_failing_samples():
+    # one chunk of three samples, one failing: the message names it alone
+    s = Scenario(matrix=np.diag([0.0, -1.0]), y0=[0.0, 1.0],
+                 t_grid=two_point_grid())
+    with pytest.raises(OdecondError,
+                       match=r"underflows to zero for t in \[800, 800\]"):
+        _k_exact_grid(s, np.array([0.0, 10.0, 800.0]), 0.0)
+    E = np.stack([np.eye(2), np.full((2, 2), 1e308), np.eye(2)])
+    with pytest.raises(OdecondError, match=r"not finite for t in \[1, 1\]"):
+        _k_exact_ratios(E, np.array([1.0, 0.0]), None, 1,
+                        np.array([0.0, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize("p", [1, np.inf], ids=["p1", "pinf"])

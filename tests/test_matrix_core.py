@@ -143,9 +143,7 @@ def test_expm_grid_squares_halves_on_a_grid_from_zero():
     with mock.patch.object(np.linalg, "solve", counting_solve):
         E = _grid_stack(EXAMPLE_A, ts)
     assert sum(rows) <= -(-ts.size // 2) + 1
-    # against the kernel that solves every sample in one batch; mat_exp,
-    # a batch of one, rounds its Pade products another way, which the
-    # squarings of this far-from-normal matrix amplify to 2e-9 relative
+    # against the kernel that solves every sample in one batch
     no_links = (np.full(ts.size, -1), np.arange(ts.size))
     with mock.patch.object(matrix_core, "_doubling_links",
                            return_value=no_links):
@@ -153,6 +151,44 @@ def test_expm_grid_squares_halves_on_a_grid_from_zero():
     rel = (np.linalg.norm(E - ref, 2, axis=(1, 2))
            / np.linalg.norm(ref, 2, axis=(1, 2)))
     assert rel.max() <= 4e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["demo", "triangular", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
+       t1=st.floats(0.01, 64.0), steps=st.integers(2, 65),
+       start=st.sampled_from([0.0, -1.0, 0.37]),
+       per_chunk=st.sampled_from([1, 2, 5, None]))
+def test_mat_exp_equals_grid_bit_for_bit(kind, seed, n, t1, steps, start,
+                                         per_chunk):
+    # each sample of a grid, solved in a chunk of any size or squared from
+    # its half down a doubling chain (grids from 0), has the bits of
+    # mat_exp at its t; n up to 24 takes the U B product past the sizes
+    # where a BLAS product over the chunk rounds by its row count
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        B = rng.normal(size=(n, n))
+        B *= 4.0 / np.linalg.norm(B, 2)
+    else:
+        B = _kernel_matrix(kind, rng)
+    n = B.shape[0]
+    ts = np.linspace(start, t1, steps)
+    chunk_bytes = (matrix_core.STACK_BYTES if per_chunk is None
+                   else per_chunk * 3 * 8 * n * n)
+    with mock.patch.object(matrix_core, "STACK_BYTES", chunk_bytes):
+        E = _grid_stack(B, ts)
+    for t, got in zip(ts, E):
+        assert np.array_equal(mat_exp(B, t), got), f"{kind} at t = {t}"
+
+
+def test_grid_squares_a_half_only_one_scaling_below():
+    # on the demo matrix log2(t) + log2(alpha / theta_13) + e rounds to
+    # just above an integer at these t, and log2(t/2) + ... to just below
+    # one: s(t/2) is not s(t) - 1, so t must be solved, not squared from
+    # t/2, to keep the bits of mat_exp
+    for t in (19.252069936807583, 308.0331189889213, 1232.132475955685):
+        E = _grid_stack(EXAMPLE_A, np.array([t / 2, t]))
+        assert np.array_equal(E[1], mat_exp(EXAMPLE_A, t)), t
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_supported, unit
-from oracles import curvature_extrema, grid_extreme_f, sphere_max
+from oracles import (
+    cosine_theta_norm_p,
+    curvature_extrema,
+    grid_extreme_f,
+    sphere_max,
+)
 
+from odecond import matrix_core
 from odecond.errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
 from odecond.matrix_core import induced_matrix_norm
 from odecond.oscillator import (
@@ -267,7 +275,7 @@ def test_theta_norm_u_componentwise(rng):
         t = float(rng.uniform(0, 9))
         u = unit(rng.normal(size=n))
         gam = np.angle(b.w_hat @ u)
-        vec = b.comp_moduli_v * np.cos(b.omega * t + b.comp_angles_v + gam)
+        vec = np.abs(b.v_hat) * np.cos(b.omega * t + np.angle(b.v_hat) + gam)
         assert theta_norm_u(b, t, u) == pytest.approx(
             np.linalg.norm(vec), abs=1e-12)
 
@@ -318,8 +326,8 @@ def test_theta_norm_mat_componentwise(rng):
         n = int(rng.integers(3, 7))
         b = complex_block(rng, n)
         t = float(rng.uniform(0, 9))
-        Th = b.comp_moduli_v[:, None] * b.comp_moduli_w[None, :] * np.cos(
-            b.omega * t + b.comp_angles_v[:, None] + b.comp_angles_w[None, :])
+        Th = np.outer(np.abs(b.v_hat), np.abs(b.w_hat)) * np.cos(
+            b.omega * t + np.add.outer(np.angle(b.v_hat), np.angle(b.w_hat)))
         assert theta_norm_mat(b, t) == pytest.approx(
             induced_matrix_norm(Th, 2), abs=1e-10)
 
@@ -365,15 +373,15 @@ def test_theta_norm_p_bounded_and_q_consistent(rng, p):
         n = int(rng.integers(3, 7))
         b = complex_block(rng, n, norm_p=p)
         t = float(rng.uniform(0, 9))
-        val = theta_norm_p(b, t, p)
+        val = theta_norm_p(b, t)
         assert val <= 1.0 + 1e-12
         # build_Q is 2 f times the oscillation matrix
         assert val == pytest.approx(
             induced_matrix_norm(build_Q(b, t) / (2 * b.f), p), abs=1e-10)
         u = unit(rng.normal(size=n), p)
         gam = np.angle(b.w_hat @ u)
-        vec = b.comp_moduli_v * np.cos(b.omega * t + b.comp_angles_v + gam)
-        got = theta_norm_p(b, t, p, u=u)
+        vec = np.abs(b.v_hat) * np.cos(b.omega * t + np.angle(b.v_hat) + gam)
+        got = theta_norm_p(b, t, u=u)
         assert got == pytest.approx(np.linalg.norm(vec, p), abs=1e-12)
         assert got <= 1.0 + 1e-12
 
@@ -381,16 +389,46 @@ def test_theta_norm_p_bounded_and_q_consistent(rng, p):
 def test_theta_norm_p_inf_is_max_row_sum(rng):
     b = complex_block(rng, 5, norm_p=np.inf)
     t = 2.1
-    Th = b.comp_moduli_v[:, None] * b.comp_moduli_w[None, :] * np.cos(
-        b.omega * t + b.comp_angles_v[:, None] + b.comp_angles_w[None, :])
-    assert theta_norm_p(b, t, np.inf) == pytest.approx(
+    Th = np.outer(np.abs(b.v_hat), np.abs(b.w_hat)) * np.cos(
+        b.omega * t + np.add.outer(np.angle(b.v_hat), np.angle(b.w_hat)))
+    assert theta_norm_p(b, t) == pytest.approx(
         np.max(np.sum(np.abs(Th), axis=1)), abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       p=st.sampled_from([1, np.inf]),
+       periods=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
+       per_chunk=st.integers(1, 4))
+def test_theta_norm_p_equals_cosine_formula(seed, n, p, periods, per_chunk):
+    # the real part of e^{i omega t} v_hat w_hat against one cosine per
+    # entry, on arrays of t up to 100 periods cut into chunks of
+    # per_chunk samples.  The cosine form rounds its phase sums at the
+    # size of omega t, up to eps (|omega t| + 2 pi) per entry, which at
+    # 100 periods alone moves a norm by up to 3e-13 relative: the
+    # tolerance is 1e-13 relative on top of that bound.
+    rng = np.random.default_rng(seed)
+    b = complex_block(rng, n, norm_p=p)
+    u = unit(rng.normal(size=n), p)
+    ts = np.array(periods) * (2.0 * np.pi / b.omega)
+    chunk_bytes = per_chunk * 3 * 8 * n * n
+    with mock.patch.object(matrix_core, "STACK_BYTES", chunk_bytes):
+        got = {None: theta_norm_p(b, ts), "u": theta_norm_p(b, ts, u=u)}
+    mv, mw = np.abs(b.v_hat), np.abs(b.w_hat)
+    moduli = {None: np.linalg.norm(np.outer(mv, mw), p),
+              "u": np.linalg.norm(mv, p)}
+    for key, uu in ((None, None), ("u", u)):
+        for t, val in zip(ts, got[key]):
+            want = cosine_theta_norm_p(b, t, uu)
+            phase = 2.0 * np.finfo(float).eps * (abs(b.omega * t) + 2 * np.pi)
+            assert abs(val - want) <= 1e-13 * want + phase * moduli[key]
+            assert val == theta_norm_p(b, t, u=uu)
 
 
 def test_theta_norm_p_rejects_euclidean(rng):
     b = complex_block(rng, 4)
     with pytest.raises(ValueError):
-        theta_norm_p(b, 0.5, 2)
+        theta_norm_p(b, 0.5)
 
 
 # -------------------------------------------------------------- g_factor
