@@ -11,7 +11,6 @@ from .condition import (
     ConditionSeries,
     OscillationProfile,
     Scenario,
-    default_time_grid,
     epsilon_bounds,
     k_asym,
     k_exact,
@@ -32,21 +31,16 @@ from .errors import (
 )
 from .matrix_core import (
     EigenSystem,
-    Svd2xn,
     eigen_decompose,
     induced_matrix_norm,
     mat_exp,
-    svd_2xn,
 )
 from .minimax import (
     BranchPolyline,
-    CriticalPointData,
-    critical_points_beta0,
     h_envelope,
     h_envelope_sweep,
     h_extremes,
     h_func,
-    h_second_derivatives,
     trace_branches,
 )
 from .oscillator import (

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .condition import (Scenario, _k_exact_ratios, _norm_label,
-                        shifted_propagator, sweep)
+from .condition import (Scenario, _k_exact_ratios, _norm_label, _shift_for,
+                        _shifted, sweep)
 from .errors import (
     AmbiguousGrouping,
     BranchLost,
@@ -36,10 +36,10 @@ from .errors import (
     UnsupportedBlock,
     ZeroProjection,
 )
-from .matrix_core import vector_norm
+from .matrix_core import mat_exp, vector_norm
 from .minimax import h_envelope_sweep, h_extremes, trace_branches
 from .oscillator import VWPair, _f_extremes
-from .spectral import analyze_spectrum
+from .spectral import SpectrumAnalysis, analyze_spectrum
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -196,6 +196,21 @@ def _parse_matrix_csv(path: str, parser: _Parser):
     return tuple(rows)
 
 
+# JSON numbers load as int or float; float() would also take a string,
+# and a bool is an int subclass, so both tests compare exact types
+def _json_number(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{key}: {value!r} is not a number")
+    return float(value)
+
+
+def _json_numbers(value, key: str) -> tuple:
+    if type(value) is not list or not all(type(v) in (int, float)
+                                          for v in value):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
     try:
         doc = json.loads(text)
@@ -206,21 +221,29 @@ def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
         parser.error(f"{path}: scenario JSON needs a 'matrix' key")
     out = {}
     try:
-        out["matrix"] = tuple(tuple(float(v) for v in row)
+        if type(doc["matrix"]) is not list:
+            raise ValueError("matrix must be a list of rows")
+        out["matrix"] = tuple(_json_numbers(row, "matrix row")
                               for row in doc["matrix"])
         if "y0" in doc:
-            out["y0"] = tuple(float(v) for v in doc["y0"])
+            out["y0"] = _json_numbers(doc["y0"], "y0")
         if doc.get("z0") is not None:
-            out["z0"] = tuple(float(v) for v in doc["z0"])
+            out["z0"] = _json_numbers(doc["z0"], "z0")
         if "norm" in doc:
             label = str(doc["norm"])
             if label not in _NORM_CHOICES:
                 raise ValueError(f"norm must be one of {_NORM_CHOICES}")
             out["norm"] = label
         if "t" in doc:
-            out["t_start"] = float(doc["t"]["start"])
-            out["t_end"] = float(doc["t"]["end"])
-            out["steps"] = int(doc["t"]["steps"])
+            t = doc["t"]
+            if type(t) is not dict:
+                raise ValueError(f"t must be an object, got {t!r}")
+            out["t_start"] = _json_number(t["start"], "t.start")
+            out["t_end"] = _json_number(t["end"], "t.end")
+            steps = _json_number(t["steps"], "t.steps")
+            if not steps.is_integer():
+                raise ValueError(f"t.steps must be an integer, got {steps!r}")
+            out["steps"] = int(steps)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         parser.error(f"{path}: malformed scenario value: {exc}")
     return out
@@ -295,14 +318,13 @@ def parse_config(argv) -> RunConfig:
 # ------------------------------------------------------------------ outputs
 
 def _scenario_echo(cfg: RunConfig) -> dict:
-    doc = {
+    return {
         "matrix": [list(row) for row in cfg.matrix],
         "y0": list(cfg.y0),
         "z0": list(cfg.z0) if cfg.z0 is not None else None,
         "norm": _norm_label(cfg.norm_p),
         "t": {"start": cfg.t_start, "end": cfg.t_end, "steps": cfg.steps},
     }
-    return doc
 
 
 def _write_json(path: str, doc) -> None:
@@ -311,14 +333,15 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _spot_check(s: Scenario, seed: int) -> dict:
+def _spot_check(s: Scenario, analysis: SpectrumAnalysis, seed: int) -> dict:
     """Randomized directional oracle at the final grid time: the worst
     case must dominate every sampled direction and be nearly attained.
-    The directions and the worst case are propagated by one
-    e^{t(A - r1 I)}, the worst case valued as k_exact values it."""
+    Both come from one e^{t(A - r1 I)} with the r1 of sweep, so the worst
+    case equals a worst-case sweep's last k_exact bit for bit."""
     rng = np.random.default_rng(seed)
     t = float(s.t_grid[-1])
-    E = shifted_propagator(s, t)
+    r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
+    E = mat_exp(_shifted(s, r1), t)
     worst = float(_k_exact_ratios(E[None], s.y0_hat, None, s.norm_p,
                                   np.array([t]))[0])
     Z = rng.standard_normal((512, s.n))
@@ -350,7 +373,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     series = sweep(scenario, analysis)
     summary = series.summary_dict()
     if cfg.seed is not None:
-        summary["spot_check"] = _spot_check(scenario, cfg.seed)
+        summary["spot_check"] = _spot_check(scenario, analysis, cfg.seed)
     csv_path = cfg.out + ".csv"
     json_path = cfg.out + ".json"
     echo_path = cfg.out + ".scenario.json"
@@ -369,10 +392,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 # --------------------------------------------------------------------- demo
-
-def _fmt_digits(value: float, decimals: int) -> str:
-    return f"{value:.{decimals}f}"
-
 
 def _demo_rows(prof_a, prof_b, block):
     # reference values with their displayed precision; tolerance is one
@@ -415,11 +434,10 @@ def cmd_demo(cfg: RunConfig) -> int:
     print("-" * len(header))
     failures = 0
     for label, ref, decimals, value in _demo_rows(prof_a, prof_b, block):
-        rounded = _fmt_digits(value, decimals)
         ok = abs(value - ref) <= 10.0 ** (-decimals) + 1e-12
         failures += not ok
-        print(f"{label:<12}{_fmt_digits(ref, decimals):>12}"
-              f"{value:>22.17g}{rounded:>12}  {'PASS' if ok else 'FAIL'}")
+        print(f"{label:<12}{ref:>12.{decimals}f}{value:>22.17g}"
+              f"{value:>12.{decimals}f}  {'PASS' if ok else 'FAIL'}")
     print()
     print("note: the scale factor of the second scenario is sometimes "
           "quoted as 1.003; the full-precision value rounds to 1.0003, "

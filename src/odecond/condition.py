@@ -28,7 +28,6 @@ from .errors import OdecondError, UnsupportedBlock, ZeroProjection
 from .matrix_core import (
     as_real_matrix,
     expm_grid,
-    mat_exp,
     sigma_max,
     vector_norm,
     vector_norms,
@@ -51,7 +50,6 @@ __all__ = [
     "Scenario",
     "OscillationProfile",
     "ConditionSeries",
-    "default_time_grid",
     "epsilon_bounds",
     "k_asym",
     "k_exact",
@@ -59,7 +57,6 @@ __all__ = [
     "ot",
     "ot_envelope",
     "precision_bound",
-    "shifted_propagator",
     "sweep",
 ]
 
@@ -68,8 +65,6 @@ UNBOUNDED = math.inf
 
 # z0 is a unit vector to this: norm rounding, far below deliberate scaling
 _UNIT_TOL = 1e-12
-
-_SAMPLES_PER_PERIOD = 256
 
 _CSV_COLUMNS = ("t", "k_exact", "k_asym", "osf", "ot",
                 "eps_t", "eps_tu", "precision_bound")
@@ -143,8 +138,8 @@ class Scenario:
 
     @cached_property
     def _shift(self) -> float:
-        """The shift r1 of exact propagation, from the scenario's own
-        eigenvalues; sweep takes it from its spectrum analysis instead."""
+        """The shift r1 of the scalar k_exact, from the scenario's own
+        eigenvalues; sweep and the spot check take it from an analysis."""
         return _shift_for(self.matrix, np.linalg.eigvals(self.matrix))
 
 
@@ -242,10 +237,6 @@ class ConditionSeries:
             np.full(self.t.shape, self.osf), self.ot, self.eps_t,
             self.eps_tu, self.precision_bound)).tolist()
 
-    def rows(self):
-        for row in self._table():
-            yield tuple(row)
-
     def to_csv(self, stream) -> None:
         """Write the series as CSV with 17 significant digits per number."""
         fmt = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
@@ -269,28 +260,6 @@ class ConditionSeries:
     def to_json(self, stream) -> None:
         json.dump(self.summary_dict(), stream, indent=2, allow_nan=False)
         stream.write("\n")
-
-
-def default_time_grid(block: EigenBlock, t_end: Optional[float] = None,
-                      t_start: float = 0.0) -> np.ndarray:
-    """Time grid at 256 samples per period of the rightmost oscillation.
-
-    A real rightmost block has no period; the span is then covered by a
-    flat 257 points and t_end is required.
-    """
-    if block.is_complex and block.omega != 0.0:
-        period = math.pi / abs(block.omega)
-        if t_end is None:
-            t_end = t_start + 4.0 * period
-        count = max(2, math.ceil((t_end - t_start) / period
-                                 * _SAMPLES_PER_PERIOD) + 1)
-    else:
-        if t_end is None:
-            raise ValueError("t_end is required for a real rightmost block")
-        count = _SAMPLES_PER_PERIOD + 1
-    if not t_end > t_start:
-        raise ValueError("t_end must exceed t_start")
-    return np.linspace(t_start, t_end, count)
 
 
 def _rightmost(s: Scenario, analysis: SpectrumAnalysis) -> EigenBlock:
@@ -330,13 +299,6 @@ def _shifted(s: Scenario, r1: float) -> np.ndarray:
     propagator, so the factor e^{t r1} cancels, and e^{t(A - r1 I)} stays
     finite and nonzero where e^{tA} overflows or underflows."""
     return s.matrix - r1 * np.eye(s.n)
-
-
-def shifted_propagator(s: Scenario, t: float) -> np.ndarray:
-    """e^{t(A - r1 I)} at one t: the propagator the exact condition
-    numbers are computed from, by the same kernel.  Raises OdecondError
-    when it is not finite."""
-    return mat_exp(_shifted(s, s._shift), t)
 
 
 def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Dense matrix substrate: the matrix exponential over a time grid,
 eigendecomposition with left and right vectors, induced norms, and the
-small 2xn SVD.
+small 2xn SVD behind the spectral module's singular directions.
 
 Matrices are plain numpy arrays throughout; the validators below replace a
 wrapper class.  All functions are pure.  expm_grid evaluates e^{tB} over a
@@ -27,7 +27,6 @@ from .errors import NonDiagonalizable, OdecondError
 
 __all__ = [
     "EigenSystem",
-    "Svd2xn",
     "as_real_matrix",
     "eigen_decompose",
     "expm_grid",
@@ -35,7 +34,6 @@ __all__ = [
     "mat_exp",
     "sigma_max",
     "stack_slices",
-    "svd_2xn",
     "vector_norms",
 ]
 
@@ -112,10 +110,11 @@ def expm_grid(B, ts):
     chunk, and each chunk is then squared down its chains t, 2t, 4t, ...
     one yield per link.  A repeated t is a root of its own.
 
-    Raises ValueError for a t that is not finite, and OdecondError, naming
-    the range of the failing t, when e^{tB} is not finite: it overflows,
-    or B is so far from normal that its scaled powers underflow, where the
-    many squarings B would need spoil the result anyway.
+    Raises ValueError for a t that is not finite, and OdecondError when
+    e^{tB} is not finite, naming the range of the failing t and of the
+    samples squared from them: e^{tB} overflows, or B is so far from
+    normal that its scaled powers underflow, where the many squarings B
+    would need spoil the result anyway.
     """
     B = as_real_matrix(B, square=True)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -154,8 +153,15 @@ def expm_grid(B, ts):
         while idx.size:
             bad = ~np.isfinite(E).all(axis=(-2, -1))
             if bad.any():
-                raise OdecondError(
-                    f"e^{{tB}} is not finite for {_t_span(ts[idx[bad]])}")
+                # the samples squared from a failing one fail with it
+                fail = idx[bad]
+                named = [fail]
+                while fail.size:
+                    fail = child[fail]
+                    fail = fail[fail >= 0]
+                    named.append(fail)
+                raise OdecondError(f"e^{{tB}} is not finite for "
+                                   f"{_t_span(ts[np.concatenate(named)])}")
             yield idx, E
             idx = child[idx]
             linked = idx >= 0

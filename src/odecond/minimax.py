@@ -26,8 +26,8 @@ extremes from them.  The branch tracer refines, then walks: it solves
 its beta grid in one batch, halves each interval where a root would go
 unmatched, a few batches of midpoints in all, and then follows the
 roots once across the refined betas for diagnostics.  Envelopes and
-extremes hold on all of [0, 1)^2; the beta = 0 analysis and the branch
-tracer need the open square (0, 1)^2.
+extremes hold on all of [0, 1)^2; the branch tracer needs the open
+square (0, 1)^2.
 """
 from __future__ import annotations
 
@@ -46,15 +46,12 @@ from .oscillator import (VWPair, _alpha_extrema_arrays, _f_extremes, f_vw_max,
 
 __all__ = [
     "BranchPolyline",
-    "CriticalPointData",
     "HEnvelope",
     "HExtremes",
-    "critical_points_beta0",
     "h_envelope",
     "h_envelope_sweep",
     "h_extremes",
     "h_func",
-    "h_second_derivatives",
     "stationarity_residual",
     "trace_branches",
 ]
@@ -80,11 +77,6 @@ _PRESOLVE_LEVELS = 3
 #: stationary solutions with the extremizer angle within this of beta
 #: (mod 2 pi) belong to the axis family and carry h = 1/(1 - W cos beta)
 _AXIS_TOL = 1e-7
-
-
-def _open_unit(p: VWPair):
-    if not (0.0 < p.V < 1.0 and 0.0 < p.W < 1.0):
-        raise ValueError("V and W must lie in the open interval (0, 1)")
 
 
 def h_func(p: VWPair, x, beta):
@@ -291,81 +283,6 @@ def h_extremes(p: VWPair) -> HExtremes:
     return HExtremes(maxmax, minmax, maxmin, minmin, q1)
 
 
-@dataclass(frozen=True)
-class CriticalPointData:
-    l_coef: float
-    k_coef: float
-    q1: float
-    stationary_points: tuple  # of (x, h_value, kind)
-
-
-def critical_points_beta0(p: VWPair) -> CriticalPointData:
-    """Stationary points of H( . , 0) with their values and kinds.
-
-    Multiples of pi are always stationary; when Q1 <= 1 the pair
-    cos x = -Q1 joins them and carries the large envelope value.  Kinds
-    come from a central second difference, so coincident roots near
-    Q1 = 1 degrade to "other" instead of a wrong label."""
-    _open_unit(p)
-    V, W = p.V, p.W
-    L = (V * V - W) / (V * (1.0 - W))
-    K = V - L
-    q1 = q1_threshold(p)
-
-    pts = [(0.0, 1.0 / (1.0 - W))]
-    odd = 1.0 / (1.0 - W) if V <= W else (1.0 + V) / ((1.0 + W) * (1.0 - V))
-    pts.append((np.pi, odd))
-    if q1 <= 1.0:
-        xb = float(np.arccos(-q1))
-        hb = (1.0 - V * V) / ((1.0 - W) * (1.0 - q1 * V))
-        pts.extend([(-xb, hb), (xb, hb)])
-
-    out = []
-    h = 1e-5
-    for x, val in sorted(pts):
-        d2 = (h_func(p, x + h, 0.0) - 2.0 * h_func(p, x, 0.0)
-              + h_func(p, x - h, 0.0)) / h ** 2
-        scale = max(1.0, abs(val))
-        if d2 < -1e-4 * scale:
-            kind = "max"
-        elif d2 > 1e-4 * scale:
-            kind = "min"
-        else:
-            kind = "other"
-        out.append((float(x), float(val), kind))
-    return CriticalPointData(l_coef=float(L), k_coef=float(K), q1=float(q1),
-                             stationary_points=tuple(out))
-
-
-def h_second_derivatives(p: VWPair, x: float):
-    """Closed-form second derivatives of H at beta = 0 and x a multiple
-    of pi: (d2_xx, d2_xbeta, lastref_diff), the last being their exact
-    difference f''max(x) / (1 + V cos x).
-
-    The f'' term of d2_xx carries (1 + V cos x)^2 in the numerator; with
-    sin x = 0 the remaining terms reduce so that d2_xx - d2_xbeta loses a
-    single power of the denominator.  f''max itself is numerical: central
-    differences with one Richardson pass (no closed form exists for it)."""
-    _open_unit(p)
-    m = round(x / np.pi)
-    if abs(x - m * np.pi) > 1e-9:
-        raise ValueError("x must be a multiple of pi (within 1e-9)")
-    xm = m * np.pi
-    c = 1.0 if m % 2 == 0 else -1.0
-
-    def d2(hh):
-        return (f_vw_max(p, xm + hh) - 2.0 * f_vw_max(p, xm)
-                + f_vw_max(p, xm - hh)) / hh ** 2
-
-    h = 1e-4
-    f2 = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-    fm = f_vw_max(p, xm)
-    den = 1.0 + p.V * c
-    d2_xx = (f2 * den ** 2 + fm * p.V * (c + p.V)) / den ** 3
-    d2_xbeta = fm * p.V * (c + p.V) / den ** 3
-    return d2_xx, d2_xbeta, f2 / den
-
-
 # ------------------------------------------------------------- branches
 
 @dataclass(frozen=True)
@@ -539,7 +456,8 @@ def trace_branches(p: VWPair, beta_grid):
     each unmatched root (branch domains need not start at the first
     beta).  No beta is solved twice, and each root has the bits a
     one-beta solve gives it."""
-    _open_unit(p)
+    if not (0.0 < p.V < 1.0 and 0.0 < p.W < 1.0):
+        raise ValueError("V and W must lie in the open interval (0, 1)")
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.ndim != 1 or beta_grid.size < 2:
         raise ValueError("beta_grid must be a 1-D grid with at least 2 points")

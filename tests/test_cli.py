@@ -6,6 +6,8 @@ subprocesses; only the import check at the end needs a fresh interpreter.
 """
 
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
@@ -196,13 +198,14 @@ def test_negative_time_overflow_exits_1_without_warning(tmp_path, capsys):
 
 def test_non_finite_error_names_only_failing_samples(tmp_path, capsys):
     # on a rotation e^{tA} is finite at t = 0; the squarings past 1e299
-    # overflow, and only those samples are named
+    # overflow, and only those samples are named: the solved 2.5e299 and
+    # 7.5e299, and 5e299 and 1e300, which are squared from them
     mat = write_matrix_csv(tmp_path / "R.csv", [[0.0, 1.0], [-1.0, 0.0]])
     assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2",
                     "--t1", 1e300, "--steps", 5,
                     "--out", tmp_path / "x"]) == 1
     err = capsys.readouterr().err
-    assert "e^{tB} is not finite for t in [2.5e+299, 7.5e+299]" in err
+    assert "e^{tB} is not finite for t in [2.5e+299, 1e+300]" in err
 
 
 @pytest.mark.parametrize("case", ["demo", "n8"])
@@ -254,10 +257,12 @@ def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
 
 
 def test_spot_check_propagates_once(monkeypatch):
-    # the worst case and the sampled directions share one propagator: one
-    # eigenvalue solve for its shift, one expm_grid call
+    # the worst case and the sampled directions share one propagator, one
+    # expm_grid call; its shift comes from the analysis, as in sweep, with
+    # no eigenvalue solve of its own
     s = odecond.condition.Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
                                    t_grid=np.linspace(0.0, 3.0, 8))
+    analysis = analyze_spectrum(s.matrix)
     calls = {"expm_grid": 0, "eigvals": 0}
     expm_grid, eigvals = odecond.matrix_core.expm_grid, np.linalg.eigvals
 
@@ -272,8 +277,8 @@ def test_spot_check_propagates_once(monkeypatch):
     monkeypatch.setattr(odecond.matrix_core, "expm_grid", counting_expm_grid)
     monkeypatch.setattr(odecond.condition, "expm_grid", counting_expm_grid)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    spot = odecond.cli._spot_check(s, 1)
-    assert calls == {"expm_grid": 1, "eigvals": 1}
+    spot = odecond.cli._spot_check(s, analysis, 1)
+    assert calls == {"expm_grid": 1, "eigvals": 0}
     assert spot["dominates_samples"] is True
 
 
@@ -291,6 +296,35 @@ def test_non_finite_time_range_exits_1(tmp_path, capsys, doc, argv):
         run_cli(["analyze", "--matrix", path, "--out", tmp_path / "x"]
                 + argv)
     assert exc.value.code == 1
+
+
+_DEMO_JSON = json.dumps(np.asarray(EXAMPLE_A).tolist())
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"matrix": %s, "y0": "123"}' % _DEMO_JSON, "y0"),
+    ('{"matrix": ["12", "34"], "y0": [1, 2]}', "matrix"),
+    ('{"matrix": [[true, 0], [0, -1]], "y0": [1, 1]}', "matrix"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [true, false]}', "y0"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": {"1": 0, "2": 0}}', "y0"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], "z0": ["1", 0]}', "z0"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+     '"t": {"start": 0, "end": 1, "steps": 16.9}}', "t.steps"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+     '"t": {"start": false, "end": 1, "steps": 8}}', "t.start"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], "t": [0, 1, 8]}', "t"),
+], ids=["y0-string", "matrix-strings", "matrix-bool", "y0-bools", "y0-object",
+        "z0-string", "steps-fraction", "start-bool", "t-list"])
+def test_scenario_json_takes_only_numbers(tmp_path, capsys, doc, key):
+    # strings, booleans and objects are refused, not converted: "123" used
+    # to run as y0 = (1, 2, 3) and steps 16.9 as 16
+    path = tmp_path / "scen.json"
+    path.write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["analyze", "--matrix", path, "--out", tmp_path / "x"])
+    assert exc.value.code == 1
+    assert f"malformed scenario value: {key}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -571,3 +605,20 @@ def test_runtime_does_not_import_scipy():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_export_resolves():
+    # each name of a module's __all__ is defined there, and each public
+    # name of the package is the object its module exports under that name
+    mods = [importlib.import_module(f"odecond.{name}") for name in
+            ("cli", "condition", "errors", "matrix_core", "minimax",
+             "oscillator", "spectral")]
+    for mod in mods:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    for name, obj in vars(odecond).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        assert any(getattr(mod, name, None) is obj
+                   and name in getattr(mod, "__all__", (name,))
+                   for mod in mods), name

@@ -15,7 +15,6 @@ from odecond.condition import (
     UNBOUNDED,
     OscillationProfile,
     Scenario,
-    default_time_grid,
     epsilon_bounds,
     k_asym,
     k_exact,
@@ -23,7 +22,6 @@ from odecond.condition import (
     ot,
     ot_envelope,
     precision_bound,
-    shifted_propagator,
     sweep,
 )
 from odecond.condition import _k_exact_grid, _k_exact_ratios
@@ -89,22 +87,6 @@ def test_scenario_validation():
                  t_grid=g, norm_p=1)
     assert s.directional and s.n == 2
     assert np.linalg.norm(s.y0_hat, 1) == pytest.approx(1.0)
-
-
-def test_default_time_grid():
-    an = analyze_spectrum(EXAMPLE_A)
-    b1 = an.blocks[0]
-    g = default_time_grid(b1, t_end=math.pi)
-    # omega = 1: one period of pi covered by 256 steps
-    assert g.size == 257 and g[0] == 0.0 and g[-1] == pytest.approx(math.pi)
-    g4 = default_time_grid(b1)
-    assert g4[-1] == pytest.approx(4 * math.pi)
-    real_block = analyze_spectrum(np.diag([-1.0, -2.0])).blocks[0]
-    with pytest.raises(ValueError):
-        default_time_grid(real_block)
-    assert default_time_grid(real_block, t_end=3.0).size == 257
-    with pytest.raises(ValueError):
-        default_time_grid(b1, t_end=-1.0)
 
 
 # ----------------------------------------------------------------- k_exact
@@ -683,11 +665,12 @@ def test_sweep_real_rightmost_converges_monotonically():
 def test_sweep_example_series_peaks():
     an = analyze_spectrum(EXAMPLE_A)
     b1 = an.blocks[0]
+    # omega = 1: 256 samples per period pi over four periods
     s = Scenario(matrix=EXAMPLE_A, y0=b1.right_minor,
-                 t_grid=default_time_grid(b1))
+                 t_grid=np.linspace(0.0, 4 * math.pi, 1025))
     ser = sweep(s, an)
     # the peaks here have phase half-width ~ sqrt(1 - W) = 2.1 degrees, so
-    # the 256-per-period default grid clips them by a few percent; the
+    # the 256-per-period grid clips them by a few percent; the
     # figure-level magnitude still comes through
     assert ser.k_asym.max() > 1500.0
     assert ser.k_asym.max() <= ser.osf * ser.profile.ot_max * (1 + 1e-12)
@@ -795,7 +778,7 @@ def test_sweep_csv_json_serialization():
     assert lines[0] == "t,k_exact,k_asym,osf,ot,eps_t,eps_tu,precision_bound"
     assert len(lines) == 6
     # 17 significant digits survive a float round-trip
-    for line, row in zip(lines[1:], ser.rows()):
+    for line, row in zip(lines[1:], ser._table()):
         got = [float(v) for v in line.split(",")]
         for g, w in zip(got, row):
             assert g == w or (math.isnan(g) and math.isnan(w))
@@ -896,7 +879,7 @@ def test_k_exact_worst_case_near_overflow():
     n = 6
     A = np.diag(-np.arange(n, dtype=float)) + np.diag(np.full(n - 1, 1e40), 1)
     s = Scenario(matrix=A, y0=np.eye(n)[0], t_grid=two_point_grid())
-    E = shifted_propagator(s, 1.0)
+    E = mat_exp(s.matrix - s._shift * np.eye(s.n), 1.0)
     assert np.abs(E).max() > 1e197
     ref = (np.linalg.svd(E, compute_uv=False)[0]
            / np.linalg.norm(E @ s.y0_hat))
@@ -915,7 +898,7 @@ def test_k_exact_vector_norms_near_overflow(y0, z0):
     vec = {"e1": np.eye(n)[0], "ones": np.ones(n)}
     z = None if z0 is None else vec[z0] / math.sqrt(n)
     s = Scenario(matrix=A, y0=vec[y0], z0=z, t_grid=two_point_grid())
-    E = shifted_propagator(s, 1.0)
+    E = mat_exp(s.matrix - s._shift * np.eye(s.n), 1.0)
     num = (np.linalg.svd(E, compute_uv=False)[0] if z is None
            else math.hypot(*(E @ z)))
     ref = num / math.hypot(*(E @ s.y0_hat))

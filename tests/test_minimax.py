@@ -18,17 +18,16 @@ from oracles import (
 from odecond import minimax
 from odecond.errors import BranchLost
 from odecond.minimax import (
-    critical_points_beta0,
     h_envelope,
     h_envelope_sweep,
     h_extremes,
     h_func,
-    h_second_derivatives,
     q1_threshold,
     stationarity_residual,
     trace_branches,
 )
-from odecond.oscillator import VWPair, alpha_extrema, f_vw, wrap_angle
+from odecond.oscillator import (VWPair, alpha_extrema, f_vw, f_vw_max,
+                                wrap_angle)
 
 
 # ---------------------------------------------------------------- h_func
@@ -271,40 +270,69 @@ def test_q1_threshold_equivalence(V, W):
         assert V > 2 * W / (1 + W) - 1e-12
 
 
-# -------------------------------------------------- critical_points_beta0
+# ------------------------------------------------ stationary points, beta = 0
+# The paper's closed forms at beta = 0: multiples of pi are stationary,
+# and when Q1 <= 1 the pair cos x = -Q1 joins them and carries the large
+# envelope value.
+
+def _sign_changes(p, n=20000):
+    """Where the stationarity residual at beta = 0 changes sign on a grid
+    of (-pi, pi], the last point against the first."""
+    xs = np.linspace(-np.pi, np.pi, n, endpoint=False) + np.pi / n
+    r = stationarity_residual(p, xs, 0.0)
+    return xs[np.flatnonzero(np.signbit(r) != np.signbit(np.roll(r, -1)))]
+
+
+def _kind(p, x, h=1e-5):
+    """max / min / other from a central second difference of H( . , 0)."""
+    val = h_func(p, x, 0.0)
+    d2 = (h_func(p, x + h, 0.0) - 2.0 * val + h_func(p, x - h, 0.0)) / h ** 2
+    scale = max(1.0, abs(val))
+    return "max" if d2 < -1e-4 * scale else "min" if d2 > 1e-4 * scale \
+        else "other"
+
+
+def _near(found, expected, tol=1e-3):
+    """Every grid sign change lies next to one expected root (mod 2 pi),
+    and every expected root has one."""
+    dist = np.abs(wrap_angle(np.subtract.outer(found, expected)))
+    return bool(np.all(dist.min(axis=1) < tol)
+                and np.all(dist.min(axis=0) < tol))
+
 
 def test_critical_points_q1_low():
     p = VWPair(0.45, 0.5)
-    cp = critical_points_beta0(p)
-    assert cp.k_coef > 0
-    assert cp.q1 == pytest.approx(
-        (cp.k_coef ** 2 - cp.l_coef ** 2 + 1) / (2 * cp.k_coef), abs=1e-12)
-    assert cp.q1 - p.V > 0
+    V, W = p.V, p.W
+    L = (V * V - W) / (V * (1.0 - W))
+    K = V - L
+    q1 = q1_threshold(p)
+    assert K > 0
+    assert q1 == pytest.approx((K ** 2 - L ** 2 + 1) / (2 * K), abs=1e-12)
+    assert q1 - V > 0
     # W reconstructs from (V, Q1)
-    assert p.V / (2 * cp.q1 - p.V) == pytest.approx(p.W, abs=1e-12)
-    xs = [x for x, _, _ in cp.stationary_points]
-    kinds = {round(x, 6): k for x, _, k in cp.stationary_points}
-    xb = float(np.arccos(-cp.q1))
-    assert xs == sorted(xs)
-    assert set(np.round(xs, 10)) == set(np.round([-xb, 0.0, xb, np.pi], 10))
-    assert kinds[0.0] == "min" and kinds[round(np.pi, 6)] == "min"  # V < W
-    assert kinds[round(xb, 6)] == "max"
+    assert V / (2 * q1 - V) == pytest.approx(W, abs=1e-12)
+    xb = float(np.arccos(-q1))
+    xs = [-xb, 0.0, xb, np.pi]
+    for x in xs:
+        assert abs(stationarity_residual(p, x, 0.0)) <= 1e-12
+    assert _near(_sign_changes(p), np.array(xs))
+    assert _kind(p, 0.0) == "min" and _kind(p, np.pi) == "min"  # V < W
+    assert _kind(p, xb) == "max" and _kind(p, -xb) == "max"
     # V <= W: the odd multiple carries 1/(1-W) too
-    vals = {round(x, 6): h for x, h, _ in cp.stationary_points}
-    assert vals[0.0] == pytest.approx(2.0)
-    assert vals[round(np.pi, 6)] == pytest.approx(2.0)
-    assert vals[round(xb, 6)] == pytest.approx(
-        (1 - 0.45 ** 2) / (0.5 * (1 - cp.q1 * 0.45)), abs=1e-12)
+    assert h_func(p, 0.0, 0.0) == pytest.approx(2.0)
+    assert h_func(p, np.pi, 0.0) == pytest.approx(2.0)
+    hb = (1 - V ** 2) / ((1 - W) * (1 - q1 * V))
+    assert h_func(p, xb, 0.0) == pytest.approx(hb, abs=1e-12)
+    assert h_func(p, -xb, 0.0) == pytest.approx(hb, abs=1e-12)
 
 
 def test_critical_points_q1_high():
-    cp = critical_points_beta0(VWPair(0.7, 0.5))
-    xs = [x for x, _, _ in cp.stationary_points]
-    assert set(np.round(xs, 10)) == set(np.round([0.0, np.pi], 10))
-    kinds = {round(x, 6): k for x, _, k in cp.stationary_points}
-    assert kinds[0.0] == "min" and kinds[round(np.pi, 6)] == "max"
-    vals = {round(x, 6): h for x, h, _ in cp.stationary_points}
-    assert vals[round(np.pi, 6)] == pytest.approx(1.7 / (1.5 * 0.3), abs=1e-12)
+    p = VWPair(0.7, 0.5)
+    assert q1_threshold(p) > 1.0
+    assert _near(_sign_changes(p), np.array([0.0, np.pi]))
+    assert _kind(p, 0.0) == "min" and _kind(p, np.pi) == "max"
+    assert h_func(p, np.pi, 0.0) == pytest.approx(1.7 / (1.5 * 0.3),
+                                                  abs=1e-12)
 
 
 def test_critical_points_are_stationary(rng):
@@ -312,13 +340,19 @@ def test_critical_points_are_stationary(rng):
     for _ in range(25):
         V, W = rng.uniform(0.05, 0.95, 2)
         p = VWPair(V, W)
-        for x, val, _ in critical_points_beta0(p).stationary_points:
+        q1 = q1_threshold(p)
+        xs = [0.0, np.pi]
+        if q1 <= 1.0:
+            xb = float(np.arccos(-q1))
+            xs += [-xb, xb]
+        for x in xs:
+            val = h_func(p, x, 0.0)
             fp = h_func(p, x + h, 0.0)
             fm = h_func(p, x - h, 0.0)
             assert abs(fp - fm) / (2 * h) <= 1e-9 * max(1.0, abs(val) / h)
 
 
-# -------------------------------------------------- h_second_derivatives
+# ------------------------------------- second derivatives at multiples of pi
 
 @pytest.mark.parametrize("V,W,x", [
     (0.45, 0.5, 0.0),
@@ -327,9 +361,21 @@ def test_critical_points_are_stationary(rng):
     (0.25, 0.65, -np.pi),
 ])
 def test_second_derivatives_stencil_oracle(V, W, x):
+    # at beta = 0 and x a multiple of pi (cos x = c), with D = 1 + V c:
+    # H_xbeta = fmax V (c + V) / D^3 and H_xx - H_xbeta = f''max / D,
+    # f''max from a Richardson-extrapolated central difference
     p = VWPair(V, W)
-    dxx, dxb, diff = h_second_derivatives(p, x)
+    c = math.cos(x)
+    den = 1.0 + V * c
+    fm = f_vw_max(p, x)
+
+    def d2f(hh):
+        return (f_vw_max(p, x + hh) - 2.0 * fm + f_vw_max(p, x - hh)) / hh ** 2
+
     h = 1e-4
+    f2 = (4.0 * d2f(h / 2.0) - d2f(h)) / 3.0
+    dxb = fm * V * (c + V) / den ** 3
+    dxx = (f2 * den ** 2 + fm * V * (c + V)) / den ** 3
     fd_xx = (-h_func(p, x + 2 * h, 0.0) + 16 * h_func(p, x + h, 0.0)
              - 30 * h_func(p, x, 0.0) + 16 * h_func(p, x - h, 0.0)
              - h_func(p, x - 2 * h, 0.0)) / (12 * h * h)
@@ -337,14 +383,10 @@ def test_second_derivatives_stencil_oracle(V, W, x):
              - h_func(p, x - h, h) + h_func(p, x - h, -h)) / (4 * h * h)
     assert dxx == pytest.approx(fd_xx, abs=1e-5 * max(1, abs(fd_xx)))
     assert dxb == pytest.approx(fd_xb, abs=1e-5 * max(1, abs(fd_xb)))
-    assert dxx - dxb == pytest.approx(diff, abs=1e-6 * max(1, abs(diff)))
+    assert fd_xx - fd_xb == pytest.approx(
+        f2 / den, abs=2e-5 * max(1, abs(fd_xx), abs(fd_xb)))
     assert np.sign(dxx) == np.sign(fd_xx)
     assert np.sign(dxb) == np.sign(fd_xb)
-
-
-def test_second_derivatives_rejects_off_multiple():
-    with pytest.raises(ValueError):
-        h_second_derivatives(VWPair(0.5, 0.5), 0.3)
 
 
 # --------------------------------------------------------- trace_branches
