@@ -32,8 +32,8 @@ from .errors import (
 from .matrix_core import (
     EigenSystem,
     eigen_decompose,
-    induced_matrix_norm,
     mat_exp,
+    matrix_norms,
 )
 from .minimax import (
     BranchPolyline,

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedBlock,
     ZeroProjection,
 )
-from .matrix_core import mat_exp, vector_norm
+from .matrix_core import mat_exp, vector_norms
 from .minimax import h_envelope_sweep, h_extremes, trace_branches
 from .oscillator import VWPair, _f_extremes
 from .spectral import SpectrumAnalysis, analyze_spectrum
@@ -201,14 +201,18 @@ def _parse_matrix_csv(path: str, parser: _Parser):
 def _json_number(value, key: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{key}: {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is outside the float range") from None
 
 
 def _json_numbers(value, key: str) -> tuple:
     if type(value) is not list or not all(type(v) in (int, float)
                                           for v in value):
         raise ValueError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(map(float, value))
+    return tuple(_json_number(v, f"{key}: entry {i}")
+                 for i, v in enumerate(value, start=1))
 
 
 def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
@@ -238,13 +242,16 @@ def _parse_scenario_json(path: str, text: str, parser: _Parser) -> dict:
             t = doc["t"]
             if type(t) is not dict:
                 raise ValueError(f"t must be an object, got {t!r}")
+            for key in ("start", "end", "steps"):
+                if key not in t:
+                    raise ValueError(f"t.{key} is missing")
             out["t_start"] = _json_number(t["start"], "t.start")
             out["t_end"] = _json_number(t["end"], "t.end")
             steps = _json_number(t["steps"], "t.steps")
             if not steps.is_integer():
                 raise ValueError(f"t.steps must be an integer, got {steps!r}")
             out["steps"] = int(steps)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         parser.error(f"{path}: malformed scenario value: {exc}")
     return out
 
@@ -345,9 +352,9 @@ def _spot_check(s: Scenario, analysis: SpectrumAnalysis, seed: int) -> dict:
     worst = float(_k_exact_ratios(E[None], s.y0_hat, None, s.norm_p,
                                   np.array([t]))[0])
     Z = rng.standard_normal((512, s.n))
-    Z /= np.linalg.norm(Z, s.norm_p, axis=1)[:, None]
-    best = float(np.max(np.linalg.norm(Z @ E.T, s.norm_p, axis=1))
-                 / vector_norm(E @ s.y0_hat, s.norm_p))
+    Z /= vector_norms(Z, s.norm_p)[:, None]
+    best = float(np.max(vector_norms(Z @ E.T, s.norm_p))
+                 / vector_norms(E @ s.y0_hat, s.norm_p))
     if not math.isfinite(best):
         raise OdecondError(
             f"spot check at t = {t:.6g}: sampled ratios are not finite")

@@ -28,8 +28,7 @@ from .errors import OdecondError, UnsupportedBlock, ZeroProjection
 from .matrix_core import (
     as_real_matrix,
     expm_grid,
-    sigma_max,
-    vector_norm,
+    matrix_norms,
     vector_norms,
     _normalize_p,
     _t_span,
@@ -104,10 +103,10 @@ class Scenario:
                 raise ValueError("z0 must have the same length as y0")
             if not np.all(np.isfinite(z0)):
                 raise ValueError("z0 must be finite")
-            if abs(vector_norm(z0, p) - 1.0) > _UNIT_TOL:
+            if abs(vector_norms(z0, p) - 1.0) > _UNIT_TOL:
                 raise ValueError(
                     f"z0 must be a unit vector in the {p}-norm "
-                    f"(got ||z0|| = {vector_norm(z0, p):.17g})"
+                    f"(got ||z0|| = {vector_norms(z0, p):.17g})"
                 )
         tg = np.asarray(self.t_grid, dtype=float).reshape(-1)
         if tg.size < 1 or not np.all(np.isfinite(tg)):
@@ -124,13 +123,15 @@ class Scenario:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def y0_hat(self) -> np.ndarray:
-        """y0 / ||y0||_p, formed from y0 scaled by the exact power of two
-        that brings its largest |entry| to [1/2, 1), so neither a norm
-        that overflows nor subnormal entries cost it bits."""
+        """y0 / ||y0||_p, formed once and read-only, from y0 scaled by the
+        exact power of two that brings its largest |entry| to [1/2, 1), so
+        neither a norm that overflows nor subnormal entries cost it bits."""
         y, _ = _unit_scaled(self.y0, None)
-        return y / vector_norm(y, self.norm_p)
+        y /= vector_norms(y, self.norm_p)
+        y.flags.writeable = False
+        return y
 
     @property
     def directional(self) -> bool:
@@ -290,7 +291,7 @@ def _shift_for(A: np.ndarray, eigenvalues) -> float:
     eigenvalues, n eps ||A||_1, counts as 0: shifting by it would only
     perturb A."""
     r1 = float(np.real(eigenvalues).max())
-    noise = A.shape[0] * np.finfo(float).eps * np.linalg.norm(A, 1)
+    noise = A.shape[0] * np.finfo(float).eps * matrix_norms(A, 1)
     return 0.0 if abs(r1) <= noise else r1
 
 
@@ -307,8 +308,8 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
     Propagates with e^{t(A - r1 I)} from matrix_core.expm_grid, one
     batched Pade kernel over the grid; the p = 2 worst case takes the
     largest singular value of each matrix from its Gram matrix
-    (matrix_core.sigma_max).  Raises OdecondError when a propagated value
-    is not finite or the denominator vanishes.
+    (matrix_core.matrix_norms).  Raises OdecondError when a propagated
+    value is not finite or the denominator vanishes.
     """
     y0h = s.y0_hat
     out = np.empty(ts.shape)
@@ -324,12 +325,7 @@ def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:
     denominator vanishes names those of the failing samples."""
     with np.errstate(over="ignore"):
         denom = vector_norms(E @ y0h, p)
-        if z0 is not None:
-            num = vector_norms(E @ z0, p)
-        elif p == 2:
-            num = sigma_max(E)
-        else:
-            num = np.linalg.norm(E, p, axis=(-2, -1))
+        num = matrix_norms(E, p) if z0 is None else vector_norms(E @ z0, p)
     bad = ~(np.isfinite(num) & np.isfinite(denom))
     if bad.any():
         raise OdecondError(

@@ -1,5 +1,5 @@
 """Dense matrix substrate: the matrix exponential over a time grid,
-eigendecomposition with left and right vectors, induced norms, and the
+eigendecomposition with left and right vectors, the p-norms, and the
 small 2xn SVD behind the spectral module's singular directions.
 
 Matrices are plain numpy arrays throughout; the validators below replace a
@@ -11,9 +11,10 @@ every sample alone, so mat_exp, that kernel at one t, equals any grid's
 sample at t bit for bit.  A sample whose half is also a sample is squared
 from it instead of solved, so a grid that starts at 0 solves about half of
 its samples; expm_grid yields (index array, E) pairs in no set order.
-sigma_max takes the largest singular values of a stack from its Gram
-matrices, and vector_norms and vector_norm the norms of a stack of vectors
-and of one vector; at p = 2 all three scale by exact powers of two first,
+Every norm of the package, p in {1, 2, inf}, is taken by vector_norms,
+over the last axis of a stack of vectors, or by matrix_norms, the induced
+norm over the last two axes of a stack of matrices, whose 2-norm comes
+from the Gram matrices; at p = 2 both scale by exact powers of two first,
 so no square overflows.  Grid functions hold their (T, n, n) stacks in
 chunks from stack_slices, so memory stays flat in the grid length.
 """
@@ -30,9 +31,8 @@ __all__ = [
     "as_real_matrix",
     "eigen_decompose",
     "expm_grid",
-    "induced_matrix_norm",
     "mat_exp",
-    "sigma_max",
+    "matrix_norms",
     "stack_slices",
     "vector_norms",
 ]
@@ -57,11 +57,14 @@ _EXPM_LIVE_STACKS = 3
 
 
 def as_real_matrix(a, square: bool = False) -> np.ndarray:
-    """Validate *a* as a 2-D real matrix of finite entries and return it as
-    a float array (C-contiguous copy only when conversion requires one)."""
+    """Validate *a* as a nonempty 2-D real matrix of finite entries and
+    return it as a float array (C-contiguous copy only when conversion
+    requires one)."""
     M = np.asarray(a, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
+    if not M.size:
+        raise ValueError(f"expected a nonempty matrix, got shape {M.shape}")
     if square and M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -129,7 +132,7 @@ def expm_grid(B, ts):
     P[1] = B1 @ B1
     for j in range(2, 7):
         np.matmul(P[j - 1], P[1], out=P[j])
-    d6, d8, d10 = (np.linalg.norm(P[k // 2], 1) ** (1.0 / k)
+    d6, d8, d10 = (matrix_norms(P[k // 2], 1) ** (1.0 / k)
                    for k in (6, 8, 10))
     alpha = min(max(d6, d8), max(d8, d10))
     if alpha > 0.0:
@@ -232,7 +235,7 @@ def _t_span(t) -> str:
     return f"t in [{t.min():.6g}, {t.max():.6g}]"
 
 
-def stack_slices(count: int, n: int, stacks: int = 1) -> list:
+def stack_slices(count: int, n: int, stacks: int) -> list:
     """Slices covering range(count) in runs whose *stacks* (T, n, n)
     float64 stacks take about STACK_BYTES together (at least one matrix
     per run)."""
@@ -241,46 +244,15 @@ def stack_slices(count: int, n: int, stacks: int = 1) -> list:
 
 
 def _unit_scaled(X, axes):
-    """X scaled, over each slice along axes, by the exact power of two
-    2^-k that brings the slice's largest |entry| to [1/2, 1): (X 2^-k, k),
-    real and imaginary parts alike for complex X,
-    k keeping the reduced axes.  Squares of the scaled entries cannot
-    overflow, and the scaling rounds only entries it pushes below the
-    normal range, 2^-1022 times the largest or less."""
+    """(X 2^-k, k): X scaled, over each slice along axes (k keeps them),
+    by the exact power of two that brings the slice's largest |entry| to
+    [1/2, 1), real and imaginary parts alike.  Squares of the scaled
+    entries cannot overflow, and the scaling rounds only entries it pushes
+    below the normal range, 2^-1022 times the largest or less."""
     k = np.frexp(np.abs(X).max(axis=axes, keepdims=True))[1]
     if np.iscomplexobj(X):
         return np.ldexp(X.real, -k) + 1j * np.ldexp(X.imag, -k), k
     return np.ldexp(X, -k), k
-
-
-def sigma_max(E) -> np.ndarray:
-    """Largest singular value of each matrix of the stack E (..., m, k).
-
-    sigma_max(E) = sqrt(lambda_max(E^T E)) from one batched eigvalsh,
-    which is cheaper than the SVD; the error of lambda_max is
-    eps sigma_max^2, so sigma_max keeps full relative accuracy.  Each
-    matrix is first scaled by the exact power of two 2^-k that brings its
-    largest entry to [1/2, 1), so E^T E cannot overflow where the SVD
-    would not; the result is scaled back by 2^k.
-    """
-    F, k = _unit_scaled(np.asarray(E, dtype=float), (-2, -1))
-    lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
-    return np.ldexp(np.sqrt(lam), k[..., 0, 0])
-
-
-def vector_norms(X, p) -> np.ndarray:
-    """p-norm of each vector along the last axis of X, p in {1, 2, inf}.
-
-    For p = 2 each vector is scaled as in sigma_max, so its squares
-    cannot overflow where the norm itself would not, and the norm is
-    scaled back by the same power of two.  Where the squares of X stay
-    in the normal range, the result is np.linalg.norm(X, 2, axis=-1)
-    bit for bit."""
-    X = np.asarray(X, dtype=float)
-    if p != 2:
-        return np.linalg.norm(X, p, axis=-1)
-    Y, k = _unit_scaled(X, -1)
-    return np.ldexp(np.linalg.norm(Y, axis=-1), k[..., 0])
 
 
 def _normalize_p(p):
@@ -291,44 +263,41 @@ def _normalize_p(p):
     raise ValueError(f"unsupported norm selector {p!r}; use 1, 2 or inf")
 
 
-def induced_matrix_norm(M, p) -> float:
-    """Induced matrix p-norm for p in {1, 2, inf}.
-
-    p=1 is the maximum column absolute sum, p=inf the maximum row absolute
-    sum, p=2 the largest singular value.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValueError("induced_matrix_norm expects a matrix")
+def vector_norms(X, p) -> np.ndarray:
+    """p-norm of each vector along the last axis of the real or complex
+    X, p in {1, 2, inf}; one vector gives a 0-d result.  For p = 2 each
+    vector is first scaled by an exact power of two (_unit_scaled), so its
+    squares cannot overflow where the norm would not; where they stay
+    normal, the result is np.linalg.norm(X, p, axis=-1) bit for bit, and
+    for one vector np.linalg.norm(X, p), whose 2-norm sums the squares by
+    a dot product and may differ from the stacked sum in the last bit."""
     p = _normalize_p(p)
-    if p == 2:
-        if not min(M.shape):
-            return 0.0
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    return float(np.linalg.norm(M, p))
+    X = np.asarray(X)
+    if p != 2:
+        return np.linalg.norm(X, p, axis=-1)
+    Y, k = _unit_scaled(X, -1)
+    if X.ndim == 1:
+        return np.ldexp(np.linalg.norm(Y), k[0])
+    return np.ldexp(np.linalg.norm(Y, axis=-1), k[..., 0])
 
 
-def vector_norm(u, p) -> float:
-    """Vector p-norm of a real or complex vector, p in {1, 2, inf}.
+def matrix_norms(E, p) -> np.ndarray:
+    """Induced p-norm of each matrix over the last two axes of the real E
+    (..., m, k), p in {1, 2, inf}; one matrix gives a 0-d result.
 
-    For p = 2 the vector is scaled as in vector_norms, so its squares
-    cannot overflow where the norm itself would not.  Where the squares
-    of u stay in the normal range, the result is np.linalg.norm(u) bit
-    for bit."""
-    u = np.asarray(u)
+    p = 1 and p = inf are np.linalg.norm's largest column and row absolute
+    sums, bit for bit.  p = 2 is the largest singular value sigma,
+    sqrt(lambda_max(E^T E)) from one batched eigvalsh, cheaper than the
+    SVD and as accurate: the error of lambda_max is eps sigma^2.  Each
+    matrix is first scaled as in vector_norms, so E^T E cannot overflow
+    where the SVD would not."""
     p = _normalize_p(p)
-    if p != 2 or not u.size:
-        return float(np.linalg.norm(u, p))
-    Y, k = _unit_scaled(u, None)
-    return float(np.ldexp(np.linalg.norm(Y), k.item()))
-
-
-def dual_vector_norm(u, p) -> float:
-    """Norm of the linear functional x -> u x, i.e. the q-norm with
-    1/p + 1/q = 1.  Used to normalize left eigenvector rows."""
-    p = _normalize_p(p)
-    q = {1: np.inf, 2: 2, np.inf: 1}[p]
-    return float(np.linalg.norm(np.asarray(u), q))
+    E = np.asarray(E, dtype=float)
+    if p != 2:
+        return np.linalg.norm(E, p, axis=(-2, -1))
+    F, k = _unit_scaled(E, (-2, -1))
+    lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
+    return np.ldexp(np.sqrt(lam), k[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -396,7 +365,7 @@ def eigen_decompose(A) -> EigenSystem:
     W = np.linalg.inv(V)
     W[rank[first + 1]] = np.conj(W[rank[first]])
 
-    residual = float(np.linalg.norm(A @ V - V * evals, axis=0).max())
+    residual = float(vector_norms((A @ V - V * evals).T, 2).max())
     return EigenSystem(
         eigenvalues=evals,
         right_vectors=V,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstant, UnsupportedBlock
-from .matrix_core import stack_slices
+from .matrix_core import matrix_norms, stack_slices, vector_norms
 from .spectral import EigenBlock, checked_projection
 
 __all__ = [
@@ -46,6 +46,9 @@ __all__ = [
 #: the extremizer angles (relevant only near V = W with x an odd multiple
 #: of pi, where the closed form becomes 0/0).
 _U_FLOOR_FACTOR = 1e-10
+
+#: float64 (T, n, n) stacks theta_norm_p holds: a complex one and |Re| of it
+_THETA_LIVE_STACKS = 3
 
 
 @dataclass(frozen=True)
@@ -219,13 +222,12 @@ def theta_norm_p(block: EigenBlock, t, u=None):
     if u is None:
         M = np.outer(block.v_hat, block.w_hat)
         val = np.empty(rot.size)
-        for sl in stack_slices(rot.size, M.shape[0], 3):
-            val[sl] = np.linalg.norm((rot[sl, None, None] * M).real, p,
-                                     axis=(-2, -1))
+        for sl in stack_slices(rot.size, M.shape[0], _THETA_LIVE_STACKS):
+            val[sl] = matrix_norms((rot[sl, None, None] * M).real, p)
     else:
         # no sum omega t + gamma: the large phase is rounded once
         vg = np.exp(1j * checked_projection(block, u).gamma) * block.v_hat
-        val = np.linalg.norm((rot[:, None] * vg).real, p, axis=-1)
+        val = vector_norms((rot[:, None] * vg).real, p)
     return val.reshape(t.shape) if t.ndim else float(val[0])
 
 

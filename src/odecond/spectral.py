@@ -22,10 +22,10 @@ from .errors import AmbiguousGrouping, OdecondError, UnsupportedBlock, ZeroProje
 from .matrix_core import (
     EigenSystem,
     as_real_matrix,
-    dual_vector_norm,
     eigen_decompose,
-    induced_matrix_norm,
+    matrix_norms,
     svd_2xn,
+    vector_norms,
 )
 from .matrix_core import _normalize_p
 
@@ -55,6 +55,9 @@ PROJECTION_WARN = 1e-6
 #: so delta is pinned to 0 and every closed form takes its V = 0 / W = 0
 #: limit.
 ZERO_MODULUS = 1e-13
+
+#: the dual exponent q of p, 1/p + 1/q = 1, whose norm normalizes w_hat
+_DUAL = {1: np.inf, 2: 2, np.inf: 1}
 
 
 class BlockKind(enum.Enum):
@@ -115,8 +118,8 @@ class SpectrumAnalysis:
 
 
 def _build_supported_block(kind, members, v, w, p):
-    vnorm = float(np.linalg.norm(v, p))
-    wnorm = dual_vector_norm(w, p)
+    vnorm = float(vector_norms(v, p))
+    wnorm = float(vector_norms(w, _DUAL[p]))
     v_hat = v / vnorm
     w_hat = w / wnorm
     f = wnorm * vnorm
@@ -166,7 +169,7 @@ def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAna
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     es = eigen_decompose(A)
-    tol_abs = tol * max(1.0, induced_matrix_norm(A, 2))
+    tol_abs = tol * max(1.0, float(matrix_norms(A, 2)))
 
     evals = es.eigenvalues
     n = evals.shape[0]
@@ -240,7 +243,7 @@ def checked_projection(block: EigenBlock, u, label: str = "u",
     by label, at or below PROJECTION_FLOOR; up to PROJECTION_WARN appends
     a warning to the list notes, if given."""
     u = np.asarray(u, dtype=float)
-    scale = float(np.linalg.norm(u))
+    scale = float(vector_norms(u, 2))
     if scale == 0.0 or not np.isfinite(scale):
         raise ValueError("u must be a nonzero finite vector")
     wu = complex(block.w_hat @ u)

@@ -35,22 +35,25 @@ from odecond.oscillator import (
 
 def taylor_expm(A, t=1.0, terms=60):
     """e^{tA} by scaling until ||tA / 2^k||_2 <= 0.5, a 60-term power
-    series, and k repeated squarings."""
+    series, and k repeated squarings, in long double where the platform
+    has it: on a far-from-normal matrix the squarings amplify the
+    rounding, and in double the demo matrix at t = 6.265625 came out
+    1.1e-10 off a 50-digit reference (1.2e-12 in x87 long double)."""
     M = np.asarray(A, dtype=float) * t
     norm = scipy.linalg.svdvals(M)[0] if M.size else 0.0
     k = 0
     while norm > 0.5:
         norm /= 2.0
         k += 1
-    S = M / (2.0 ** k)
-    E = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
+    S = M.astype(np.longdouble) / (2.0 ** k)
+    E = np.eye(M.shape[0], dtype=np.longdouble)
+    term = E.copy()
     for j in range(1, terms + 1):
         term = term @ S / j
         E = E + term
     for _ in range(k):
         E = E @ E
-    return E
+    return E.astype(float)
 
 
 def sphere_max(fun, n, rng, samples=10 ** 4, refine=True, rounds=3):

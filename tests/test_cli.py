@@ -313,11 +313,17 @@ _DEMO_JSON = json.dumps(np.asarray(EXAMPLE_A).tolist())
     ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
      '"t": {"start": false, "end": 1, "steps": 8}}', "t.start"),
     ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], "t": [0, 1, 8]}', "t"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1, 1], '
+     '"t": {"start": 0, "end": 1}}', "t.steps is missing"),
+    ('{"matrix": [[1, 0], [0, -1]], "y0": [1%s, 1]}' % ("0" * 400),
+     "y0: entry 1 is outside the float range"),
 ], ids=["y0-string", "matrix-strings", "matrix-bool", "y0-bools", "y0-object",
-        "z0-string", "steps-fraction", "start-bool", "t-list"])
+        "z0-string", "steps-fraction", "start-bool", "t-list", "steps-missing",
+        "y0-int-overflow"])
 def test_scenario_json_takes_only_numbers(tmp_path, capsys, doc, key):
     # strings, booleans and objects are refused, not converted: "123" used
-    # to run as y0 = (1, 2, 3) and steps 16.9 as 16
+    # to run as y0 = (1, 2, 3) and steps 16.9 as 16; a missing t key and an
+    # int past the float range are refused by their key
     path = tmp_path / "scen.json"
     path.write_text(doc)
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ import pytest
 from conftest import EXAMPLE_A, sample_supported, unit
 from oracles import sphere_max
 
+import odecond.condition
 from odecond.condition import (
     UNBOUNDED,
     OscillationProfile,
@@ -26,7 +27,7 @@ from odecond.condition import (
 )
 from odecond.condition import _k_exact_grid, _k_exact_ratios
 from odecond.errors import OdecondError, UnsupportedBlock, ZeroProjection
-from odecond.matrix_core import induced_matrix_norm, mat_exp
+from odecond.matrix_core import mat_exp
 from odecond.minimax import h_envelope
 from odecond.oscillator import (
     VWPair,
@@ -497,8 +498,8 @@ def test_epsilon_q_matrix_oracle(rng):
                 for b in an.blocks[1:])
             ref_m = sum(
                 math.exp((b.r - b1.r) * t)
-                * induced_matrix_norm(build_Q(b, t), 2)
-                / induced_matrix_norm(build_Q(b1, t), 2)
+                * np.linalg.norm(build_Q(b, t), 2)
+                / np.linalg.norm(build_Q(b1, t), 2)
                 for b in an.blocks[1:])
             worst = max(worst,
                         abs(eps_u - ref_u) / max(1.0, ref_u),
@@ -874,7 +875,7 @@ def test_k_exact_invariant_under_spectral_shift(shift):
 
 def test_k_exact_worst_case_near_overflow():
     # far from normal: e^{tA} has entries near 1e198, whose squares
-    # overflow; sigma_max scales each matrix by a power of two before it
+    # overflow; matrix_norms scales each matrix by a power of two before it
     # forms the Gram matrix.  e^{tA} e_1 = e_1 keeps the denominator 1.
     n = 6
     A = np.diag(-np.arange(n, dtype=float)) + np.diag(np.full(n - 1, 1e40), 1)
@@ -892,7 +893,7 @@ def test_k_exact_worst_case_near_overflow():
 def test_k_exact_vector_norms_near_overflow(y0, z0):
     # the matrix above: e^{tA} ones peaks at 3.4e197, so the 2-norms of
     # e^{tA} y0_hat and e^{tA} z0 scale by a power of two before they
-    # square, as sigma_max does
+    # square, as matrix_norms does
     n = 6
     A = np.diag(-np.arange(n, dtype=float)) + np.diag(np.full(n - 1, 1e40), 1)
     vec = {"e1": np.eye(n)[0], "ones": np.ones(n)}
@@ -905,6 +906,20 @@ def test_k_exact_vector_norms_near_overflow(y0, z0):
     got = k_exact(s, 1.0)
     assert math.isfinite(got)
     assert abs(got / ref - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("z0", [None, [0.0, 1.0, 0.0]])
+def test_y0_hat_is_formed_once_per_scenario(z0):
+    # sweep reads y0_hat in exact propagation, the projections and the
+    # dominance sums: one cached, read-only array serves them all
+    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], z0=z0,
+                 t_grid=np.linspace(0.0, 1.0, 5))
+    with mock.patch("odecond.condition._unit_scaled",
+                    wraps=odecond.condition._unit_scaled) as scaled:
+        sweep(s)
+        assert s.y0_hat is s.y0_hat
+    assert scaled.call_count == 1
+    assert not s.y0_hat.flags.writeable
 
 
 def test_scenario_normalizes_y0_near_overflow():

@@ -12,15 +12,15 @@ from oracles import sphere_max, taylor_expm
 from odecond import matrix_core
 from odecond.errors import NonDiagonalizable, OdecondError
 from odecond.matrix_core import (
+    as_real_matrix,
     eigen_decompose,
     expm_grid,
-    induced_matrix_norm,
     mat_exp,
-    sigma_max,
+    matrix_norms,
     svd_2xn,
-    vector_norm,
     vector_norms,
 )
+from odecond.spectral import analyze_spectrum
 
 
 # ---------------------------------------------------------------- mat_exp
@@ -64,6 +64,17 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         mat_exp(np.eye(2), np.inf)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 2)])
+def test_empty_matrix_refused(shape):
+    # a typed refusal up front, not an IndexError deep in the eigensolver
+    # or a reduction over no entries in the norms
+    with pytest.raises(ValueError, match="nonempty"):
+        as_real_matrix(np.zeros(shape))
+    if shape == (0, 0):
+        with pytest.raises(ValueError, match="nonempty"):
+            analyze_spectrum(np.zeros(shape))
 
 
 def _kernel_matrix(kind, rng):
@@ -226,29 +237,49 @@ def test_expm_grid_refuses_what_it_cannot_compute():
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
        k=st.integers(2, 8), count=st.integers(1, 6),
        decade=st.integers(-300, 300))
-def test_sigma_max_matches_svd(seed, m, k, count, decade):
+def test_matrix_norms_match_svd(seed, m, k, count, decade):
+    # the 2-norm from the Gram matrices at any scale, for a stack and for
+    # one matrix alone (a 0-d result); p in {1, inf} is np.linalg.norm's
+    # value bit for bit
     E = np.random.default_rng(seed).normal(size=(count, m, k))
     E *= 10.0 ** decade
     ref = np.linalg.svd(E, compute_uv=False)[:, 0]
-    rel = np.abs(sigma_max(E) / ref - 1.0)
-    assert rel.max() <= 4e-15
+    got = matrix_norms(E, 2)
+    assert np.abs(got / ref - 1.0).max() <= 4e-15
+    one = matrix_norms(E[0], 2)
+    assert np.ndim(one) == 0 and one == got[0]
+    for p in (1, np.inf):
+        assert np.array_equal(matrix_norms(E, p),
+                              np.linalg.norm(E, p, axis=(-2, -1)))
+        assert matrix_norms(E[0], p) == np.linalg.norm(E[0], p)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
-       count=st.integers(1, 6), decade=st.integers(-300, 300))
-def test_vector_norms_scale_without_overflow(seed, n, count, decade):
-    # the 2-norm of each row at any scale; where the squares stay normal
-    # it is np.linalg.norm's value bit for bit
-    X = np.random.default_rng(seed).normal(size=(count, n)) * 10.0 ** decade
+       count=st.integers(1, 6), decade=st.integers(-300, 300),
+       imag=st.booleans())
+def test_vector_norms_scale_without_overflow(seed, n, count, decade, imag):
+    # the 2-norm of each real or complex row at any scale, and of one row
+    # alone (a 0-d result, summed by a dot product: it may differ from the
+    # stacked row in the last bit); where the squares stay normal it is
+    # np.linalg.norm's value bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(count, n)) * 10.0 ** decade
+    if imag:
+        X = X + 1j * rng.normal(size=(count, n)) * 10.0 ** decade
     got = vector_norms(X, 2)
-    ref = np.array([math.hypot(*row) for row in X])
-    assert np.abs(got / ref - 1.0).max() <= 4e-16 * n
+    ref = np.array([math.hypot(*np.abs(row)) for row in X])
+    assert np.abs(got / ref - 1.0).max() <= 4e-16 * (n + 1)
+    one = vector_norms(X[0], 2)
+    assert np.ndim(one) == 0
+    assert abs(one / ref[0] - 1.0) <= 4e-16 * (n + 1)
     if -140 <= decade <= 140:
         assert np.array_equal(got, np.linalg.norm(X, 2, axis=-1))
+        assert one == np.linalg.norm(X[0])
     for p in (1, np.inf):
         assert np.array_equal(vector_norms(X, p),
                               np.linalg.norm(X, p, axis=-1))
+        assert vector_norms(X[0], p) == np.linalg.norm(X[0], p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,13 +292,28 @@ def test_vector_norm_scales_without_overflow(seed, n, decade, imag):
     u = rng.normal(size=n) * 10.0 ** decade
     if imag:
         u = u + 1j * rng.normal(size=n) * 10.0 ** decade
-    got = vector_norm(u, 2)
+    got = float(vector_norms(u, 2))
     ref = math.hypot(*np.abs(u))
     assert abs(got / ref - 1.0) <= 4e-16 * (n + 1)
     if -140 <= decade <= 140:
         assert got == float(np.linalg.norm(u))
     for p in (1, np.inf):
-        assert vector_norm(u, p) == float(np.linalg.norm(u, p))
+        assert float(vector_norms(u, p)) == float(np.linalg.norm(u, p))
+
+
+@pytest.mark.parametrize("u", [
+    [1e200 + 1e200j, 1e-320],
+    [1e200, 1e-320 + 1e200j, 1e-320j],
+    [1e-320 + 1e-320j, 1e-320],
+], ids=["huge", "huge-and-tiny", "subnormal"])
+def test_vector_norms_complex_extremes(u):
+    # squares of 1e200 overflow and of 1e-320 vanish; scaled by a power
+    # of two first, the 2-norm is math.hypot's to rounding, in a stack
+    # and alone
+    u = np.array(u)
+    ref = math.hypot(*np.abs(u))
+    for got in (vector_norms(u, 2), vector_norms(np.stack([u, u]), 2)[1]):
+        assert got == pytest.approx(ref, rel=4e-16, abs=5e-324)
 
 
 # --------------------------------------------------------- eigen_decompose
@@ -387,27 +433,27 @@ def test_eigen_defective_matrix_rejected():
         eigen_decompose(np.array([[1.0, 1.0], [1e-30, 1.0]]))
 
 
-# ----------------------------------------------------- induced_matrix_norm
+# ------------------------------------------------------------ matrix_norms
 
 def test_norm_identity():
     for p in (1, 2, np.inf):
-        assert induced_matrix_norm(np.eye(4), p) == pytest.approx(1.0)
+        assert matrix_norms(np.eye(4), p) == pytest.approx(1.0)
 
 
 def test_norm_diagonal():
-    assert induced_matrix_norm(np.diag([2.0, -3.0]), 2) == pytest.approx(3.0)
+    assert matrix_norms(np.diag([2.0, -3.0]), 2) == pytest.approx(3.0)
 
 
 def test_norm_one_and_inf_formulas():
     M = np.array([[1.0, -4.0], [2.0, 0.5]])
-    assert induced_matrix_norm(M, 1) == pytest.approx(4.5)
-    assert induced_matrix_norm(M, np.inf) == pytest.approx(5.0)
+    assert matrix_norms(M, 1) == pytest.approx(4.5)
+    assert matrix_norms(M, np.inf) == pytest.approx(5.0)
 
 
 def test_norm_two_against_sphere_oracle():
     rng = np.random.default_rng(11)
     M = rng.normal(size=(5, 5))
-    norm2 = induced_matrix_norm(M, 2)
+    norm2 = matrix_norms(M, 2)
 
     def fun(us):
         return np.linalg.norm(us @ M.T, axis=1)
@@ -419,17 +465,20 @@ def test_norm_two_against_sphere_oracle():
 
 
 def test_norm_unsupported_p():
-    with pytest.raises(ValueError):
-        induced_matrix_norm(np.eye(2), 3)
+    for p in (0, 3, -1, "fro"):
+        with pytest.raises(ValueError, match="unsupported norm selector"):
+            matrix_norms(np.eye(2), p)
+        with pytest.raises(ValueError, match="unsupported norm selector"):
+            vector_norms(np.ones(2), p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_norm_ordering_two_vs_one_inf(seed):
     M = np.random.default_rng(seed).normal(size=(4, 4))
-    n2 = induced_matrix_norm(M, 2)
-    n1 = induced_matrix_norm(M, 1)
-    ninf = induced_matrix_norm(M, np.inf)
+    n2 = matrix_norms(M, 2)
+    n1 = matrix_norms(M, 1)
+    ninf = matrix_norms(M, np.inf)
     assert n2 <= np.sqrt(n1 * ninf) * (1 + 1e-12)
 
 

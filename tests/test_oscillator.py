@@ -15,7 +15,6 @@ from oracles import (
 
 from odecond import matrix_core
 from odecond.errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
-from odecond.matrix_core import induced_matrix_norm
 from odecond.oscillator import (
     _U_FLOOR_FACTOR,
     VWPair,
@@ -329,7 +328,7 @@ def test_theta_norm_mat_componentwise(rng):
         Th = np.outer(np.abs(b.v_hat), np.abs(b.w_hat)) * np.cos(
             b.omega * t + np.add.outer(np.angle(b.v_hat), np.angle(b.w_hat)))
         assert theta_norm_mat(b, t) == pytest.approx(
-            induced_matrix_norm(Th, 2), abs=1e-10)
+            np.linalg.norm(Th, 2), abs=1e-10)
 
 
 def test_theta_norm_mat_sphere_oracle(rng):
@@ -377,7 +376,7 @@ def test_theta_norm_p_bounded_and_q_consistent(rng, p):
         assert val <= 1.0 + 1e-12
         # build_Q is 2 f times the oscillation matrix
         assert val == pytest.approx(
-            induced_matrix_norm(build_Q(b, t) / (2 * b.f), p), abs=1e-10)
+            np.linalg.norm(build_Q(b, t) / (2 * b.f), p), abs=1e-10)
         u = unit(rng.normal(size=n), p)
         gam = np.angle(b.w_hat @ u)
         vec = np.abs(b.v_hat) * np.cos(b.omega * t + np.angle(b.v_hat) + gam)
@@ -460,7 +459,7 @@ def test_g_factor_q_matrix_cross_check(rng):
             wu = abs(b.w_hat @ u)
             assert np.linalg.norm(Q @ u, p) == pytest.approx(
                 b.f * wu * g_factor(b, t, u=u), abs=1e-10)
-            assert induced_matrix_norm(Q, p) == pytest.approx(
+            assert np.linalg.norm(Q, p) == pytest.approx(
                 b.f * g_factor(b, t), abs=1e-10)
 
 
