@@ -208,9 +208,12 @@ def _json_number(value, key: str) -> float:
 
 
 def _json_numbers(value, key: str) -> tuple:
-    if type(value) is not list or not all(type(v) in (int, float)
-                                          for v in value):
+    kinds = set(map(type, value)) if type(value) is list else None
+    if kinds is None or not kinds <= {int, float}:
         raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    if kinds <= {float}:
+        # a float converts to itself: only an int can overflow
+        return tuple(value)
     return tuple(_json_number(v, f"{key}: entry {i}")
                  for i, v in enumerate(value, start=1))
 

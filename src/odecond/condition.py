@@ -12,6 +12,15 @@ oscillating term OT (identically 1 when the rightmost eigenvalue is
 real).  The finite-time gap between the two is controlled by the
 dominance sums eps(t) and eps(t, u) over the subdominant blocks, which
 yield a computable relative-precision bound.
+
+Exact propagation takes one of two routes per sample, under one tolerance,
+_EXPANSION_TOL.  A directional sweep needs only e^{tA} [y0_hat, z0] and
+forms it from the analysis's eigendecomposition wherever that route's
+error estimate is at most the tolerance; every other sample, the whole
+worst case and the scalar k_exact take the batched Pade kernel.  So the
+worst case, which certifies the dominance sums, never shares the
+eigenvectors of k_asym and the sums, and k_exact is the sweep's
+independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ import numpy as np
 
 from .errors import OdecondError, UnsupportedBlock, ZeroProjection
 from .matrix_core import (
+    EigenSystem,
     as_real_matrix,
+    eigen_expand,
     expm_grid,
     matrix_norms,
     vector_norms,
@@ -64,6 +75,10 @@ UNBOUNDED = math.inf
 
 # z0 is a unit vector to this: norm rounding, far below deliberate scaling
 _UNIT_TOL = 1e-12
+
+# a directional sample takes the eigen-expansion where its relative error
+# estimate is at most this, and the Pade kernel elsewhere
+_EXPANSION_TOL = 1e-12
 
 _CSV_COLUMNS = ("t", "k_exact", "k_asym", "osf", "ot",
                 "eps_t", "eps_tu", "precision_bound")
@@ -302,20 +317,65 @@ def _shifted(s: Scenario, r1: float) -> np.ndarray:
     return s.matrix - r1 * np.eye(s.n)
 
 
-def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float) -> np.ndarray:
+def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
+                  es: Optional[EigenSystem] = None) -> np.ndarray:
     """k_exact at every t of the 1-D array ts.
 
-    Propagates with e^{t(A - r1 I)} from matrix_core.expm_grid, one
-    batched Pade kernel over the grid; the p = 2 worst case takes the
-    largest singular value of each matrix from its Gram matrix
-    (matrix_core.matrix_norms).  Raises OdecondError when a propagated
-    value is not finite or the denominator vanishes.
+    Two routes to the propagator e^{t(A - r1 I)}, one tolerance.  Given the
+    eigendecomposition es of A, a directional scenario needs only
+    e^{t(A - r1 I)} [y0_hat, z0]: matrix_core.eigen_expand forms it from es
+    at each sample whose relative error estimate is at most
+    _EXPANSION_TOL, estimated first in O(n) per sample.  Every other
+    sample, and the whole worst case, which needs all of e^{t(A - r1 I)},
+    takes matrix_core.expm_grid, one batched Pade kernel, as on the whole
+    grid: the halves t/2, t/4, ... in ts of a Pade sample go through the
+    kernel too, so its squaring chains, and its bits, are the whole grid's.
+    The p = 2 worst case takes the largest singular value of each matrix
+    from its Gram matrix (matrix_core.matrix_norms).  Raises OdecondError
+    when a propagated value is not finite or the denominator vanishes; the
+    expansion leaves every such sample to the kernel, so the error names
+    the samples the kernel alone would.
     """
     y0h = s.y0_hat
     out = np.empty(ts.shape)
-    for idx, E in expm_grid(_shifted(s, r1), ts):
-        out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
+    pade = np.ones(ts.shape, dtype=bool)
+    if es is not None and s.directional:
+        for idx, X, est in eigen_expand(s.matrix, es,
+                                        np.column_stack((y0h, s.z0)), ts,
+                                        r1, s.norm_p, _EXPANSION_TOL):
+            ok = est <= _EXPANSION_TOL
+            norms = vector_norms(X[ok], s.norm_p)
+            idx = idx[ok]
+            out[idx] = _checked_ratios(norms[:, 1], norms[:, 0], ts[idx])
+            pade[idx] = False
+    if pade.any():
+        sub = _with_halves(ts, pade)
+        for idx, E in expm_grid(_shifted(s, r1), ts[sub]):
+            idx = sub[idx]
+            mine = pade[idx]
+            if not mine.all():
+                idx, E = idx[mine], E[mine]
+            out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
     return out
+
+
+def _with_halves(ts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The indices of mask's samples and of the first sample of each of
+    their halves t/2, t/4, ... in ts, ascending: the samples expm_grid
+    squares them from on the whole grid."""
+    mask = mask.copy()
+    order = np.argsort(ts, kind="stable")
+    ordered = ts[order]
+    new = np.flatnonzero(mask)
+    while new.size:
+        half = ts[new] / 2.0
+        pos = np.searchsorted(ordered, half)
+        hit = pos < ts.size
+        hit[hit] = ordered[pos[hit]] == half[hit]
+        new = order[pos[hit]]
+        new = new[~mask[new]]
+        mask[new] = True
+    return np.flatnonzero(mask)
 
 
 def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:
@@ -326,6 +386,12 @@ def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:
     with np.errstate(over="ignore"):
         denom = vector_norms(E @ y0h, p)
         num = matrix_norms(E, p) if z0 is None else vector_norms(E @ z0, p)
+    return _checked_ratios(num, denom, ts)
+
+
+def _checked_ratios(num, denom, ts) -> np.ndarray:
+    """num / denom, refused with OdecondError, naming the failing samples
+    of ts, where a norm is not finite or the denominator vanishes."""
     bad = ~(np.isfinite(num) & np.isfinite(denom))
     if bad.any():
         raise OdecondError(
@@ -341,8 +407,9 @@ def k_exact(s: Scenario, t: float) -> float:
 
     Directional when the scenario carries z0, worst-case otherwise.  The
     worst case uses the induced matrix norm of e^{tA}, so it dominates
-    every directional value and is >= 1.  Evaluated by the same
-    propagation as sweep, on a one-sample grid.
+    every directional value and is >= 1.  Evaluated by the Pade kernel on
+    a one-sample grid, with no eigendecomposition: it serves defective
+    matrices too, and checks the sweep's expanded samples.
     """
     t = float(t)
     _require_finite(t)
@@ -369,10 +436,11 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     """
     block = _rightmost(s, analysis)
     _require_finite(t)
-    base = _osf(block, *_projections(s, block))
+    y, z = _projections(s, block)
+    base = _osf(block, y, z)
     if block.is_real:
         return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
-    return base * g_factor(block, t, u=s.z0) / g_factor(block, t, u=s.y0_hat)
+    return base * g_factor(block, t, proj=z) / g_factor(block, t, proj=y)
 
 
 def _osf(block1: EigenBlock, y, z) -> float:
@@ -511,22 +579,23 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
                          f"{_norm_label(analysis.norm_p)}")
     blocks = analysis.blocks
     b1 = blocks[0]
-    if u is not None:
-        w1 = checked_projection(b1, u).wu_mod
+    # each block projects u once: its projection serves coef and g_factor
+    pr1 = None if u is None else checked_projection(b1, u)
     t = np.asarray(t, dtype=float)
     _require_finite(t)
-    g1 = g_factor(b1, t, u=u)
+    g1 = g_factor(b1, t, proj=pr1)
     eps = np.zeros(t.shape)
     ratios = []
     for bj in blocks[1:]:
-        coef = 1.0
+        coef, prj = 1.0, None
         if u is not None:
             try:
-                coef = checked_projection(bj, u).wu_mod / w1
+                prj = checked_projection(bj, u)
             except ZeroProjection:
                 ratios.append(0.0)
                 continue
-        ratio = g_factor(bj, t, u=u) / g1
+            coef = prj.wu_mod / pr1.wu_mod
+        ratio = g_factor(bj, t, proj=prj) / g1
         ratios.append(ratio)
         with np.errstate(over="ignore"):
             eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
@@ -607,7 +676,7 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     # exact propagation first: its refusal of a non-finite e^{t(A - r1 I)}
     # comes before any asymptotic layer sees such a t
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
-    ke = _k_exact_grid(s, grid, r1)
+    ke = _k_exact_grid(s, grid, r1, analysis.eigensystem)
     ka = k_asym(s, analysis, grid)
     profile = _profile_for(s, analysis, ka)
     if analysis.all_supported:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateConstant, UnsupportedBlock
 from .matrix_core import matrix_norms, stack_slices, vector_norms
-from .spectral import EigenBlock, checked_projection
+from .spectral import BlockProjection, EigenBlock, checked_projection
 
 __all__ = [
     "VWPair",
@@ -190,7 +190,12 @@ def theta_norm_u(block: EigenBlock, t, u):
     """Euclidean norm of the oscillation vector Theta(t, u):
     sqrt((1 + V cos(x(t) + Delta(u))) / 2).  Accepts array t."""
     _require_euclidean(block)
-    du = phase_offset(block, u)
+    return _theta_norm_u(block, t, checked_projection(block, u).gamma)
+
+
+def _theta_norm_u(block: EigenBlock, t, gamma):
+    """theta_norm_u for the direction whose polar angle is gamma."""
+    du = 2.0 * (gamma - block.theta_axis)
     val = np.sqrt((1.0 + block.V_mod * np.cos(phase_x(block, t) + du)) / 2.0)
     return val if np.ndim(val) else float(val)
 
@@ -214,36 +219,47 @@ def theta_norm_p(block: EigenBlock, t, u=None):
     are at most 1, since v_hat and w_hat are normalized in that p."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
-    p = block.norm_p
-    if p == 2:
+    if block.norm_p == 2:
         raise ValueError("use theta_norm_u / theta_norm_mat for the 2-norm")
+    gamma = None if u is None else checked_projection(block, u).gamma
+    return _theta_norm_p(block, t, gamma)
+
+
+def _theta_norm_p(block: EigenBlock, t, gamma=None):
+    """theta_norm_p for the direction whose polar angle is gamma (None:
+    the matrix form)."""
+    p = block.norm_p
     t = np.asarray(t, dtype=float)
     rot = np.exp(1j * block.omega * t.reshape(-1))
-    if u is None:
+    if gamma is None:
         M = np.outer(block.v_hat, block.w_hat)
         val = np.empty(rot.size)
         for sl in stack_slices(rot.size, M.shape[0], _THETA_LIVE_STACKS):
             val[sl] = matrix_norms((rot[sl, None, None] * M).real, p)
     else:
         # no sum omega t + gamma: the large phase is rounded once
-        vg = np.exp(1j * checked_projection(block, u).gamma) * block.v_hat
+        vg = np.exp(1j * gamma) * block.v_hat
         val = vector_norms((rot[:, None] * vg).real, p)
     return val.reshape(t.shape) if t.ndim else float(val[0])
 
 
-def g_factor(block: EigenBlock, t, u=None):
+def g_factor(block: EigenBlock, t, u=None, proj: BlockProjection = None):
     """Oscillation factor g of a supported block, in the norm the block
     was analyzed with.
 
     Real block: 1.  Complex block: twice the Theta norm, in vector form
     when a direction u is given and in matrix form otherwise; accepts
-    array t."""
+    array t.  proj, the direction's checked_projection on the block, may
+    stand in for u, so a caller that holds it does not project again."""
     if not block.is_supported:
         raise UnsupportedBlock("g_factor needs a supported block")
     if block.is_real:
         return 1.0
+    if proj is None and u is not None:
+        proj = checked_projection(block, u)
+    gamma = None if proj is None else proj.gamma
     if block.norm_p == 2:
-        if u is None:
+        if gamma is None:
             return 2.0 * theta_norm_mat(block, t)
-        return 2.0 * theta_norm_u(block, t, u)
-    return 2.0 * theta_norm_p(block, t, u)
+        return 2.0 * _theta_norm_u(block, t, gamma)
+    return 2.0 * _theta_norm_p(block, t, gamma)

@@ -15,12 +15,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import odecond
-from odecond.cli import RunConfig, build_parser, main, parse_config
+from odecond.cli import (RunConfig, _json_numbers, build_parser, main,
+                         parse_config)
 from odecond.minimax import h_extremes
 from odecond.oscillator import VWPair
 from odecond.spectral import analyze_spectrum
@@ -331,6 +333,21 @@ def test_scenario_json_takes_only_numbers(tmp_path, capsys, doc, key):
     assert exc.value.code == 1
     assert f"malformed scenario value: {key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_scenario_json_float_lists_are_taken_whole():
+    # a list of JSON floats converts to itself, with no call per entry; an
+    # int among them sends the list through the per-entry path; both give
+    # the same floats
+    floats = [0.5, -1e300, float("nan"), 2.0]
+    with mock.patch("odecond.cli._json_number",
+                    side_effect=AssertionError("per-entry path")):
+        got = _json_numbers(floats, "y0")
+        assert _json_numbers([], "y0") == ()
+    assert got[:2] + got[3:] == (0.5, -1e300, 2.0) and math.isnan(got[2])
+    mixed = _json_numbers([1, 2.5, -3], "y0")
+    assert mixed == (1.0, 2.5, -3.0)
+    assert all(type(v) is float for v in mixed)
 
 
 @pytest.mark.parametrize("argv", [

@@ -233,6 +233,140 @@ def test_expm_grid_refuses_what_it_cannot_compute():
         mat_exp(np.array([[0.0, 1e60], [0.0, -1.0]]), 10.0)
 
 
+# ------------------------------------------------------------ eigen_expand
+
+def graded_matrix(rng, n, cond):
+    """S D S^-1 with S of singular values 1 .. cond, D of real entries and
+    2x2 rotation blocks with real parts in [-3, 1], scaled by 0.1 .. 30."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = q1 @ np.diag(np.geomspace(1.0, cond, n)) @ q2
+    D = np.zeros((n, n))
+    k = 0
+    while k < n:
+        a = rng.uniform(-3.0, 1.0)
+        if k + 1 < n and rng.random() < 0.6:
+            b = rng.uniform(0.2, 3.0)
+            D[k:k + 2, k:k + 2] = [[a, b], [-b, a]]
+            k += 2
+        else:
+            D[k, k] = a
+            k += 1
+    return np.linalg.solve(S.T, (S @ D).T).T * 10.0 ** rng.uniform(-1.0, 1.5)
+
+
+def expansion(A, U, ts, p, shift=0.0, es=None):
+    """eigen_expand's (X, est) over the whole grid, tol = 1e-12."""
+    es = eigen_decompose(A) if es is None else es
+    X = np.empty((ts.size, U.shape[1], U.shape[0]))
+    est = np.empty(ts.size)
+    seen = np.zeros(ts.size, dtype=int)
+    for idx, Xc, ec in matrix_core.eigen_expand(A, es, U, ts, shift, p,
+                                                1e-12):
+        np.add.at(seen, idx, 1)
+        X[idx], est[idx] = Xc, ec
+    assert np.all(seen == 1)
+    return X, est
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       decade=st.floats(0.0, 6.0), p=st.sampled_from([1, 2, np.inf]),
+       graze=st.booleans())
+def test_eigen_expand_within_its_estimate(seed, n, decade, p, graze):
+    # cond(V) from 1 to 1e6, t on a grid, past it and negative, and with
+    # graze a first column that nearly misses the rightmost left vector:
+    # at every sample the estimate accepts, each column's relative gap to
+    # the long-double Taylor oracle is within it, and its gap to expm_grid
+    # within it plus the kernel's own gap to the oracle.  The Pade kernel
+    # can be the less accurate one: 2.6e-12 off a 40-digit reference at
+    # n = 3, cond(V) = 100, t = 4, where the expansion is 3e-14 off.  The
+    # oracle must see the matrix the expansion does: A is shifted to a
+    # rightmost real part near 0 first and expanded with shift 0, not
+    # A - r1 I rounded, and every t is 0 or a power of two, so t A is
+    # exact.  Either rounding alone moves e^{tA} by as much as the estimate
+    # allows (1.6e-13 for t A at n = 2, t = 22.5, where the expansion is
+    # 1e-15 off).
+    rng = np.random.default_rng(seed)
+    A = graded_matrix(rng, n, 10.0 ** decade)
+    A -= np.linalg.eigvals(A).real.max() * np.eye(n)
+    try:
+        es = eigen_decompose(A)
+    except NonDiagonalizable:
+        return
+    U = rng.standard_normal((n, 2))
+    if graze and n > 2:
+        w = es.left_rows[0]
+        null = np.linalg.svd(np.vstack([w.real, w.imag]))[2][-1]
+        U[:, 0] = null + 1e-7 * rng.standard_normal(n)
+    # the grid's end t1 ~ 30 / |lambda|, samples from t1 / 64 to 8 t1
+    top = int(np.log2(30.0 / max(1.0, np.abs(es.eigenvalues).max())))
+    ts = np.ldexp(1.0, np.arange(top - 6, top + 4))
+    ts = np.concatenate([[0.0], ts, -ts[:4]])
+    X, est = expansion(A, U, ts, p, es=es)
+
+    def gap(got, ref):
+        return vector_norms(got - ref.T, p) / vector_norms(ref.T, p)
+
+    slack = 4.0 * np.finfo(float).eps
+    for i in np.flatnonzero(est <= 1e-12):
+        oracle = taylor_expm(A, ts[i]) @ U
+        assert np.all(gap(X[i], oracle) <= est[i] + slack), (ts[i], est[i])
+        pade = (mat_exp(A, ts[i]) @ U).T
+        assert np.all(gap(X[i], pade.T) <= est[i] + gap(pade, oracle)
+                      + slack), (ts[i], est[i])
+    assert not np.isnan(X[est <= 1e-12]).any()
+
+
+def test_eigen_expand_is_real_from_half_the_modes():
+    # one member per conjugate pair, doubled: the pair's product is never
+    # formed, and X equals e^{tA} U to rounding
+    A = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]])
+    U = np.array([[1.0, 0.0], [2.0, 0.6], [3.0, 0.8]])
+    ts = np.linspace(0.0, 4.0 * np.pi, 65)
+    X, est = expansion(A, U, ts, 2, shift=-0.1)
+    assert np.all(est <= 1e-12)
+    assert X.dtype == float
+    for t, got in zip(ts, X):
+        ref = (taylor_expm(A + 0.1 * np.eye(3), t) @ U).T
+        assert np.abs(got - ref).max() <= 4e-15
+
+
+def test_eigen_expand_without_extended_precision():
+    # where np.longdouble is double, the rightmost eigenvalues are not
+    # refined and the estimate keeps their a priori error, which grows
+    # with t: fewer samples pass, each still within its estimate
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    U = np.array([[1.0, 0.0], [2.0, 0.6], [3.0, 0.8]])
+    ts = np.ldexp(1.0, np.arange(0, 12))
+    X, est = expansion(A, U, ts, 2)
+    with mock.patch.object(np, "longdouble", np.float64), \
+            mock.patch.object(np, "clongdouble", np.complex128):
+        X_d, est_d = expansion(A, U, ts, 2)
+    assert np.all(est_d >= est)
+    assert (est_d <= 1e-12).sum() < (est <= 1e-12).sum()
+    for t, got, e in zip(ts, X_d, est_d):
+        if e <= 1e-12:
+            ref = (taylor_expm(A, t) @ U).T
+            assert np.all(vector_norms(got - ref, 2)
+                          <= e * vector_norms(ref, 2))
+
+
+def test_eigen_expand_refuses_what_it_cannot_vouch_for():
+    # ||X|| underflows to 0, or overflows at negative t, or is subnormal:
+    # the estimate is not below tol and X is NaN there
+    A = np.diag([0.0, -1.0])
+    U = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ts = np.array([1.0, 720.0, 800.0, -800.0])
+    X, est = expansion(A, U, ts, 2)
+    assert est[0] <= 1e-12
+    assert not np.any(est[1:] <= 1e-12)
+    assert np.all(np.isnan(X[1:]))
+    # past the range where |t| ||A|| kappa stays below tol / u
+    X, est = expansion(EXAMPLE_A, np.eye(3)[:, 1:], np.array([4096.0]), 2)
+    assert not est[0] <= 1e-12 and np.all(np.isnan(X))
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
        k=st.integers(2, 8), count=st.integers(1, 6),
