@@ -315,7 +315,9 @@ class EigenSystem:
     right_vectors holds V (column i belongs to eigenvalues[i]); left_rows
     holds V^{-1} (row i belongs to eigenvalues[i]), so the two are
     biorthogonal by construction.  Complex eigenvalues come in conjugate
-    pairs whose vectors are exact conjugates of each other.
+    pairs whose vectors are exact conjugates of each other.  The columns
+    of V are unit vectors; basis_norm is ||V||_2 and basis_cond
+    ||V||_2 ||V^{-1}||_2.
     """
 
     eigenvalues: np.ndarray
@@ -323,6 +325,7 @@ class EigenSystem:
     left_rows: np.ndarray
     residual: float
     basis_cond: float
+    basis_norm: float
 
     @property
     def n(self) -> int:
@@ -380,6 +383,7 @@ def eigen_decompose(A) -> EigenSystem:
         left_rows=W,
         residual=residual,
         basis_cond=float(svals[0] / svals[-1]),
+        basis_norm=float(svals[0]),
     )
 
 
@@ -427,19 +431,21 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     ||v_j|| ||w_j|| the condition number of lambda_j, w_j the row of V^{-1},
     2-norms):
 
-        (s u (sum_j a_j(t) + cond(V) ||U_l|| g(t))   rounding, c
-         + sum_j a_j(t) d_j(t)                       lambda_j and v_j
-         + tiny) / ||X(t)||,
-        d_j(t) = |t| dlambda_j + s u ||A||_2 kappa_j min(|t|, 1 / gap_j),
+        (s u (sum_j a_j(t) + cond(V) ||U_l|| g(t))    rounding, c
+         + min(sum_j b_j(t), ||V||_p ||b(t) / ||v||_p||_2)   lambda_j
+         + s u ||A||_2 sum_j a_j(t) kappa_j min(|t|, 1 / gap_j)   v_j
+         + tiny) / ||X(t)||,    b_j(t) = a_j(t) |t| dlambda_j,
 
     where g(t) = min(sum_j rho_j |e_j(t)| ||v_j||_p ||w_j||, cond(V)
-    max_j |e_j(t)| n^(1/p - 1/2)) bounds the 2-to-p norm of e^{tB}; the
-    error of lambda_j, dlambda_j, is _EIGVAL_SAFETY u ||A||_2 kappa_j, or
-    once refined s ((n + 1) u_ext ||A||_2 kappa_j + u |lambda_j - shift|)
-    with u_ext the unit roundoff of np.longdouble;
-    the error of v_j moves X by at most |t| ||A|| kappa_j, nor by more than
-    the distance gap_j to the nearest other eigenvalue lets it; and tiny,
-    the smallest normal number, puts a subnormal ||X|| out of reach.
+    max_j |e_j(t)| r) bounds the 2-to-p norm of e^{tB}, r = n^max(0, 1/p
+    - 1/2), and ||V||_p = r ||V||_2 that of V, which carries the errors of
+    the eigenvalues as it carries the terms.  The error of lambda_j,
+    dlambda_j, is _EIGVAL_SAFETY u ||A||_2 kappa_j, or once refined
+    s ((n + 1) u_ext ||A||_2 kappa_j + u |lambda_j - shift|), u_ext the
+    unit roundoff of np.longdouble.  The error of v_j moves X by at most
+    |t| ||A|| kappa_j, nor by more than the distance gap_j to the nearest
+    other eigenvalue lets it.  tiny, the smallest normal number, puts a
+    subnormal ||X|| out of reach.
 
     sum_j a_j(t) >= ||X(t)||, so the estimate is first bounded from below
     in O(n) per sample: a sample whose bound exceeds tol, or is not
@@ -476,7 +482,11 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     mags = np.abs(C) * vp[:, None]                          # a_j / |e_j|
     to_p = rho * vp * wn
     u_cond = su * es.basis_cond * vector_norms(U.T, 2)      # (k,)
-    cond_p = es.basis_cond * (np.sqrt(n) if p == 1 else 1.0)
+    # 2-to-p norms: n^(1/p - 1/2) ||M||_2 bounds ||M||_{2 -> p}
+    to_p_norm = np.sqrt(n) if p == 1 else 1.0
+    cond_p = es.basis_cond * to_p_norm
+    basis_p = es.basis_norm * to_p_norm
+    coefs = np.abs(C) ** 2                                  # (rho |c_j|)^2
     tiny = np.finfo(float).tiny
     ts = np.asarray(ts, dtype=float).reshape(-1)
     step = max(1, STACK_BYTES // (8 * _EXPAND_LIVE_VALUES * k * n))
@@ -488,9 +498,14 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
             mod = np.exp(np.multiply.outer(t, lam.real))     # |e_j(t)|
             total = mod @ mags
             g = np.minimum(mod @ to_p, cond_p * mod.max(axis=1))
-            drift = at * dlam + su * a_norm * kappa * np.minimum(at, reach)
-            num = (su * total + g[:, None] * u_cond
-                   + (mod * drift) @ mags + tiny)
+            # the eigenvalues' errors scale the terms along V, which
+            # bounds their sum by ||V|| times their 2-norm
+            shift_err = mod * (at * dlam)
+            drift = np.minimum(shift_err @ mags,
+                               basis_p * np.sqrt(shift_err ** 2 @ coefs))
+            drift += (mod * (su * a_norm * kappa * np.minimum(at, reach))
+                      @ mags)
+            num = su * total + g[:, None] * u_cond + drift + tiny
             est = (num / total).sum(axis=1)
         X = np.full((t.size, k, n), np.nan)
         go = np.flatnonzero(est <= tol)

@@ -1093,14 +1093,14 @@ def spectral_kind(rng, n):
     return np.linalg.solve(S.T, (S @ D).T).T, w1
 
 
-def test_n100_directional_sweep_takes_the_expansion():
+def test_n100_directional_sweep_expands_every_sample():
     # the kind of matrix the benchmark sweeps at n = 100, over four periods
-    # of the rightmost pair.  Each expanded sample is within its estimate
-    # of the Pade column.  Near t ~ 1, where some fifty subdominant modes
-    # still weigh in, the estimate charges each its own eigenvalue and
-    # eigenvector error and rejects a few samples; over seeds 0-89 of this
-    # builder 5% to 100% of the samples expand, 74% on average, and 94% on
-    # this one.
+    # of the rightmost pair: every sample takes the expansion, with no Pade
+    # call, each within its estimate of the Pade column.  Not every matrix
+    # of the kind does: near t ~ 1, where some fifty subdominant modes
+    # still weigh in, the estimate charges each its own eigenvector error,
+    # and over seeds 0-89 of this builder 12 expand every sample, the mean
+    # share is 80% and the least 5%.
     rng = np.random.default_rng(10)
     A, w1 = spectral_kind(rng, 100)
     s = Scenario(matrix=A, y0=rng.standard_normal(100),
@@ -1108,14 +1108,13 @@ def test_n100_directional_sweep_takes_the_expansion():
                  t_grid=np.linspace(0.0, 4.0 * math.pi / w1, 129))
     an = analyze_spectrum(A)
     est = expansion_estimates(s, an)
-    took = est <= _EXPANSION_TOL
-    assert took.mean() > 0.9 and took[s.t_grid > 3.0].all()
-    ser = sweep(s, an)
+    assert np.all(est <= _EXPANSION_TOL)
+    with mock.patch("odecond.condition.expm_grid",
+                    side_effect=AssertionError("Pade kernel called")):
+        ser = sweep(s, an)
     pade = _k_exact_grid(s, s.t_grid,
                          _shift_for(A, an.eigensystem.eigenvalues))
-    assert np.array_equal(ser.k_exact[~took], pade[~took])
-    assert np.all(np.abs(ser.k_exact[took] / pade[took] - 1.0)
-                  <= est[took])
+    assert np.all(np.abs(ser.k_exact / pade - 1.0) <= est)
 
 
 def test_directional_underflow_raises_the_same_error():
