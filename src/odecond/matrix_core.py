@@ -482,7 +482,7 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     mags = np.abs(C) * vp[:, None]                          # a_j / |e_j|
     to_p = rho * vp * wn
     u_cond = su * es.basis_cond * vector_norms(U.T, 2)      # (k,)
-    # 2-to-p norms: n^(1/p - 1/2) ||M||_2 bounds ||M||_{2 -> p}
+    # 2-to-p norms: n^max(0, 1/p - 1/2) ||M||_2 bounds ||M||_{2 -> p}
     to_p_norm = np.sqrt(n) if p == 1 else 1.0
     cond_p = es.basis_cond * to_p_norm
     basis_p = es.basis_norm * to_p_norm
@@ -500,9 +500,9 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
             g = np.minimum(mod @ to_p, cond_p * mod.max(axis=1))
             # the eigenvalues' errors scale the terms along V, which
             # bounds their sum by ||V|| times their 2-norm
-            shift_err = mod * (at * dlam)
-            drift = np.minimum(shift_err @ mags,
-                               basis_p * np.sqrt(shift_err ** 2 @ coefs))
+            lam_err = mod * (at * dlam)
+            drift = np.minimum(lam_err @ mags,
+                               basis_p * np.sqrt(lam_err ** 2 @ coefs))
             drift += (mod * (su * a_norm * kappa * np.minimum(at, reach))
                       @ mags)
             num = su * total + g[:, None] * u_cond + drift + tiny
