@@ -246,18 +246,23 @@ class ConditionSeries:
     def osf(self) -> float:
         return self.profile.osf
 
-    def _table(self) -> list:
-        """The CSV rows as lists of Python floats, in _CSV_COLUMNS order."""
-        return np.column_stack((
-            self.t, self.k_exact, self.k_asym,
-            np.full(self.t.shape, self.osf), self.ot, self.eps_t,
-            self.eps_tu, self.precision_bound)).tolist()
+    def _table(self, osf: bool = True) -> list:
+        """The CSV rows as lists of Python floats, in _CSV_COLUMNS order;
+        with osf false, without the constant osf column."""
+        cols = [self.t, self.k_exact, self.k_asym, self.ot, self.eps_t,
+                self.eps_tu, self.precision_bound]
+        if osf:
+            cols.insert(3, np.full(self.t.shape, self.osf))
+        return np.column_stack(cols).tolist()
 
     def to_csv(self, stream) -> None:
-        """Write the series as CSV with 17 significant digits per number."""
-        fmt = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
+        """Write the series as CSV with 17 significant digits per number.
+        The constant osf column is formatted once, into the row format."""
+        fmt = ",".join("%.17g" % self.osf if c == "osf" else "%.17g"
+                       for c in _CSV_COLUMNS) + "\n"
         stream.write(",".join(_CSV_COLUMNS) + "\n")
-        stream.write("".join(fmt % tuple(row) for row in self._table()))
+        stream.write("".join(fmt % tuple(row)
+                             for row in self._table(osf=False)))
 
     def summary_dict(self) -> dict:
         """JSON-ready summary: oscillation profile plus block metadata.

@@ -13,36 +13,30 @@ Stationary points of H( . , beta) satisfy
 
     -sin(x + amax(x)) + sin(x + beta) - V sin(amax(x) - beta) = 0
 
-with amax the maximizing angle of the kernel.  They are solved for a whole
-beta grid in one batch: sign changes of this residual on a dense
-(beta, x) grid bracket them, and one bisection polishes every bracket of
-every beta at once.  The residual and the denominator of H are linear in
-(cos beta, sin beta), so both grids are scanned as products of x-only
-vectors, a block of beta rows at a time, in buffers of one block
-allocated once per solve.  Each bisection step forms the residual at the
-midpoints only, with the kernel's maximizer alone, and keeps the fixed
-sign of each bracket's low end.  The envelope sweep takes its
-extremes from them.  The branch tracer refines, then walks: it solves
-its beta grid in one batch, halves each interval where a root would go
-unmatched, a few batches of midpoints in all, and then follows the
-roots once across the refined betas for diagnostics.  Envelopes and
-extremes hold on all of [0, 1)^2; the branch tracer needs the open
-square (0, 1)^2.
+with amax the maximizing angle of the kernel.  It and the kernel's angle
+equation are linear in (cos a, sin a); eliminating a leaves a
+trigonometric polynomial of degree 3 in x, whose roots for all betas
+come from one batch of 6 x 6 companion eigenvalue problems.  Newton on
+the residual polishes them and drops those of the minimizing angle; near
+V = W a bisection solves the window around x = pi that the eliminant
+cannot resolve.  The envelope sweep takes its extremes from H there and
+at x = pi.  The branch tracer solves its beta grid in one batch, halves
+each interval where a root would go unmatched, and follows the roots
+across the refined betas.  Envelopes and extremes hold on [0, 1)^2, the
+tracer on (0, 1)^2.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from . import matrix_core
 from .errors import BranchLost
-from .oscillator import (VWPair, _alpha_extrema_arrays, _f_extremes, f_vw_max,
-                         wrap_angle)
+from .matrix_core import stack_slices
+from .oscillator import VWPair, _alpha_extrema_arrays, f_vw_max, wrap_angle
 
 __all__ = [
     "BranchPolyline",
@@ -56,23 +50,26 @@ __all__ = [
     "trace_branches",
 ]
 
-_DEFAULT_GRID = 4096
-#: a polished bracket is a root below this; one across a jump of amax is not
+#: a polished root is a stationary point below this residual
 _RESIDUAL_TOL = 1e-11
-#: a grid point with a residual this small is itself a root
-_ON_GRID_TOL = 1e-13
 #: roots this close (circularly) are one root found twice
 _MERGE_TOL = 1e-8
+#: Newton on the residual stops at a step below _STEP_TOL, or after
+#: _NEWTON_STEPS near a double root, and drops a seed at a step above
+#: _SEED_STEP, a root of the minimizing angle or one it cannot bring home
+_NEWTON_STEPS, _STEP_TOL, _SEED_STEP = 8, 1e-12, 1e-2
+#: companion eigenvalues within this of real, relative to 1 + |tau|, seed
+#: roots (a double root splits by about sqrt(eps)); gaps |V - W| / max(V,
+#: W) up to _WINDOW_GAP get the window |x - pi| <= sqrt(gap) bisected
+_IMAG_TOL, _WINDOW_GAP = 1e-4, 1e-6
 _TRUST_RADIUS = 0.3
 _MAX_HALVINGS = 12
 #: levels of halving midpoints the branch tracer solves in one batch below
-#: an interval that halves.  Each round of batches costs a bisection pass,
-#: so deeper subtrees save rounds, but they also solve more midpoints that
-#: the trace never reaches.  Best of 5 on 48 traces of 91 beta around the
-#: four benchmark (V, W) centres, on a 2-core x86 host: 1 level took 57 ms
-#: per trace, 2 levels 38 ms, 3 levels 29 ms, 4 levels 27 ms, 5 and 6
-#: levels 36 ms (in an earlier pass 3 and 4 levels both took 42 ms).
-#: 3 levels split the 12 halvings into 4 equal rounds.
+#: an interval that halves: deeper subtrees save rounds of batches but
+#: solve midpoints the trace never reaches.  Best of 5, per trace, on 48
+#: traces of 91 beta around the four benchmark centres (2-core x86 host):
+#: 1 to 6 levels took 18.3, 13.8, 12.3, 11.9, 12.4 and 13.3 ms.  3 levels
+#: split the 12 halvings into 4 equal rounds.
 _PRESOLVE_LEVELS = 3
 #: stationary solutions with the extremizer angle within this of beta
 #: (mod 2 pi) belong to the axis family and carry h = 1/(1 - W cos beta)
@@ -115,98 +112,125 @@ class HExtremes(NamedTuple):
     q1: float
 
 
-# three x-vectors per entry; the separable vectors of _grid_roots cost a
-# few transcendentals of one x-vector per call, so they are not cached
-@lru_cache(maxsize=16)
-def _grid_data(V: float, W: float, n: int):
-    xs = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    amax, _, fmax, _ = _f_extremes(VWPair(V, W), xs)
-    return xs, fmax, amax
+#: column k: the tau^0 .. tau^5 coefficients of (1 + tau^2)^3 times the k-th
+#: of 1, cos t, sin t, ..., sin 3t, t = 2 atan tau (tau^6: the value at pi)
+_TAU_BASIS = np.array([
+    [1, 1, 0, 1, 0, 1, 0],
+    [0, 0, 2, 0, 4, 0, 6],
+    [3, 1, 0, -5, 0, -15, 0],
+    [0, 0, 4, 0, 0, 0, -20],
+    [3, -1, 0, -5, 0, 15, 0],
+    [0, 0, 2, 0, -4, 0, 6]], dtype=float)
+_NODES = 2.0 * np.pi * np.arange(7) / 7.0
+#: the same coefficients from samples at t = pi + _NODES, through the
+#: discrete Fourier series
+_SAMPLES_TO_TAU = _TAU_BASIS @ np.array(
+    [np.full(7, 1.0 / 7.0)] + [2.0 / 7.0 * f(n * (np.pi + _NODES))
+                               for n in (1, 2, 3) for f in (np.cos, np.sin)])
 
 
-def _grid_roots(p: VWPair, xs, amax_xs, betas, fmax_xs=None):
-    """Stationary points of H( . , beta) for every beta of the 1-D betas.
+def _eliminant(p: VWPair, x, beta):
+    """Q / max(V, W)^2 at x for every beta, where Dc^2 + Ds^2 - Dt^2 =
+    (1 - V^2) Q with Dt the determinant of the two equations, Dc, Ds its
+    Cramer numerators, Q = |U|^2 sin^2(x + beta) - W^2 sin^2 x |E|^2,
+    U = V e^{ix} + W, E = 1 + V e^{i(x + beta)}: accurate as V -> 1 or 0."""
+    V, W = p.V, p.W
+    v, w = V / max(V, W), W / max(V, W)
+    s = np.sin(x + beta)
+    return (v * (v + 2.0 * w * np.cos(x)) * s * s
+            + w * w * np.sin(beta) * np.sin(2.0 * x + beta)
+            - w * w * V * np.sin(x) ** 2 * (2.0 * np.cos(x + beta) + V))
 
-    The (beta, x) grids of the residual and of H separate into x-only
-    vectors times cos beta and sin beta,
 
-        D = a(x) + cos beta b(x) + sin beta c(x),
-            a = -sin(x + amax), b = sin x - V sin amax, c = cos x + V cos amax,
-        1 + V cos(x + beta) = 1 + (V cos beta) cos x - (V sin beta) sin x,
+def _companion_seeds(p: VWPair, betas):
+    """The real roots in x of the eliminant of every beta, as (x, row), from
+    tau = tan((x - phi) / 2) with phi such that tau = inf, the leading
+    coefficient, falls on the row's largest sample (at x = pi it vanishes
+    for beta = 0 and pi).  Sums in a fixed order, element by element, and
+    eigenvalues in runs of about STACK_BYTES give a row's roots the bits
+    of a one-beta solve.  A row of zeros has none."""
+    P = _eliminant(p, _NODES, betas[:, None])
+    top = np.abs(P).argmax(axis=1)
+    P = np.take_along_axis(P, (top[:, None] + np.arange(7)) % 7, axis=1)
+    coef = P[:, :1] * _SAMPLES_TO_TAU[:, 0]
+    for k in range(1, 7):
+        coef += P[:, k:k + 1] * _SAMPLES_TO_TAU[:, k]
+    lead = np.where(P[:, :1] == 0.0, 1.0, P[:, :1])
+    tau = np.empty((betas.size, 6), dtype=complex)
+    for sl in stack_slices(betas.size, 6, 2):
+        comp = np.tile(np.eye(6, k=-1), (sl.stop - sl.start, 1, 1))
+        comp[:, 0] = -coef[sl, ::-1] / lead[sl]
+        tau[sl] = np.linalg.eigvals(comp)
+    seed = ((np.abs(tau.imag) <= _IMAG_TOL * (1.0 + np.abs(tau)))
+            & (P[:, :1] != 0.0))
+    row = np.nonzero(seed)[0]
+    return (wrap_angle(_NODES[top[row]] - np.pi
+                       + 2.0 * np.arctan(tau.real[seed])), row)
 
-    so a scan over blocks of beta rows costs products and sums, not a
-    transcendental per cell, and it runs in buffers of one block,
-    allocated once.  A root is bracketed between a sign change of D along
-    its row (the last column against the first) and the next grid point;
-    48 bisections of the direct residual polish all roots of all rows at
-    once.  The low end of a bracket only moves to a midpoint of its own
-    sign, so that sign is fixed and only the midpoint residual is formed.
-    Returns (on_grid, root, row, ext): the (row, x index) pairs where the
-    grid residual itself vanishes, each polished root with the row of its
-    beta, ordered by row and then x, and, given fmax_xs, each row's
-    (argmax, argmin) x indices of H on the grid (else None)."""
-    V, n = p.V, xs.size
-    sx, cx = np.sin(xs), np.cos(xs)
-    a = -np.sin(xs + amax_xs)
-    b = sx - V * np.sin(amax_xs)
-    c = cx + V * np.cos(amax_xs)
-    cb, sb = np.cos(betas)[:, None], np.sin(betas)[:, None]
-    ext = None
-    if fmax_xs is not None:
-        ext = np.empty((2, betas.size), dtype=np.intp)
-        vcb, vsb = V * cb, V * sb
-    # (rows, x) buffers: D, H and a temporary in float, which set the
-    # block size, then the signs of D and a mask (on-grid hits, then sign
-    # changes) in bool
-    step = max(1, min(betas.size, matrix_core.STACK_BYTES // (24 * n)))
-    D_buf, H_buf, T_buf = np.empty((3, step, n))
-    neg_buf, mask_buf = np.empty((2, step, n), dtype=bool)
-    parts = []
-    for start in range(0, betas.size, step):
-        sl = slice(start, start + step)
-        rows = cb[sl].shape[0]
-        D, H, T = D_buf[:rows], H_buf[:rows], T_buf[:rows]
-        neg, mask = neg_buf[:rows], mask_buf[:rows]
-        np.multiply(cb[sl], b, out=D)
-        np.add(a, D, out=D)
-        np.multiply(sb[sl], c, out=T)
-        np.add(D, T, out=D)
-        np.abs(D, out=T)
-        np.less_equal(T, _ON_GRID_TOL, out=mask)
-        # flat indices: np.nonzero of a 2-D mask costs ten times more
-        hits = np.flatnonzero(mask)
-        np.signbit(D, out=neg)
-        np.not_equal(neg[:, :-1], neg[:, 1:], out=mask[:, :-1])
-        np.not_equal(neg[:, -1], neg[:, 0], out=mask[:, -1])
-        cross = np.flatnonzero(mask)
-        parts.append((hits + start * n, cross + start * n,
-                      neg.ravel()[cross]))
-        if ext is not None:
-            np.multiply(vcb[sl], cx, out=H)
-            np.add(1.0, H, out=H)
-            np.multiply(vsb[sl], sx, out=T)
-            np.subtract(H, T, out=H)
-            np.divide(fmax_xs, H, out=H)
-            H.argmax(axis=1, out=ext[0, sl])
-            H.argmin(axis=1, out=ext[1, sl])
-    hits, cross, neg_lo = (np.concatenate(col) for col in zip(*parts))
-    g_row, g_idx = np.divmod(hits, n)
-    row, i_idx = np.divmod(cross, n)
-    lo = xs[i_idx]
-    hi = lo + 2.0 * np.pi / n
-    bb = betas[row]
+
+def _residual_slope(p: VWPair, x, beta):
+    """The residual at x and its slope, da/dx from the angle equation."""
+    V, W = p.V, p.W
+    a, _ = _alpha_extrema_arrays(p, x, with_min=False)
+    cxa = np.cos(x + a)
+    da = V * (W * np.cos(x) - cxa) / (V * cxa + W * np.cos(a))
+    slope = np.cos(x + beta) - cxa * (1.0 + da) - V * np.cos(a - beta) * da
+    return _residual(V, x, a, beta), slope
+
+
+def _window_roots(p: VWPair, betas):
+    """(x, row): if 0 < gap = |V - W| / max(V, W) <= _WINDOW_GAP, the
+    residual changes sign once in |x - pi| <= sqrt(gap); each half of it,
+    on its side of the cut at pi, is bisected where its ends differ."""
+    gap = abs(p.V - p.W) / max(p.V, p.W)
+    if not 0.0 < gap <= _WINDOW_GAP:
+        return np.empty(0), np.empty(0, dtype=np.intp)
+    row = np.tile(np.arange(betas.size), 2)
+    lo = np.repeat([np.pi - math.sqrt(gap), -np.pi], betas.size)
+    hi = np.repeat([np.pi, math.sqrt(gap) - np.pi], betas.size)
+    neg_lo = np.signbit(stationarity_residual(p, lo, betas[row]))
+    cross = neg_lo != np.signbit(stationarity_residual(p, hi, betas[row]))
+    lo, hi, neg_lo, row = lo[cross], hi[cross], neg_lo[cross], row[cross]
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        am, _ = _alpha_extrema_arrays(p, mid, with_min=False)
-        same = np.signbit(_residual(V, mid, am, bb)) == neg_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return (g_row, g_idx), 0.5 * (lo + hi), row, ext
+        same = np.signbit(stationarity_residual(p, mid, betas[row])) == neg_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return _wrap_near(0.5 * (lo + hi)), row
+
+
+def _wrap_near(x):
+    """x into (-pi, pi] by one turn, exact where wrap_angle rounds."""
+    return np.where(x > np.pi, x - 2.0 * np.pi,
+                    np.where(x <= -np.pi, x + 2.0 * np.pi, x))
+
+
+def _solve(p: VWPair, betas):
+    """The stationary points of every beta of the 1-D betas, the companion
+    roots after Newton on the residual and the window roots, as (x, row,
+    residual), x in (-pi, pi], each with its residual within its rounding
+    (the spacing of x times a steep slope near V = W can pass
+    _RESIDUAL_TOL).  None at V = 0, where H is constant."""
+    if p.V == 0.0:
+        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
+    x, row = _companion_seeds(p, betas)
+    live, keep = np.arange(x.size), np.ones(x.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            r, slope = _residual_slope(p, x[live], betas[row[live]])
+            x[live] = _wrap_near(x[live] - r / slope)
+            step = np.abs(r / slope)
+            keep[live[~(step <= _SEED_STEP)]] = False
+            live = live[(step > _STEP_TOL) & (step <= _SEED_STEP)]
+        xw, roww = _window_roots(p, betas)
+        x, row = np.append(x[keep], xw), np.append(row[keep], roww)
+        r, slope = _residual_slope(p, x, betas[row])
+    keep = np.abs(r) <= _RESIDUAL_TOL + 4.0 * np.spacing(np.pi) * np.abs(slope)
+    return x[keep], row[keep], r[keep]
 
 
 def _merge_roots(val, arg, hval, root, row, sign):
-    """Raise (sign 1) or lower (sign -1) each row's grid extreme to the
-    best polished root of that row, in place.  The first root of a row
+    """Raise (sign 1) or lower (sign -1) each row's value at x = pi to the
+    best root of that row, in place.  The first root of a row
     wins a tie, as np.argmax would pick it."""
     order = np.lexsort((-sign * hval, row))
     j = order[np.diff(row[order], prepend=-1) != 0]
@@ -215,42 +239,32 @@ def _merge_roots(val, arg, hval, root, row, sign):
     arg[row[j]] = root[j]
 
 
-def h_envelope_sweep(p: VWPair, betas, grid_points: int = _DEFAULT_GRID):
+def h_envelope_sweep(p: VWPair, betas):
     """Envelope of H over x for every beta in one call.
 
-    The kernel maximum on the x-grid does not depend on beta, so a sweep
-    shares it.  One blocked scan of the (beta, x) grid, in the separable
-    forms of _grid_roots, locates each row's grid extremes of H and
-    brackets its stationary points by sign changes of the residual; one
-    batched bisection polishes them.  The located grid extremes are
-    valued directly as fmax / (1 + V cos(x + beta)), so the merge with
-    the roots compares the values full grids would give.  At 721 beta
-    and 4096 x the sweep takes about 28 ms on a 2-core x86 host (best of
-    15 CPU-timed calls), roughly half in the scan and half in the
-    bisection (12 ms for its 48 steps over 1896 brackets), and its
-    traced memory peaks at 1.5 MiB.
+    The extremes lie at the stationary points of H( . , beta), solved for
+    all betas in one batch, or at x = pi, the corner of fmax at V = W.
+    Each row starts from x = pi and takes the best point that beats it,
+    the first of equals.  At 721 beta: 7 to 12 ms on a 2-core x86 host
+    (best of 15, three runs), over half in the eigenvalues, where the
+    scan and 48 bisection steps it replaces took 29 to 44 ms.
     Returns arrays shaped like betas: (h_max, h_min, argmax_x, argmin_x).
     Holds on all of [0, 1)^2."""
-    if grid_points < 2048:
-        raise ValueError("grid_points must be at least 2048")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    xs, fmax_xs, amax_xs = _grid_data(p.V, p.W, grid_points)
-
-    _, root, row, (i_hi, i_lo) = _grid_roots(p, xs, amax_xs, betas,
-                                             fmax_xs)
-    hi_arg, lo_arg = xs[i_hi], xs[i_lo]
-    hi_val = fmax_xs[i_hi] / (1.0 + p.V * np.cos(hi_arg + betas))
-    lo_val = fmax_xs[i_lo] / (1.0 + p.V * np.cos(lo_arg + betas))
-    hval = h_func(p, root, betas[row])
-    _merge_roots(hi_val, hi_arg, hval, root, row, 1.0)
-    _merge_roots(lo_val, lo_arg, hval, root, row, -1.0)
-    return hi_val, lo_val, wrap_angle(hi_arg), wrap_angle(lo_arg)
+    x, row, _ = _solve(p, betas)
+    hval = h_func(p, x, betas[row])
+    hi_arg, lo_arg = np.full(betas.size, np.pi), np.full(betas.size, np.pi)
+    hi_val = h_func(p, hi_arg, betas)
+    lo_val = hi_val.copy()
+    _merge_roots(hi_val, hi_arg, hval, x, row, 1.0)
+    _merge_roots(lo_val, lo_arg, hval, x, row, -1.0)
+    return hi_val, lo_val, hi_arg, lo_arg
 
 
-def h_envelope(p: VWPair, beta: float, grid_points: int = _DEFAULT_GRID) -> HEnvelope:
+def h_envelope(p: VWPair, beta: float) -> HEnvelope:
     """Global maximum and minimum of H( . , beta) over one period, with
     their locations in (-pi, pi]."""
-    hi, lo, ahi, alo = h_envelope_sweep(p, [beta], grid_points)
+    hi, lo, ahi, alo = h_envelope_sweep(p, [beta])
     return HEnvelope(float(hi[0]), float(lo[0]), float(ahi[0]), float(alo[0]))
 
 
@@ -300,21 +314,17 @@ class BranchPolyline:
             raise ValueError("sample arrays must have equal lengths")
 
 
-def _stationary_roots(p: VWPair, betas, grid_points: int = 2048):
+def _stationary_roots(p: VWPair, betas):
     """All x in (-pi, pi] with zero stationarity residual, for each beta
     of the 1-D betas: a list of sorted root arrays, one per beta, solved
     in one batch."""
     betas = np.asarray(betas, dtype=float)
-    xs, _, amax_xs = _grid_data(p.V, p.W, grid_points)
-    (g_row, g_idx), mid, row, _ = _grid_roots(p, xs, amax_xs, betas)
-    am, _ = _alpha_extrema_arrays(p, mid, with_min=False)
-    good = np.abs(_residual(p.V, mid, am, betas[row])) <= _RESIDUAL_TOL
-    cuts = np.arange(1, betas.size)
-    on_grid = np.split(xs[g_idx], np.searchsorted(g_row, cuts))
-    polished = np.split(mid[good], np.searchsorted(row[good], cuts))
+    x, row, r = _solve(p, betas)
+    order = np.lexsort((x, row))
+    order = order[np.abs(r[order]) <= _RESIDUAL_TOL]
     out = []
-    for grid_hits, mids in zip(on_grid, polished):
-        roots = np.sort(wrap_angle(np.concatenate((grid_hits, mids))))
+    for roots in np.split(x[order], np.searchsorted(row[order],
+                                                    np.arange(1, betas.size))):
         keep = list(roots[:1])
         for r in roots[1:]:
             if r - keep[-1] > _MERGE_TOL:
@@ -376,11 +386,9 @@ class _OpenBranch:
 
 def _match(prev_x, roots):
     """Greedy nearest-neighbour match of the points prev_x to the roots,
-    circular in x: the closest pair first, then the closest pair left,
-    none farther than the trust radius.  Returns {prev index: root
-    index}; an unmatched prev point is a lost branch.  Pairs are taken
-    in one stable sort of the distances, so of equal distances the first
-    in row-major order wins, as a repeated np.argmin would pick it."""
+    circular in x, closest pair first, none beyond the trust radius:
+    {prev index: root index}.  Pairs come from one stable sort of the
+    distances, so of equals the first in row-major order wins."""
     assign, taken = {}, set()
     if len(prev_x) and len(roots):
         dist = _circ_dist(np.asarray(prev_x)[:, None], roots[None, :]).ravel()
@@ -407,17 +415,12 @@ def _midpoints(b0, b1, levels):
 
 def _step_betas(p: VWPair, solved, beta_grid):
     """The betas the trace steps to, in order, each solved into the dict
-    solved.
-
-    After a step ends at beta, the open branches sit at the roots of
-    beta: each root extends a branch or opens one, and each unmatched
-    branch is closed.  So a grid interval (b0, b1) is halved exactly when
-    _match loses a root of b0 to the roots of b1, down to _MAX_HALVINGS
-    halvings.  The halvings are found breadth-first: each interval that
-    halves at an unsolved midpoint queues its subtree of _PRESOLVE_LEVELS
-    levels, and one _branch_points call solves every queued beta of a
-    round.  The intervals left over partition the grid; the sorted right
-    ends are the steps."""
+    solved.  After a step the open branches sit at the roots of its beta,
+    so an interval (b0, b1) halves exactly when _match loses a root of b0
+    to the roots of b1, down to _MAX_HALVINGS halvings.  Breadth-first,
+    each interval that halves at an unsolved midpoint queues its subtree
+    of _PRESOLVE_LEVELS levels, and one _branch_points call solves a
+    round's queue.  The right ends of the intervals left are the steps."""
     ends = []
     pending = [(b0, b1, 0) for b0, b1 in zip(beta_grid[:-1], beta_grid[1:])]
     while pending:
@@ -446,16 +449,13 @@ def _step_betas(p: VWPair, solved, beta_grid):
 def trace_branches(p: VWPair, beta_grid):
     """Follow every stationary-point family across the beta grid.
 
-    Matching is nearest-neighbour in x (circular), no farther than the
-    trust radius.  The trace first refines, then walks.  The stationary
-    points of the whole grid are solved in one batch, and _step_betas
-    halves each grid interval where a root would go unmatched, solving
-    the midpoints in a few more batches.  The walk then steps once
-    through the refined betas: it extends each matched branch, closes
-    each unmatched one with a BranchLost warning, and opens a polyline at
-    each unmatched root (branch domains need not start at the first
-    beta).  No beta is solved twice, and each root has the bits a
-    one-beta solve gives it."""
+    The trace refines, then walks: the grid is solved in one batch, and
+    _step_betas halves each interval where a root would go unmatched.
+    The walk matches roots nearest-neighbour in x (circular, within the
+    trust radius), extends each matched branch, closes each unmatched one
+    with a BranchLost warning, and opens a polyline at each unmatched
+    root.  No beta is solved twice, and each root has the bits a one-beta
+    solve gives it."""
     if not (0.0 < p.V < 1.0 and 0.0 < p.W < 1.0):
         raise ValueError("V and W must lie in the open interval (0, 1)")
     beta_grid = np.asarray(beta_grid, dtype=float)

@@ -4,9 +4,10 @@ Apart from the references from curvature_extrema on, nothing here
 touches the library's closed forms: the matrix exponential is a scaled Taylor series,
 maxima come from dense grids or sphere sampling followed by a local
 polish.  Slow on purpose; correctness is the only goal.  The direct
-envelope sweep reuses the kernel's closed forms but lays H and the
-stationarity residual out as full (beta, x) grids, one transcendental per
-cell: the separable scan of `minimax` must reproduce it bit for bit.  The
+envelope sweep and stationary roots reuse the kernel's closed forms but
+lay H and the stationarity residual out as full (beta, x) grids, one
+transcendental per cell, and bisect each sign change: the companion
+solve of `minimax` must find their roots and match their envelopes.  The
 one-midpoint tracer is the branch tracer as it was before it solved its
 halving midpoints in batches: the tracer must reproduce its branches and
 warnings bit for bit.  The curvature-classified extremizer is the
@@ -38,14 +39,16 @@ def taylor_expm(A, t=1.0, terms=60):
     series, and k repeated squarings, in long double where the platform
     has it: on a far-from-normal matrix the squarings amplify the
     rounding, and in double the demo matrix at t = 6.265625 came out
-    1.1e-10 off a 50-digit reference (1.2e-12 in x87 long double)."""
-    M = np.asarray(A, dtype=float) * t
-    norm = scipy.linalg.svdvals(M)[0] if M.size else 0.0
+    1.1e-10 off a 50-digit reference (1.2e-12 in x87 long double).  t A
+    is formed in long double too, so a t that is not a power of two does
+    not round the oracle's own input."""
+    M = np.asarray(A, dtype=float).astype(np.longdouble) * np.longdouble(t)
+    norm = scipy.linalg.svdvals(M.astype(float))[0] if M.size else 0.0
     k = 0
     while norm > 0.5:
         norm /= 2.0
         k += 1
-    S = M.astype(np.longdouble) / (2.0 ** k)
+    S = M / (2.0 ** k)
     E = np.eye(M.shape[0], dtype=np.longdouble)
     term = E.copy()
     for j in range(1, terms + 1):
@@ -162,13 +165,16 @@ def curvature_extrema(p, x):
     return wrap_angle(amax), wrap_angle(amin)
 
 
+#: a grid point with a residual this small is itself a root
+ON_GRID_TOL = 1e-13
+
+
 def direct_grid_roots(p, xs, amax_xs, betas):
     """Stationary points of H( . , beta) for every beta from the full
     residual grid -sin(x + amax) + sin(x + beta) - V sin(amax - beta):
-    (on_grid, root, row) as `minimax` returns them, each sign change
-    polished by 48 bisections."""
+    (on_grid, root, row), each sign change polished by 48 bisections."""
     D = minimax._residual(p.V, xs, amax_xs, betas[:, None])
-    on_grid = np.nonzero(np.abs(D) <= minimax._ON_GRID_TOL)
+    on_grid = np.nonzero(np.abs(D) <= ON_GRID_TOL)
     neg = np.signbit(D)
     row, i_idx = np.nonzero(neg != np.roll(neg, -1, axis=1))
     dlo = D[row, i_idx]

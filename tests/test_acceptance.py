@@ -133,7 +133,7 @@ def test_ratio_envelope_closed_forms(capsys, rng):
             close(e0.h_min, ex.maxmin, 1e-9, "H min at beta 0")
             close(epi.h_max, ex.maxmax, 1e-9, "H max at beta pi")
             close(epi.h_min, ex.minmin, 1e-9, "H min at beta pi")
-            hi, lo, _, _ = h_envelope_sweep(p, betas, grid_points=4096)
+            hi, lo, _, _ = h_envelope_sweep(p, betas)
             assert np.all(np.diff(hi) >= -1e-9), "H max must not decrease"
             assert np.all(np.diff(lo) <= 1e-9), "H min must not increase"
             assert np.all(hi <= ex.maxmax + 1e-9)
