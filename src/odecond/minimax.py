@@ -143,12 +143,13 @@ def _eliminant(p: VWPair, x, beta):
 
 
 def _companion_seeds(p: VWPair, betas):
-    """The real roots in x of the eliminant of every beta, as (x, row), from
-    tau = tan((x - phi) / 2) with phi such that tau = inf, the leading
-    coefficient, falls on the row's largest sample (at x = pi it vanishes
-    for beta = 0 and pi).  Sums in a fixed order, element by element, and
-    eigenvalues in runs of about STACK_BYTES give a row's roots the bits
-    of a one-beta solve.  A row of zeros has none."""
+    """Newton seeds of every beta, as (x, row): x = pi, a root at beta = 0
+    and pi that near V = W lies in the steep window, and the real roots of
+    the eliminant in tau = tan((x - phi) / 2), phi such that tau = inf, the
+    leading coefficient, falls on the row's largest sample (it vanishes at
+    x = pi for beta = 0 and pi).  Sums in a fixed order, element by
+    element, and eigenvalues in runs of about STACK_BYTES give a row's
+    roots the bits of a one-beta solve.  A row of zeros has no roots."""
     P = _eliminant(p, _NODES, betas[:, None])
     top = np.abs(P).argmax(axis=1)
     P = np.take_along_axis(P, (top[:, None] + np.arange(7)) % 7, axis=1)
@@ -164,8 +165,9 @@ def _companion_seeds(p: VWPair, betas):
     seed = ((np.abs(tau.imag) <= _IMAG_TOL * (1.0 + np.abs(tau)))
             & (P[:, :1] != 0.0))
     row = np.nonzero(seed)[0]
-    return (wrap_angle(_NODES[top[row]] - np.pi
-                       + 2.0 * np.arctan(tau.real[seed])), row)
+    x = wrap_angle(_NODES[top[row]] - np.pi + 2.0 * np.arctan(tau.real[seed]))
+    rows = np.arange(betas.size)
+    return np.append(np.full(betas.size, np.pi), x), np.append(rows, row)
 
 
 def _residual_slope(p: VWPair, x, beta):
@@ -205,11 +207,10 @@ def _wrap_near(x):
 
 
 def _solve(p: VWPair, betas):
-    """The stationary points of every beta of the 1-D betas, the companion
-    roots after Newton on the residual and the window roots, as (x, row,
-    residual), x in (-pi, pi], each with its residual within its rounding
-    (the spacing of x times a steep slope near V = W can pass
-    _RESIDUAL_TOL).  None at V = 0, where H is constant."""
+    """The stationary points of every beta of the 1-D betas, from Newton
+    on the residual and the window, as (x, row, residual), x in (-pi, pi],
+    each residual within its rounding (a steep slope near V = W can put
+    that above _RESIDUAL_TOL).  None at V = 0, where H is constant."""
     if p.V == 0.0:
         return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
     x, row = _companion_seeds(p, betas)
@@ -254,8 +255,7 @@ def h_envelope_sweep(p: VWPair, betas):
     x, row, _ = _solve(p, betas)
     hval = h_func(p, x, betas[row])
     hi_arg, lo_arg = np.full(betas.size, np.pi), np.full(betas.size, np.pi)
-    hi_val = h_func(p, hi_arg, betas)
-    lo_val = hi_val.copy()
+    hi_val, lo_val = h_func(p, hi_arg, betas), h_func(p, lo_arg, betas)
     _merge_roots(hi_val, hi_arg, hval, x, row, 1.0)
     _merge_roots(lo_val, lo_arg, hval, x, row, -1.0)
     return hi_val, lo_val, hi_arg, lo_arg

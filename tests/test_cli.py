@@ -610,16 +610,22 @@ def test_branches_high_v_topology(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_runtime_does_not_import_scipy():
+def test_runtime_does_not_import_scipy(tmp_path):
     # scipy is a test dependency only (the oracles' independent reference),
     # and this session has loaded it already, so the check runs in a fresh
-    # interpreter that imports the package and runs a command
+    # interpreter that imports the package and runs commands.  numpy loads
+    # fft and polynomial lazily; neither is needed, and each costs memory
+    envelope = ["envelope", "--V", "0.5", "--W", "0.4", "--steps", "4",
+                "--out", str(tmp_path / "e")]
     code = ("import contextlib, io, sys\n"
             "import odecond, odecond.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    odecond.cli.main(['demo', '--steps', '2'])\n"
+            f"    odecond.cli.main({envelope!r})\n"
+            "lazy = ('numpy.fft', 'numpy.polynomial')\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.partition('.')[0] == 'scipy'))\n")
+            "             if m.partition('.')[0] == 'scipy'\n"
+            "             or m.startswith(lazy)))\n")
     src = str(Path(odecond.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
