@@ -258,11 +258,13 @@ _PAIRS = st.one_of(
 # found by earlier draws: V = W with cos beta = V on the grid, where a
 # simple root sits next to the corner at x = pi and Newton converges
 # linearly; V = W; V one ulp below 1, where (1 - V^2) would sink the
-# eliminant below its rounding; and a window pair
+# eliminant below its rounding; a window pair; and a pair just outside
+# the window whose root x = pi at beta = 0 only the seed at pi finds
 @example(pair=(0.9135356690044664, 0.9135356690044664))
 @example(pair=(0.5, 0.5))
 @example(pair=(0.9999999999999998, 0.5))
 @example(pair=(0.3, 0.29999999))
+@example(pair=(0.99609375, 0.99609275))
 def test_companion_solve_matches_direct_grids(pair):
     # the near-diagonal draws reach the window near x = pi that the
     # eliminant cannot resolve; in the tiny ones V^2 or W^2 underflows
