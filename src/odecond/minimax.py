@@ -27,6 +27,7 @@ tracer on (0, 1)^2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,11 +67,11 @@ _TRUST_RADIUS = 0.3
 _MAX_HALVINGS = 12
 #: levels of halving midpoints the branch tracer solves in one batch below
 #: an interval that halves: deeper subtrees save rounds of batches but
-#: solve midpoints the trace never reaches.  Best of 5, per trace, on 48
-#: traces of 91 beta around the four benchmark centres (2-core x86 host):
-#: 1 to 6 levels took 18.3, 13.8, 12.3, 11.9, 12.4 and 13.3 ms.  3 levels
-#: split the 12 halvings into 4 equal rounds.
-_PRESOLVE_LEVELS = 3
+#: solve midpoints the trace never reaches.  Best of 5 per trace, mean of
+#: 48 traces of 91 beta around the four benchmark centres, median of 3 runs
+#: (2-core x86 host): 1 to 6 levels took 11.5, 8.4, 7.5, 7.1, 7.6 and 7.8
+#: ms.  4 levels split the 12 halvings into 3 equal rounds.
+_PRESOLVE_LEVELS = 4
 #: stationary solutions with the extremizer angle within this of beta
 #: (mod 2 pi) belong to the axis family and carry h = 1/(1 - W cos beta)
 _AXIS_TOL = 1e-7
@@ -217,6 +218,8 @@ def _solve(p: VWPair, betas):
     live, keep = np.arange(x.size), np.ones(x.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
+            if not live.size:
+                break
             r, slope = _residual_slope(p, x[live], betas[row[live]])
             x[live] = _wrap_near(x[live] - r / slope)
             step = np.abs(r / slope)
@@ -246,9 +249,9 @@ def h_envelope_sweep(p: VWPair, betas):
     The extremes lie at the stationary points of H( . , beta), solved for
     all betas in one batch, or at x = pi, the corner of fmax at V = W.
     Each row starts from x = pi and takes the best point that beats it,
-    the first of equals.  At 721 beta: 7 to 12 ms on a 2-core x86 host
-    (best of 15, three runs), over half in the eigenvalues, where the
-    scan and 48 bisection steps it replaces took 29 to 44 ms.
+    the first of equals.  At 721 beta: 8 to 14 ms on a 2-core x86 host
+    (best of 15, four pairs, three runs), 55 to 67% in the eigenvalues;
+    the scan and 48 bisection steps it replaced took 29 to 44 ms.
     Returns arrays shaped like betas: (h_max, h_min, argmax_x, argmin_x).
     Holds on all of [0, 1)^2."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
@@ -314,46 +317,50 @@ class BranchPolyline:
             raise ValueError("sample arrays must have equal lengths")
 
 
+def _wrap(d: float) -> float:
+    """wrap_angle in Python floats: float % equals np.mod bit for bit."""
+    return math.pi - (math.pi - d) % (2.0 * math.pi)
+
+
 def _stationary_roots(p: VWPair, betas):
     """All x in (-pi, pi] with zero stationarity residual, for each beta
-    of the 1-D betas: a list of sorted root arrays, one per beta, solved
+    of the 1-D betas: a list of sorted root lists, one per beta, solved
     in one batch."""
     betas = np.asarray(betas, dtype=float)
     x, row, r = _solve(p, betas)
     order = np.lexsort((x, row))
     order = order[np.abs(r[order]) <= _RESIDUAL_TOL]
+    xs = x[order].tolist()
+    ends = np.searchsorted(row[order], np.arange(betas.size + 1)).tolist()
     out = []
-    for roots in np.split(x[order], np.searchsorted(row[order],
-                                                    np.arange(1, betas.size))):
-        keep = list(roots[:1])
-        for r in roots[1:]:
-            if r - keep[-1] > _MERGE_TOL:
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        keep = []
+        for r in xs[lo:hi]:
+            if not keep or r - keep[-1] > _MERGE_TOL:
                 keep.append(r)
-        if len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1])) <= _MERGE_TOL:
+        if len(keep) > 1 and abs(_wrap(keep[0] - keep[-1])) <= _MERGE_TOL:
             keep.pop()
-        out.append(np.asarray(keep))
+        out.append(keep)
     return out
-
-
-def _circ_dist(a, b):
-    return np.abs(wrap_angle(a - b))
 
 
 def _branch_points(p: VWPair, betas):
     """The stationary points of each beta with their axis flags and h
     values, solved for all betas in one batch: a list of (x, axis, h)
-    arrays, one triple per beta.  An axis point carries the exact
-    1/(1 - W cos beta) in place of H."""
+    lists of Python values, one triple per beta.  An axis point carries
+    the exact 1/(1 - W cos beta) in place of H."""
     betas = np.asarray(betas, dtype=float)
     roots = _stationary_roots(p, betas)
-    counts = [r.size for r in roots]
-    x = np.concatenate(roots)
+    counts = [len(r) for r in roots]
+    x = np.array(list(itertools.chain.from_iterable(roots)), dtype=float)
     b = np.repeat(betas, counts)
     am, _ = _alpha_extrema_arrays(p, x, with_min=False)
     axis = np.abs(wrap_angle(am - b)) <= _AXIS_TOL
     h = np.where(axis, 1.0 / (1.0 - p.W * np.cos(b)), h_func(p, x, b))
-    cuts = np.cumsum(counts)[:-1]
-    return list(zip(roots, np.split(axis, cuts), np.split(h, cuts)))
+    axis, h = axis.tolist(), h.tolist()
+    cuts = list(itertools.accumulate(counts, initial=0))
+    return [(r, axis[lo:hi], h[lo:hi])
+            for r, lo, hi in zip(roots, cuts, cuts[1:])]
 
 
 class _OpenBranch:
@@ -364,13 +371,9 @@ class _OpenBranch:
         self.hs = [h]
 
     def extend(self, beta, x_wrapped, axis, h):
-        # wrap_angle in Python floats: float % takes fmod and the sign of
-        # the divisor, as np.mod does
-        last = float(self.xs[-1])
-        d = float(x_wrapped) - last
-        step = math.pi - (math.pi - d) % (2.0 * math.pi)
+        last = self.xs[-1]
         self.betas.append(beta)
-        self.xs.append(last + step)
+        self.xs.append(last + _wrap(x_wrapped - last))
         self.axis.append(axis)
         self.hs.append(h)
 
@@ -387,19 +390,16 @@ class _OpenBranch:
 def _match(prev_x, roots):
     """Greedy nearest-neighbour match of the points prev_x to the roots,
     circular in x, closest pair first, none beyond the trust radius:
-    {prev index: root index}.  Pairs come from one stable sort of the
-    distances, so of equals the first in row-major order wins."""
+    {prev index: root index}.  Pairs sort by distance, then row-major
+    order, so of equals the first in row-major order wins."""
+    pairs = sorted((d, i, j) for i, a in enumerate(prev_x)
+                   for j, b in enumerate(roots)
+                   if (d := abs(_wrap(a - b))) <= _TRUST_RADIUS)
     assign, taken = {}, set()
-    if len(prev_x) and len(roots):
-        dist = _circ_dist(np.asarray(prev_x)[:, None], roots[None, :]).ravel()
-        order = np.argsort(dist, kind="stable")
-        for k, d in zip(order.tolist(), dist[order].tolist()):
-            if d > _TRUST_RADIUS:
-                break
-            i, j = divmod(k, roots.size)
-            if i not in assign and j not in taken:
-                assign[i] = j
-                taken.add(j)
+    for _, i, j in pairs:
+        if i not in assign and j not in taken:
+            assign[i] = j
+            taken.add(j)
     return assign
 
 
@@ -484,6 +484,6 @@ def trace_branches(p: VWPair, beta_grid):
         taken = set(assign.values())
         active = ([br for i, br in enumerate(active) if i in assign]
                   + [_OpenBranch(beta, roots[j], axis[j], h[j])
-                     for j in range(roots.size) if j not in taken])
+                     for j in range(len(roots)) if j not in taken])
     done.extend(br.close() for br in active)
     return done

@@ -10,7 +10,9 @@ transcendental per cell, and bisect each sign change: the companion
 solve of `minimax` must find their roots and match their envelopes.  The
 one-midpoint tracer is the branch tracer as it was before it solved its
 halving midpoints in batches: the tracer must reproduce its branches and
-warnings bit for bit.  The curvature-classified extremizer is the
+warnings bit for bit.  The numpy root merge is the per-beta merge of
+the stationary roots as it was before it worked on Python floats: the
+two must agree bit for bit.  The curvature-classified extremizer is the
 kernel's angle solve as it was before it took the maximizer from the
 arcsin branch: the two must agree bit for bit.  The cosine Theta norm is
 the 1- and max-norm oscillation factor as it was before it took the real
@@ -237,6 +239,27 @@ def direct_stationary_roots(p, betas, grid_points=2048):
         for r in roots[1:]:
             if r - keep[-1] > minimax._MERGE_TOL:
                 keep.append(r)
+        if (len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1]))
+                <= minimax._MERGE_TOL):
+            keep.pop()
+        out.append(np.asarray(keep))
+    return out
+
+
+def numpy_root_merge(x, row, r, rows):
+    """Sorted stationary points of each of rows betas from a solve's
+    (x, row, residual), merged as minimax._stationary_roots merged them on
+    numpy arrays: a root within the merge tolerance of the last kept one
+    is dropped, and so is the last root when it wraps onto the first."""
+    order = np.lexsort((x, row))
+    order = order[np.abs(r[order]) <= minimax._RESIDUAL_TOL]
+    out = []
+    for roots in np.split(x[order], np.searchsorted(row[order],
+                                                    np.arange(1, rows))):
+        keep = list(roots[:1])
+        for v in roots[1:]:
+            if v - keep[-1] > minimax._MERGE_TOL:
+                keep.append(v)
         if (len(keep) > 1 and abs(wrap_angle(keep[0] - keep[-1]))
                 <= minimax._MERGE_TOL):
             keep.pop()

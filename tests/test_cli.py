@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 import odecond
-from odecond.cli import (RunConfig, _json_numbers, build_parser, main,
-                         parse_config)
+from odecond.cli import (RunConfig, _json_numbers, _scenario_echo,
+                         _write_json, build_parser, main, parse_config)
 from odecond.minimax import h_extremes
 from odecond.oscillator import VWPair
 from odecond.spectral import analyze_spectrum
@@ -142,6 +142,26 @@ def test_analyze_seeded_runs_are_byte_identical(tmp_path, capsys):
     assert doc["spot_check"]["seed"] == 11
     assert doc["spot_check"]["dominates_samples"] is True
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("matrix, z0", [
+    (((-0.0, 5e-324, 1.5e308), (1.0, -2.5, 0.1), (3.0, 0.0, -1e-300)), None),
+    (((7.25,),), (1.0,)),
+])
+def test_echo_writer_equals_indented_json_dump(tmp_path, matrix, z0):
+    # the rows take json's C encoder; the bytes must be json.dump's
+    cfg = RunConfig("analyze", matrix=matrix, y0=(1.0,) * len(matrix),
+                    z0=z0, out=str(tmp_path / "e"))
+    want = tmp_path / "want.json"
+    with open(want, "w") as fh:
+        json.dump({"matrix": [list(row) for row in matrix],
+                   **_scenario_echo(cfg)}, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+    got = tmp_path / "got.json"
+    _write_json(str(got), _scenario_echo(cfg), matrix)
+    assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(ValueError):
+        _write_json(str(got), _scenario_echo(cfg), ((math.nan,),))
 
 
 def test_emitted_scenario_reingests_to_identical_config(tmp_path, capsys):
