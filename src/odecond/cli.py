@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -292,6 +293,10 @@ def parse_config(argv) -> RunConfig:
         matrix = file_vals["matrix"]
     else:
         matrix = _parse_matrix_csv(ns.matrix, parser)
+    # the .scenario.json echo may overwrite its own input: same bytes
+    for path in (ns.out + ".csv", ns.out + ".json"):
+        if os.path.exists(path) and os.path.samefile(path, ns.matrix):
+            parser.error(f"--out {ns.out} would overwrite the input {path}")
     y0 = _float_list(ns.y0, "--y0", parser) if ns.y0 \
         else file_vals.get("y0")
     if y0 is None:

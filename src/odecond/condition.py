@@ -332,9 +332,8 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
     at each sample whose relative error estimate is at most
     _EXPANSION_TOL, estimated first in O(n) per sample.  Every other
     sample, and the whole worst case, which needs all of e^{t(A - r1 I)},
-    takes matrix_core.expm_grid, one batched Pade kernel, as on the whole
-    grid: the halves t/2, t/4, ... in ts of a Pade sample go through the
-    kernel too, so its squaring chains, and its bits, are the whole grid's.
+    takes matrix_core.expm_grid, one batched Pade kernel, which forms each
+    sample alone: the Pade samples get the bits they have on the whole grid.
     The p = 2 worst case takes the largest singular value of each matrix
     from its Gram matrix (matrix_core.matrix_norms).  Raises OdecondError
     when a propagated value is not finite or the denominator vanishes; the
@@ -353,34 +352,12 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
             idx = idx[ok]
             out[idx] = _checked_ratios(norms[:, 1], norms[:, 0], ts[idx])
             pade[idx] = False
-    if pade.any():
-        sub = _with_halves(ts, pade)
+    sub = np.flatnonzero(pade)
+    if sub.size:
         for idx, E in expm_grid(_shifted(s, r1), ts[sub]):
             idx = sub[idx]
-            mine = pade[idx]
-            if not mine.all():
-                idx, E = idx[mine], E[mine]
             out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
     return out
-
-
-def _with_halves(ts: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The indices of mask's samples and of the first sample of each of
-    their halves t/2, t/4, ... in ts, ascending: the samples expm_grid
-    squares them from on the whole grid."""
-    mask = mask.copy()
-    order = np.argsort(ts, kind="stable")
-    ordered = ts[order]
-    new = np.flatnonzero(mask)
-    while new.size:
-        half = ts[new] / 2.0
-        pos = np.searchsorted(ordered, half)
-        hit = pos < ts.size
-        hit[hit] = ordered[pos[hit]] == half[hit]
-        new = order[pos[hit]]
-        new = new[~mask[new]]
-        mask[new] = True
-    return np.flatnonzero(mask)
 
 
 def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Dense matrix substrate: the matrix exponential over a time grid, two
-ways, eigendecomposition with left and right vectors, the p-norms, and
-the small 2xn SVD behind the spectral module's singular directions.
+ways, eigendecomposition with left and right vectors, and the p-norms.
 
 Matrices are plain numpy arrays throughout; the validators below replace a
 wrapper class.  All functions are pure.  expm_grid evaluates e^{tB} over a
@@ -476,7 +475,8 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
                         + abs(lam[j] - shift))
     gaps = np.abs(lam[:, None] - es.eigenvalues)
     gaps[np.arange(lam.size), np.flatnonzero(keep)] = np.inf
-    reach = 1.0 / gaps.min(axis=1)
+    with np.errstate(divide="ignore"):  # a repeated eigenvalue: inf
+        reach = 1.0 / gaps.min(axis=1)
     lam = lam - shift
     C = rho[:, None] * (W @ U)                              # (m, k)
     mags = np.abs(C) * vp[:, None]                          # a_j / |e_j|
@@ -520,39 +520,3 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
                 est[go] = np.where(np.isfinite(xn).all(axis=1),
                                    (num[go] / xn).sum(axis=1), np.inf)
         yield idx, X, est
-
-
-@dataclass(frozen=True)
-class Svd2xn:
-    """SVD of a real 2xn matrix, R = sigma u1 v1^T + mu u2 v2^T with
-    sigma >= mu >= 0 and orthonormal singular vectors.  Signs are pinned so
-    the first nonzero component of each left vector is positive, which makes
-    downstream angle conventions reproducible."""
-
-    sigma: float
-    mu: float
-    left_major: np.ndarray
-    left_minor: np.ndarray
-    right_major: np.ndarray
-    right_minor: np.ndarray
-
-
-def svd_2xn(R) -> Svd2xn:
-    R = as_real_matrix(R)
-    if R.shape[0] != 2 or R.shape[1] < 2:
-        raise ValueError(f"expected a 2xn matrix with n >= 2, got {R.shape}")
-    U, S, Vt = np.linalg.svd(R, full_matrices=False)
-    for j in range(2):
-        col = U[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            U[:, j] = -U[:, j]
-            Vt[j, :] = -Vt[j, :]
-    return Svd2xn(
-        sigma=float(S[0]),
-        mu=float(S[1]),
-        left_major=U[:, 0].copy(),
-        left_minor=U[:, 1].copy(),
-        right_major=Vt[0, :].copy(),
-        right_minor=Vt[1, :].copy(),
-    )

@@ -6,9 +6,12 @@ simple real eigenvalue or one simple complex-conjugate pair; everything
 else is kept but marked unsupported.  For a supported block the module
 computes the normalized right vector v_hat, the normalized left row w_hat,
 the non-normality factor f = ||w|| * ||v||, and, in the Euclidean case, the
-ellipse data of the map u -> w_hat u over the real unit sphere: moduli
-V = |v_hat^T v_hat| and W = |w_hat w_hat^T|, the angle delta of v_hat^T
-v_hat, the semi-axes sigma >= mu, and the major-axis angle theta.
+ellipse data of the map u -> w_hat u over the real unit sphere, all from
+two complex dot products, V e^{i delta} = v_hat^T v_hat and
+W e^{2 i theta} = w_hat w_hat^T: the ellipse has semi-axes
+sigma = sqrt((1 + W)/2) >= mu = sqrt((1 - W)/2) and major-axis angle
+theta, and its right singular vectors are the real and imaginary parts
+of e^{-i theta} w_hat, of norms sigma and mu.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from .matrix_core import (
     as_real_matrix,
     eigen_decompose,
     matrix_norms,
-    svd_2xn,
     vector_norms,
 )
 from .matrix_core import _normalize_p
@@ -52,8 +54,8 @@ PROJECTION_FLOOR = 1e-12
 PROJECTION_WARN = 1e-6
 
 #: V or W at or below this is rounding noise: the block stores it as 0.0,
-#: so delta is pinned to 0 and every closed form takes its V = 0 / W = 0
-#: limit.
+#: so delta or theta is pinned to 0 and every closed form takes its V = 0 /
+#: W = 0 limit.
 ZERO_MODULUS = 1e-13
 
 #: the dual exponent q of p, 1/p + 1/q = 1, whose norm normalizes w_hat
@@ -130,17 +132,23 @@ def _build_supported_block(kind, members, v, w, p):
         V_mod, W_mod = (0.0 if abs(z) <= ZERO_MODULUS else abs(z)
                         for z in (vv, ww))
         delta = 0.0 if V_mod == 0.0 else float(np.angle(vv))
-        R = np.vstack([w_hat.real, w_hat.imag])
-        sv = svd_2xn(R)
+        theta = 0.0 if W_mod == 0.0 else float(np.angle(ww)) / 2.0
+        # Re and Im of e^{-i theta} w_hat are orthogonal, of norms sigma
+        # and mu: the axes for the left vectors (cos theta, sin theta) and
+        # +-(-sin theta, cos theta), each with a positive first nonzero
+        # entry, so the minor one flips where theta > 0
+        turned = np.exp(-1j * theta) * w_hat
+        sigma = float(vector_norms(turned.real, 2))
+        mu = float(vector_norms(turned.imag, 2))
         extra = dict(
             V_mod=V_mod,
             delta=delta,
             W_mod=W_mod,
-            sigma=sv.sigma,
-            mu=sv.mu,
-            theta_axis=float(np.arctan2(sv.left_major[1], sv.left_major[0])),
-            right_major=sv.right_major,
-            right_minor=sv.right_minor,
+            sigma=sigma,
+            mu=mu,
+            theta_axis=theta,
+            right_major=turned.real / sigma,
+            right_minor=(-1.0 if theta > 0.0 else 1.0) * turned.imag / mu,
         )
     return EigenBlock(
         kind=kind,
@@ -236,8 +244,8 @@ class BlockProjection(NamedTuple):
 def checked_projection(block: EigenBlock, u, label: str = "u",
                        notes=None) -> BlockProjection:
     """|w_hat u|, its polar angle gamma in (-pi, pi], and the coordinates
-    c, d of a Euclidean-unit u along the right singular vectors of the
-    stacked Re/Im rows of w_hat (NaN without Euclidean block data).
+    c, d of a Euclidean-unit u along the ellipse's axes right_major and
+    right_minor (NaN without Euclidean block data).
 
     The one vanishing-projection decision: raises ZeroProjection, naming u
     by label, at or below PROJECTION_FLOOR; up to PROJECTION_WARN appends

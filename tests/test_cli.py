@@ -200,6 +200,35 @@ def test_bad_y0_entry_exits_1(tmp_path, capsys):
     assert "--y0" in capsys.readouterr().err
 
 
+def test_analyze_refuses_to_overwrite_its_input(tmp_path, capsys):
+    # <out>.csv or <out>.json naming the --matrix file is refused before
+    # anything is written; the .scenario.json echo may rewrite its input,
+    # which gets the same bytes
+    mat = write_matrix_csv(tmp_path / "M.csv", EXAMPLE_A)
+    base = ["analyze", "--y0", "1,2,3", "--steps", 4]
+    assert run_cli(base + ["--matrix", mat, "--out", tmp_path / "s"]) == 0
+    (tmp_path / "s.json").write_bytes((tmp_path / "s.scenario.json")
+                                      .read_bytes())
+    for src, out in ((mat, "M"), (tmp_path / "s.json", "s")):
+        before = Path(src).read_bytes()
+        stamp = [p.stat().st_mtime_ns for p in sorted(tmp_path.iterdir())]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + ["--matrix", src, "--out", tmp_path / out])
+        assert exc.value.code == 1
+        assert "overwrite" in capsys.readouterr().err
+        assert Path(src).read_bytes() == before
+        assert [p.stat().st_mtime_ns
+                for p in sorted(tmp_path.iterdir())] == stamp
+    echo = tmp_path / "s.scenario.json"
+    before = echo.read_bytes()
+    assert run_cli(["analyze", "--matrix", echo,
+                    "--out", tmp_path / "s2"]) == 0
+    assert run_cli(["analyze", "--matrix", tmp_path / "s2.scenario.json",
+                    "--out", tmp_path / "s2"]) == 0
+    assert (tmp_path / "s2.scenario.json").read_bytes() == before
+    capsys.readouterr()
+
+
 def test_reversed_time_range_exits_1(tmp_path, capsys):
     mat = write_matrix_csv(tmp_path / "A.csv", [[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SystemExit) as exc:

@@ -1086,6 +1086,24 @@ def test_sweep_projects_each_block_once():
     assert wrapped.call_count == 10
 
 
+def test_repeated_eigenvalue_expands_without_warning():
+    # -2 twice: a gap of 0, so the expansion's 1 / gap_j is inf, which
+    # bounds nothing and must not warn (RuntimeWarning is an error here)
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[-0.1, 1.0], [-1.0, -0.1]]
+    A[2, 2] = A[3, 3] = -2.0
+    s = Scenario(matrix=A, y0=np.ones(4), z0=0.5 * np.ones(4),
+                 t_grid=np.linspace(0.0, 4.0 * np.pi, 65))
+    an = analyze_spectrum(s.matrix)
+    ser = sweep(s, an)
+    est = expansion_estimates(s, an)
+    took = est <= _EXPANSION_TOL
+    assert took.all()
+    pade = _k_exact_grid(s, s.t_grid,
+                         _shift_for(s.matrix, an.eigensystem.eigenvalues))
+    assert np.all(np.abs(ser.k_exact / pade - 1.0) <= est)
+
+
 @pytest.mark.parametrize("matrix", ["demo", "rotation"])
 def test_rejected_samples_equal_the_pade_column(matrix):
     # a directional sample the estimate rejects has the bits of the Pade

@@ -17,7 +17,6 @@ from odecond.matrix_core import (
     expm_grid,
     mat_exp,
     matrix_norms,
-    svd_2xn,
     vector_norms,
 )
 from odecond.spectral import analyze_spectrum
@@ -614,61 +613,3 @@ def test_norm_ordering_two_vs_one_inf(seed):
     n1 = matrix_norms(M, 1)
     ninf = matrix_norms(M, np.inf)
     assert n2 <= np.sqrt(n1 * ninf) * (1 + 1e-12)
-
-
-# ------------------------------------------------------------------ svd_2xn
-
-def test_svd_orthonormal_rows():
-    R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    out = svd_2xn(R)
-    assert out.sigma == pytest.approx(1.0)
-    assert out.mu == pytest.approx(1.0)
-
-
-def test_svd_rank_one():
-    R = np.outer([1.0, 2.0], [3.0, 0.0, 4.0])
-    out = svd_2xn(R)
-    assert out.mu == pytest.approx(0.0, abs=1e-14)
-    assert out.sigma == pytest.approx(np.sqrt(5.0) * 5.0)
-
-
-def test_svd_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 6):
-        R = rng.normal(size=(2, n))
-        out = svd_2xn(R)
-        rec = out.sigma * np.outer(out.left_major, out.right_major) \
-            + out.mu * np.outer(out.left_minor, out.right_minor)
-        assert np.linalg.norm(R - rec) <= 1e-12 * np.linalg.norm(R)
-        assert abs(out.left_major @ out.left_minor) < 1e-12
-        assert abs(out.right_major @ out.right_minor) < 1e-12
-        assert np.isclose(np.linalg.norm(out.right_major), 1.0)
-        # sign pin: first nonzero component of each left vector is positive
-        for vec in (out.left_major, out.left_minor):
-            nz = vec[np.abs(vec) > 1e-12]
-            assert nz.size == 0 or nz[0] > 0
-
-
-def test_svd_example_row_stack():
-    # Stacked real and imaginary parts of the normalized left row of the
-    # example matrix's rightmost pair (4-decimal rendition).  The singular
-    # values must satisfy sigma^2 = (||w||^2 + |w w^T|)/2 exactly, which
-    # reduces to (1 + |w w^T|)/2 once the row is normalized.
-    R = np.array([[0.0, -0.4611, 0.5123],
-                  [0.0, -0.5123, 0.5123]])
-    w = R[0] + 1j * R[1]
-    W_mod = abs(w @ w)
-    norm_sq = float(np.linalg.norm(w) ** 2)
-    out = svd_2xn(R)
-    assert out.sigma ** 2 == pytest.approx((norm_sq + W_mod) / 2, abs=1e-12)
-    assert out.mu ** 2 == pytest.approx((norm_sq - W_mod) / 2, abs=1e-12)
-    # the rendition is rounded to 4 decimals, so the unit-norm forms hold
-    # only to that accuracy
-    assert out.sigma ** 2 == pytest.approx((1 + W_mod) / 2, abs=2e-4)
-
-
-def test_svd_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        svd_2xn(np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        svd_2xn(np.ones((2, 1)))

@@ -116,6 +116,43 @@ def test_ellipse_identity_wR():
         assert abs(b.mu ** 2 - (1 - b.W_mod) / 2) <= 1e-12
 
 
+def _complex_blocks():
+    """Every complex block of seeded random matrices, n = 2..9, and the
+    rotation's block, whose w_hat w_hat^T vanishes (W = 0)."""
+    rng = np.random.default_rng(2487)
+    blocks = [b for n in range(2, 10) for _ in range(6)
+              for b in sample_supported(rng, n)[1].blocks if b.is_complex]
+    return blocks + [rightmost(np.array([[0.0, 1.0], [-1.0, 0.0]]))]
+
+
+def test_ellipse_closed_form_matches_the_svd():
+    # the axes from e^{-i theta} w_hat against np.linalg.svd of the stacked
+    # rows [Re w_hat; Im w_hat], whose left vectors are (cos theta,
+    # sin theta) and +-(-sin theta, cos theta)
+    blocks = _complex_blocks()
+    assert blocks[-1].W_mod == 0.0 and len(blocks) > 60
+    for b in blocks:
+        R = np.vstack([b.w_hat.real, b.w_hat.imag])
+        th = b.theta_axis
+        assert -np.pi / 2 < th <= np.pi / 2
+        if b.W_mod == 0.0:
+            assert th == 0.0
+        assert b.sigma ** 2 - b.mu ** 2 == pytest.approx(b.W_mod, abs=1e-13)
+        # the minor left vector's first nonzero entry is positive
+        u1 = np.array([np.cos(th), np.sin(th)])
+        u2 = np.array([-np.sin(th), np.cos(th)]) * (-1 if th > 0 else 1)
+        rec = (b.sigma * np.outer(u1, b.right_major)
+               + b.mu * np.outer(u2, b.right_minor))
+        assert np.abs(rec - R).max() <= 1e-14
+        axes = np.vstack([b.right_major, b.right_minor])
+        assert np.abs(axes @ axes.T - np.eye(2)).max() <= 1e-14
+        if b.W_mod >= 1e-6:
+            U, S, Vt = np.linalg.svd(R, full_matrices=False)
+            assert np.abs([b.sigma, b.mu] - S).max() <= 1e-14
+            signs = np.sign(np.sum(U * np.column_stack([u1, u2]), axis=0))
+            assert np.abs(axes - signs[:, None] * Vt).max() <= 1e-9
+
+
 def test_real_induced_norm_of_w_equals_sigma():
     rng = np.random.default_rng(6)
     _, an = sample_supported(rng, 5, need_complex_rightmost=True)
