@@ -293,8 +293,13 @@ def parse_config(argv) -> RunConfig:
         matrix = file_vals["matrix"]
     else:
         matrix = _parse_matrix_csv(ns.matrix, parser)
-    # the .scenario.json echo may overwrite its own input: same bytes
-    for path in (ns.out + ".csv", ns.out + ".json"):
+    # the .scenario.json echo may overwrite its own input only when no flag
+    # changes a value of it, so it writes the same bytes
+    outputs = [ns.out + ".csv", ns.out + ".json"]
+    if any(v is not None for v in (ns.y0, ns.z0, ns.norm, ns.t0, ns.t1,
+                                   ns.steps)):
+        outputs.append(ns.out + ".scenario.json")
+    for path in outputs:
         if os.path.exists(path) and os.path.samefile(path, ns.matrix):
             parser.error(f"--out {ns.out} would overwrite the input {path}")
     y0 = _float_list(ns.y0, "--y0", parser) if ns.y0 \

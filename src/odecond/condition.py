@@ -226,9 +226,7 @@ class ConditionSeries:
     """Per-sample results of a sweep plus the scenario-level profile.
 
     Arrays share the t grid.  precision_bound is UNBOUNDED (= inf) at
-    samples where eps(t, y0_hat) >= 1; eps columns are NaN when some
-    subdominant block is unsupported (the dominance sums need every block
-    classified, the condition numbers themselves do not).
+    samples where eps(t, y0_hat) >= 1.
     """
 
     t: np.ndarray
@@ -289,13 +287,19 @@ def _rightmost(s: Scenario, analysis: SpectrumAnalysis) -> EigenBlock:
                                                          s.matrix):
         raise ValueError("the spectrum analysis belongs to another matrix "
                          "or norm than the scenario")
-    block = analysis.blocks[0]
-    if not block.is_supported:
+    return _generic_rightmost(analysis)
+
+
+def _generic_rightmost(analysis: SpectrumAnalysis) -> EigenBlock:
+    """The rightmost block, refused with UnsupportedBlock unless it is the
+    whole rightmost group: the asymptotic forms and the dominance sums are
+    normalized by it."""
+    if not analysis.rightmost_generic:
         raise UnsupportedBlock(
             "the rightmost eigenvalue group is not a simple real eigenvalue "
             "or a simple complex pair"
         )
-    return block
+    return analysis.blocks[0]
 
 
 def _require_finite(t) -> None:
@@ -542,25 +546,22 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     """Dominance sum eps(t, u) (u given) or eps(t) (u omitted).
 
     Returns (eps, g_ratios) with one ratio G_j = g_j / g_1 per subdominant
-    block.  Terms whose direction projects to zero on block j contribute
-    nothing and report a zero ratio; a zero projection on block 1 is an
-    error because the sum is normalized by it.  Accepts array t: eps is then
+    block, that is, per real eigenvalue or conjugate pair: a group of
+    several members is bounded by the sum of their terms.  Terms whose
+    direction projects to zero on block j contribute nothing and report a
+    zero ratio; a zero projection on block 1 is an error because the sum
+    is normalized by it.  Accepts array t: eps is then
     an array over t, the ratios broadcast against it, and the loop runs
     over blocks, not samples.  An e^{(r_j - r_1) t} that overflows, at
     negative t, gives eps = inf: nothing is certified there.  p, if given,
     must be the analysis's norm, and t must be finite (ValueError
-    otherwise).
+    otherwise).  A rightmost group that is not generic raises
+    UnsupportedBlock.
     """
-    if not analysis.all_supported:
-        raise UnsupportedBlock(
-            "the dominance sums need every eigenvalue group classified as "
-            "simple single real or complex"
-        )
+    b1 = _generic_rightmost(analysis)
     if p is not None and _normalize_p(p) != analysis.norm_p:
         raise ValueError(f"p = {p} is not the analysis's norm "
                          f"{_norm_label(analysis.norm_p)}")
-    blocks = analysis.blocks
-    b1 = blocks[0]
     # each block projects u once: its projection serves coef and g_factor
     pr1 = None if u is None else checked_projection(b1, u)
     t = np.asarray(t, dtype=float)
@@ -568,7 +569,7 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     g1 = g_factor(b1, t, proj=pr1)
     eps = np.zeros(t.shape)
     ratios = []
-    for bj in blocks[1:]:
+    for bj in analysis.blocks[1:]:
         coef, prj = 1.0, None
         if u is not None:
             try:
@@ -644,10 +645,7 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     of matrix exponentials, the asymptotic closed forms and the dominance
     sums as arrays over t.  eps_t is eps(t, z0) for a directional scenario
     and eps(t) otherwise, so the precision bound fits the condition number
-    computed.  When a subdominant block is unsupported, the eps columns
-    are NaN, the precision bound is UNBOUNDED and a warning is recorded;
-    the condition numbers themselves only need the rightmost block.  An
-    analysis of another matrix or norm raises ValueError.
+    computed.  An analysis of another matrix or norm raises ValueError.
     """
     if analysis is None:
         analysis = analyze_spectrum(s.matrix, norm_p=s.norm_p)
@@ -661,17 +659,8 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     ke = _k_exact_grid(s, grid, r1, analysis.eigensystem)
     ka = k_asym(s, analysis, grid)
     profile = _profile_for(s, analysis, ka)
-    if analysis.all_supported:
-        et, _ = epsilon_bounds(analysis, grid, u=s.z0)
-        eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat)
-        bound = precision_bound(et, eu)
-    else:
-        notes.append(
-            "a subdominant eigenvalue group is unsupported; dominance "
-            "bounds unavailable"
-        )
-        et = eu = np.full(grid.shape, math.nan)
-        bound = np.full(grid.shape, UNBOUNDED)
+    et, _ = epsilon_bounds(analysis, grid, u=s.z0)
+    eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat)
     return ConditionSeries(
         t=grid,
         k_exact=ke,
@@ -679,7 +668,7 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
         ot=ka / profile.osf,
         eps_t=et,
         eps_tu=eu,
-        precision_bound=bound,
+        precision_bound=precision_bound(et, eu),
         profile=profile,
         block_info=_block_info(analysis, block),
         warnings=tuple(notes),

@@ -227,7 +227,7 @@ def theta_norm_p(block: EigenBlock, t, u=None):
 
 def _theta_norm_p(block: EigenBlock, t, gamma=None):
     """theta_norm_p for the direction whose polar angle is gamma (None:
-    the matrix form)."""
+    the matrix form), in any p of the block."""
     p = block.norm_p
     t = np.asarray(t, dtype=float)
     rot = np.exp(1j * block.omega * t.reshape(-1))
@@ -244,21 +244,21 @@ def _theta_norm_p(block: EigenBlock, t, gamma=None):
 
 
 def g_factor(block: EigenBlock, t, u=None, proj: BlockProjection = None):
-    """Oscillation factor g of a supported block, in the norm the block
-    was analyzed with.
+    """Oscillation factor g of a block, in the norm the block was analyzed
+    with.
 
     Real block: 1.  Complex block: twice the Theta norm, in vector form
     when a direction u is given and in matrix form otherwise; accepts
     array t.  proj, the direction's checked_projection on the block, may
     stand in for u, so a caller that holds it does not project again."""
-    if not block.is_supported:
-        raise UnsupportedBlock("g_factor needs a supported block")
     if block.is_real:
         return 1.0
     if proj is None and u is not None:
         proj = checked_projection(block, u)
     gamma = None if proj is None else proj.gamma
-    if block.norm_p == 2:
+    # a pair so near real that V or W rounds to 1 lies outside the closed
+    # forms (VWPair); its Euclidean norms come from the stacked matrices
+    if block.norm_p == 2 and max(block.V_mod, block.W_mod) < 1.0:
         if gamma is None:
             return 2.0 * theta_norm_mat(block, t)
         return 2.0 * _theta_norm_u(block, t, gamma)

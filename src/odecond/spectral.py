@@ -1,9 +1,13 @@
-"""Spectrum partition by real parts and per-block spectral data.
+"""Spectrum partition by real parts and per-member spectral data.
 
-Eigenvalues are grouped by (numerically) equal real parts into blocks
-ordered by strictly decreasing real part.  A supported block is either one
-simple real eigenvalue or one simple complex-conjugate pair; everything
-else is kept but marked unsupported.  For a supported block the module
+Eigenvalues are grouped by (numerically) equal real parts, in order of
+strictly decreasing real part.  The grouping decides only genericity: a
+group is generic when it is one simple real eigenvalue or one simple
+complex-conjugate pair, and the asymptotic condition number needs a
+generic rightmost group.  The spectral data are kept per member, one
+block per real eigenvalue and one per conjugate pair: the dominance sums
+bound a group's term by the sum of its members' terms, so they need no
+grouping of the subdominant spectrum.  For each block the module
 computes the normalized right vector v_hat, the normalized left row w_hat,
 the non-normality factor f = ||w|| * ||v||, and, in the Euclidean case, the
 ellipse data of the map u -> w_hat u over the real unit sphere, all from
@@ -21,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AmbiguousGrouping, OdecondError, UnsupportedBlock, ZeroProjection
+from .errors import AmbiguousGrouping, OdecondError, ZeroProjection
 from .matrix_core import (
     EigenSystem,
     as_real_matrix,
@@ -65,24 +69,26 @@ _DUAL = {1: np.inf, 2: 2, np.inf: 1}
 class BlockKind(enum.Enum):
     SIMPLE_SINGLE_REAL = "simple_single_real"
     SIMPLE_SINGLE_COMPLEX = "simple_single_complex"
-    UNSUPPORTED = "unsupported"
 
 
 @dataclass(frozen=True)
 class EigenBlock:
-    """All per-block quantities, v_hat and w_hat normalized in norm_p (w_hat
-    in its dual norm).  Euclidean-only fields (V_mod through right_minor)
-    are None unless the block is complex and was analyzed with the 2-norm."""
+    """All quantities of one real eigenvalue or one conjugate pair, v_hat
+    and w_hat normalized in norm_p (w_hat in its dual norm).  eigenvalue is
+    the real one or the pair's positive-imaginary member, and
+    group_eigenvalues holds it (with its exact conjugate for a pair).
+    Euclidean-only fields (V_mod through right_minor) are None unless the
+    block is complex and was analyzed with the 2-norm."""
 
     kind: BlockKind
     r: float
     omega: float
-    eigenvalue: Optional[complex]
+    eigenvalue: complex
     group_eigenvalues: np.ndarray
     norm_p: object
-    v_hat: Optional[np.ndarray] = None
-    w_hat: Optional[np.ndarray] = None
-    f: Optional[float] = None
+    v_hat: np.ndarray
+    w_hat: np.ndarray
+    f: float
     V_mod: Optional[float] = None
     delta: Optional[float] = None
     W_mod: Optional[float] = None
@@ -100,26 +106,25 @@ class EigenBlock:
     def is_complex(self) -> bool:
         return self.kind is BlockKind.SIMPLE_SINGLE_COMPLEX
 
-    @property
-    def is_supported(self) -> bool:
-        return self.kind is not BlockKind.UNSUPPORTED
-
 
 @dataclass(frozen=True)
 class SpectrumAnalysis:
+    """The member blocks, by decreasing real part (blocks[0] is the whole
+    rightmost group when rightmost_generic), and the grouping's verdicts:
+    q groups, whether the rightmost one is generic and whether all are."""
+
     blocks: tuple
     q: int
+    rightmost_generic: bool
+    all_supported: bool
     grouping_tolerance: float
     norm_p: object
     matrix: np.ndarray
     eigensystem: EigenSystem
 
-    @property
-    def all_supported(self) -> bool:
-        return all(b.is_supported for b in self.blocks)
-
 
 def _build_supported_block(kind, members, v, w, p):
+    """The block of lambda = members[0] from its right vector and left row."""
     vnorm = float(vector_norms(v, p))
     wnorm = float(vector_norms(w, _DUAL[p]))
     v_hat = v / vnorm
@@ -165,7 +170,8 @@ def _build_supported_block(kind, members, v, w, p):
 
 
 def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAnalysis:
-    """Group the eigenvalues of A by real part and classify each group.
+    """Group the eigenvalues of A by real part, decide which groups are
+    generic, and build one block per real eigenvalue and conjugate pair.
 
     Groups are formed by chaining: consecutive (sorted) real parts closer
     than tol * max(1, ||A||_2) merge.  A gap inside (tol, 10 tol] of that
@@ -199,34 +205,28 @@ def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAna
         else:
             groups.append([i])
 
+    # each pair is stored once, by its positive-imaginary member, whose
+    # partner eigen_decompose makes its exact conjugate
     blocks = []
-    for idx in groups:
-        members = evals[idx]
-        real_members = [i for i in idx if abs(evals[i].imag) <= tol_abs]
-        if len(idx) == 1 and real_members:
-            i = idx[0]
-            blocks.append(_build_supported_block(
-                BlockKind.SIMPLE_SINGLE_REAL, members,
-                es.right_vectors[:, i], es.left_rows[i, :], p))
-        elif (len(idx) == 2 and not real_members
-              and evals[idx[1]] == np.conj(evals[idx[0]])):
-            i = idx[0] if evals[idx[0]].imag > 0 else idx[1]
-            blocks.append(_build_supported_block(
-                BlockKind.SIMPLE_SINGLE_COMPLEX,
-                members[np.argsort(-members.imag)],
-                es.right_vectors[:, i], es.left_rows[i, :], p))
+    for i in np.flatnonzero(evals.imag >= 0):
+        lam = evals[i]
+        if lam.imag == 0:
+            kind, members = BlockKind.SIMPLE_SINGLE_REAL, evals[[i]]
         else:
-            blocks.append(EigenBlock(
-                kind=BlockKind.UNSUPPORTED,
-                r=float(np.mean(members.real)),
-                omega=float(np.max(np.abs(members.imag))),
-                eigenvalue=None,
-                group_eigenvalues=np.array(members),
-                norm_p=p,
-            ))
+            kind, members = BlockKind.SIMPLE_SINGLE_COMPLEX, np.array(
+                [lam, np.conj(lam)])
+        blocks.append(_build_supported_block(
+            kind, members, es.right_vectors[:, i], es.left_rows[i, :], p))
+    # generic: one real eigenvalue, or one pair whose |Im| the grouping
+    # tolerance does not blur into two real ones
+    generic = [len(idx) == 1 or (len(idx) == 2
+                                 and evals[idx[0]].imag > tol_abs)
+               for idx in groups]
     return SpectrumAnalysis(
         blocks=tuple(blocks),
-        q=len(blocks),
+        q=len(groups),
+        rightmost_generic=generic[0],
+        all_supported=all(generic),
         grouping_tolerance=tol_abs,
         norm_p=p,
         matrix=A,
@@ -282,8 +282,6 @@ def build_Q(block: EigenBlock, t: float) -> np.ndarray:
     assembled from the normalized pair as f * v_hat w_hat, which equals
     v w because f absorbs the normalization.
     """
-    if not block.is_supported:
-        raise UnsupportedBlock("build_Q needs a simple real or complex block")
     M = block.f * np.outer(block.v_hat, block.w_hat)
     if block.is_real:
         resid = float(np.abs(M.imag).max())

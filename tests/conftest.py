@@ -28,7 +28,7 @@ def sample_supported(rng, n, norm_p=2, need_complex_rightmost=False,
             analysis = analyze_spectrum(A, norm_p=norm_p)
         except (NonDiagonalizable, AmbiguousGrouping):
             continue
-        if any(b.kind is BlockKind.UNSUPPORTED for b in analysis.blocks):
+        if not analysis.all_supported:
             continue
         if need_complex_rightmost and \
                 analysis.blocks[0].kind is not BlockKind.SIMPLE_SINGLE_COMPLEX:

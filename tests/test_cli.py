@@ -229,6 +229,28 @@ def test_analyze_refuses_to_overwrite_its_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--y0", "3,2,1"], ["--z0", "0,1,0"],
+                                  ["--norm", "1"], ["--t0", "0.5"],
+                                  ["--t1", "2"], ["--steps", "9"]])
+def test_analyze_refuses_flags_that_rewrite_its_scenario(tmp_path, capsys,
+                                                         flag):
+    # the echo would overwrite its input with the flag's value: refused
+    # before anything is written
+    mat = write_matrix_csv(tmp_path / "M.csv", EXAMPLE_A)
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--steps", 4, "--out", tmp_path / "s"]) == 0
+    echo = tmp_path / "s.scenario.json"
+    before = echo.read_bytes()
+    stamp = [p.stat().st_mtime_ns for p in sorted(tmp_path.iterdir())]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["analyze", "--matrix", echo, "--out", tmp_path / "s"]
+                + flag)
+    assert exc.value.code == 1
+    assert "overwrite" in capsys.readouterr().err
+    assert echo.read_bytes() == before
+    assert [p.stat().st_mtime_ns for p in sorted(tmp_path.iterdir())] == stamp
+
+
 def test_reversed_time_range_exits_1(tmp_path, capsys):
     mat = write_matrix_csv(tmp_path / "A.csv", [[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SystemExit) as exc:

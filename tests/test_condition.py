@@ -7,9 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import EXAMPLE_A, sample_supported, unit
-from oracles import sphere_max
+from oracles import sphere_max, taylor_expm
 
 import odecond.condition
 from odecond.condition import (
@@ -693,15 +694,85 @@ def test_sweep_example_series_peaks():
 
 
 def test_sweep_unsupported_subdominant_block():
+    # the repeated -1 is two member blocks: the dominance sums run over
+    # them, so the certificate is finite although the group is not generic
     A = np.diag([1.0, -1.0, -1.0])
     an = analyze_spectrum(A)
-    assert not an.all_supported and an.blocks[0].is_supported
+    assert not an.all_supported and an.rightmost_generic
     s = Scenario(matrix=A, y0=[1.0, 0.5, 0.5], t_grid=np.linspace(0, 2, 5))
     ser = sweep(s, an)
-    assert np.all(np.isnan(ser.eps_t)) and np.all(np.isnan(ser.eps_tu))
-    assert np.all(np.isinf(ser.precision_bound))
-    assert any("unsupported" in w for w in ser.warnings)
+    assert np.all(np.isfinite(ser.eps_t)) and np.all(np.isfinite(ser.eps_tu))
+    assert ser.warnings == ()
+    assert ser.block_info["all_blocks_supported"] is False
+    m = ser.eps_tu < 1.0
+    assert m.sum() == 4
+    gap = np.abs(ser.k_exact[m] / ser.k_asym[m] - 1.0)
+    assert np.all(gap <= ser.precision_bound[m] + 1e-15)
     assert np.all(np.isfinite(ser.k_exact)) and np.all(np.isfinite(ser.k_asym))
+
+
+_SPLIT_KINDS = ("pair_real", "repeated_real", "two_pairs", "near_real_pair")
+
+
+def _rotation(r, b):
+    return np.array([[r, b], [-b, r]])
+
+
+def _split_group_matrix(rng, kind):
+    """S D S^-1 with cond(S) = 10 and a rightmost pair 0.1 +- i w1, whose
+    first subdominant real part a holds a group of two members: a pair and
+    a real eigenvalue, a repeated real eigenvalue, or two pairs."""
+    n = int(rng.integers(4, 9))
+    a = rng.uniform(-1.5, -0.5)
+    blocks = [_rotation(0.1, rng.uniform(0.8, 1.25))]
+    blocks += {"pair_real": [_rotation(a, 1.7), [[a]]],
+               "repeated_real": [[[a]], [[a]]],
+               "two_pairs": [_rotation(a, 0.9), _rotation(a, 2.3)]}[kind]
+    while sum(len(b) for b in blocks) < n:
+        blocks.append([[a - 1.0 - len(blocks)]])
+    D = scipy.linalg.block_diag(*blocks)
+    n = D.shape[0]
+    q = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)]
+    S = q[0] @ np.diag(np.geomspace(1.0, 10.0, n)) @ q[1]
+    return np.linalg.solve(S.T, (S @ D).T).T
+
+
+@pytest.mark.parametrize("kind", _SPLIT_KINDS)
+def test_member_dominance_sums_bound_split_groups(kind):
+    # |k_exact / k_asym - 1| <= precision_bound wherever eps(t, y0) < 1,
+    # with k_exact from the long-double Taylor oracle, on spectra whose
+    # subdominant group is not generic.  near_real_pair: -1 +- 1e-9 i,
+    # |Im| far below the grouping tolerance, whose V rounds to 1, outside
+    # the closed forms.  On this grid the bound stays above 4e-9, so the
+    # 1e-12 slack does not carry the inequality
+    rng = np.random.default_rng(_SPLIT_KINDS.index(kind))
+    if kind == "near_real_pair":
+        matrices = [scipy.linalg.block_diag(_rotation(0.1, 1.0),
+                                            [[-1.0, 1.0], [-1e-18, -1.0]])]
+    else:
+        matrices = [_split_group_matrix(rng, kind) for _ in range(3)]
+    ts = np.linspace(0.0, 15.0, 16)
+    for A in matrices:
+        n = A.shape[0]
+        E = [taylor_expm(A, t) for t in ts]
+        y0 = rng.standard_normal(n)
+        for p in (1, 2, np.inf):
+            an = analyze_spectrum(A, norm_p=p)
+            assert an.rightmost_generic and not an.all_supported
+            if kind == "near_real_pair" and p == 2:
+                assert an.blocks[1].V_mod == 1.0
+            for z0 in (None, unit(rng.standard_normal(n), p)):
+                s = Scenario(matrix=A, y0=y0, z0=z0, norm_p=p, t_grid=ts)
+                ser = sweep(s, an)
+                assert ser.warnings == ()
+                num = [np.linalg.norm(e if z0 is None else e @ z0, p)
+                       for e in E]
+                ke = np.array(num) / [np.linalg.norm(e @ s.y0_hat, p)
+                                      for e in E]
+                m = ser.eps_tu < 1.0
+                assert m.sum() >= 8
+                gap = np.abs(ke[m] / ser.k_asym[m] - 1.0)
+                assert np.all(gap <= ser.precision_bound[m] + 1e-12)
 
 
 @pytest.mark.parametrize("matrix, norm_p", [(EXAMPLE_A, 1), (W_ZERO_A, 2)])

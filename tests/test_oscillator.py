@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from odecond import matrix_core
-from odecond.errors import DegenerateConstant, UnsupportedBlock, ZeroProjection
+from odecond.errors import DegenerateConstant, ZeroProjection
 from odecond.oscillator import (
     _U_FLOOR_FACTOR,
     VWPair,
@@ -469,11 +469,3 @@ def test_g_factor_zero_projection_propagates(rng):
     u = unit(ns[0])
     with pytest.raises(ZeroProjection):
         g_factor(b, 1.0, u=u)
-
-
-def test_g_factor_unsupported_rejected():
-    an = analyze_spectrum(np.diag([1.0, 1.0, -2.0]), tol=1e-6)
-    bad = [b for b in an.blocks if not b.is_supported]
-    assert bad
-    with pytest.raises(UnsupportedBlock):
-        g_factor(bad[0], 0.5)

@@ -6,6 +6,7 @@ import pytest
 from conftest import EXAMPLE_A, sample_supported, unit
 from oracles import sphere_max
 
+from odecond.condition import Scenario, k_asym
 from odecond.errors import AmbiguousGrouping, ZeroProjection, UnsupportedBlock
 from odecond.matrix_core import mat_exp
 from odecond.oscillator import phase_offset, theta_norm_u
@@ -69,10 +70,31 @@ def test_grouping_tolerance_must_be_positive_and_finite(tol):
 
 
 def test_repeated_real_eigenvalue_unsupported():
-    an = analyze_spectrum(np.diag([1.0, 1.0, -2.0]))
-    assert an.blocks[0].kind is BlockKind.UNSUPPORTED
-    assert an.blocks[1].kind is BlockKind.SIMPLE_SINGLE_REAL
-    assert not an.all_supported
+    # one block per member: the repeated rightmost eigenvalue gives two
+    # real blocks, and k_asym refuses the group, which is not generic
+    A = np.diag([1.0, 1.0, -2.0])
+    an = analyze_spectrum(A)
+    assert [b.kind for b in an.blocks] == [BlockKind.SIMPLE_SINGLE_REAL] * 3
+    assert [b.r for b in an.blocks[:2]] == [1.0, 1.0]
+    assert an.q == 2
+    assert not an.rightmost_generic and not an.all_supported
+    s = Scenario(matrix=A, y0=[1.0, 1.0, 1.0], t_grid=[0.0, 1.0])
+    with pytest.raises(UnsupportedBlock):
+        k_asym(s, an, 1.0)
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[0.5, 1e-10, 0.0], [-1e-10, 0.5, 0.0], [0.0, 0.0, -1.0]],
+], ids=["pair_and_real", "pair_within_tol"])
+def test_rightmost_group_not_generic(A):
+    # a pair and a real eigenvalue sharing the rightmost real part, or a
+    # pair whose |Im| is within the grouping tolerance: k_asym refuses
+    an = analyze_spectrum(A)
+    assert not an.rightmost_generic
+    s = Scenario(matrix=A, y0=[1.0, 2.0, 3.0], t_grid=[0.0, 1.0])
+    with pytest.raises(UnsupportedBlock):
+        k_asym(s, an, 1.0)
 
 
 def test_blocks_strictly_decreasing():
@@ -255,12 +277,6 @@ def test_build_Q_periodicity():
     T = 2 * np.pi / b.omega
     for t in (0.0, 0.4, 2.2):
         assert np.allclose(build_Q(b, t + T), build_Q(b, t), atol=1e-12)
-
-
-def test_build_Q_unsupported_rejected():
-    an = analyze_spectrum(np.diag([1.0, 1.0]))
-    with pytest.raises(UnsupportedBlock):
-        build_Q(an.blocks[0], 0.0)
 
 
 def test_exponential_reconstruction_from_blocks():
