@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedBlock,
     ZeroProjection,
 )
+from .g17 import write_csv
 from .matrix_core import mat_exp, vector_norms
 from .minimax import h_envelope_sweep, h_extremes, trace_branches
 from .oscillator import VWPair, _f_extremes
@@ -493,17 +494,15 @@ def cmd_envelope(cfg: RunConfig) -> int:
     _, _, fmax, fmin = _f_extremes(pair, xs)
     f_path = cfg.out + "_f.csv"
     with open(f_path, "w") as fh:
-        fh.write("x,f_max,f_min\n")
-        fh.write("".join("%.17g,%.17g,%.17g\n" % row for row in
-                         zip(xs.tolist(), fmax.tolist(), fmin.tolist())))
+        write_csv(fh, ("x", "f_max", "f_min"),
+                  np.column_stack((xs, fmax, fmin)))
 
     betas = np.linspace(0.0, math.pi, cfg.steps + 1)
     h_hi, h_lo, _, _ = h_envelope_sweep(pair, betas)
     h_path = cfg.out + "_h.csv"
     with open(h_path, "w") as fh:
-        fh.write("beta,h_max,h_min\n")
-        fh.write("".join("%.17g,%.17g,%.17g\n" % row for row in
-                         zip(betas.tolist(), h_hi.tolist(), h_lo.tolist())))
+        write_csv(fh, ("beta", "h_max", "h_min"),
+                  np.column_stack((betas, h_hi, h_lo)))
 
     V, W = cfg.V, cfg.W
     h = h_extremes(pair)._asdict()
@@ -536,14 +535,14 @@ def cmd_branches(cfg: RunConfig) -> int:
         warnings.simplefilter("always", BranchLost)
         polylines = trace_branches(pair, betas)
     csv_path = cfg.out + "_branches.csv"
+    rows = [np.column_stack((p.beta_samples, p.x_samples, p.h_samples))
+            for p in polylines]
+    heads = np.repeat(np.array([f"{bid},{p.source},"
+                                for bid, p in enumerate(polylines)],
+                               dtype=np.bytes_), [len(r) for r in rows])
     with open(csv_path, "w") as fh:
-        fh.write("branch_id,source,beta,x,h\n")
-        for bid, poly in enumerate(polylines):
-            head = f"{bid},{poly.source},"
-            fh.write("".join(head + "%.17g,%.17g,%.17g\n" % row for row in
-                             zip(poly.beta_samples.tolist(),
-                                 poly.x_samples.tolist(),
-                                 poly.h_samples.tolist())))
+        write_csv(fh, ("branch_id", "source", "beta", "x", "h"),
+                  np.concatenate(rows), heads)
     log_path = cfg.out + "_lost.log"
     with open(log_path, "w") as fh:
         for w in caught:

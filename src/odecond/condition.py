@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OdecondError, UnsupportedBlock, ZeroProjection
+from .g17 import write_csv
 from .matrix_core import (
     EigenSystem,
     as_real_matrix,
@@ -244,23 +245,16 @@ class ConditionSeries:
     def osf(self) -> float:
         return self.profile.osf
 
-    def _table(self, osf: bool = True) -> list:
-        """The CSV rows as lists of Python floats, in _CSV_COLUMNS order;
-        with osf false, without the constant osf column."""
-        cols = [self.t, self.k_exact, self.k_asym, self.ot, self.eps_t,
-                self.eps_tu, self.precision_bound]
-        if osf:
-            cols.insert(3, np.full(self.t.shape, self.osf))
-        return np.column_stack(cols).tolist()
+    def _table(self) -> np.ndarray:
+        """The CSV rows, in _CSV_COLUMNS order."""
+        return np.column_stack((self.t, self.k_exact, self.k_asym,
+                                np.full(self.t.shape, self.osf), self.ot,
+                                self.eps_t, self.eps_tu,
+                                self.precision_bound))
 
     def to_csv(self, stream) -> None:
-        """Write the series as CSV with 17 significant digits per number.
-        The constant osf column is formatted once, into the row format."""
-        fmt = ",".join("%.17g" % self.osf if c == "osf" else "%.17g"
-                       for c in _CSV_COLUMNS) + "\n"
-        stream.write(",".join(_CSV_COLUMNS) + "\n")
-        stream.write("".join(fmt % tuple(row)
-                             for row in self._table(osf=False)))
+        """Write the series as CSV, every number as '%.17g' formats it."""
+        write_csv(stream, _CSV_COLUMNS, self._table())
 
     def summary_dict(self) -> dict:
         """JSON-ready summary: oscillation profile plus block metadata.
