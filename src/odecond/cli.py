@@ -58,14 +58,6 @@ _DEMO_MATRIX = (
 
 _NORM_CHOICES = ("1", "2", "inf")
 
-# the (V, W) range of each command: envelopes hold on [0, 1)^2, branch
-# tracing needs the open square
-_VW_RANGE = {
-    "envelope": ("[0, 1)", lambda v: 0.0 <= v < 1.0),
-    "branches": ("(0, 1)", lambda v: 0.0 < v < 1.0),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed invocation; plain tuples/floats so configs compare equal."""
@@ -269,10 +261,6 @@ def parse_config(argv) -> RunConfig:
             parser.error("--steps must be at least 2")
         return RunConfig(command="demo", out=ns.out, steps=ns.steps)
     if ns.command in ("envelope", "branches"):
-        label, inside = _VW_RANGE[ns.command]
-        for flag, value in (("--V", ns.V), ("--W", ns.W)):
-            if not inside(value):
-                parser.error(f"{flag} must lie in {label}")
         if ns.steps < 2:
             parser.error("--steps must be at least 2")
         if not ns.out:

@@ -316,7 +316,9 @@ class EigenSystem:
     biorthogonal by construction.  Complex eigenvalues come in conjugate
     pairs whose vectors are exact conjugates of each other.  The columns
     of V are unit vectors; basis_norm is ||V||_2 and basis_cond
-    ||V||_2 ||V^{-1}||_2.
+    ||V||_2 ||V^{-1}||_2.  refined marks the eigenvalues that took
+    eigen_decompose's Newton step and their conjugate partners; residual
+    measures LAPACK's eigenpairs.
     """
 
     eigenvalues: np.ndarray
@@ -325,6 +327,7 @@ class EigenSystem:
     residual: float
     basis_cond: float
     basis_norm: float
+    refined: np.ndarray
 
     @property
     def n(self) -> int:
@@ -342,6 +345,15 @@ def eigen_decompose(A) -> EigenSystem:
     imaginary part.  The negative-imaginary member of each conjugate pair
     is the exact conjugate of its partner, in the eigenvalue and in the
     corresponding column of V and row of V^{-1}.
+
+    The rightmost eigenvalues, whose real part is the largest, take one
+    Newton step lambda += w (A v - lambda v) / (w v), the residual formed
+    in np.longdouble (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
+    20(1), 1983): their error, which long-time quantities multiply by t,
+    falls from some u ||A|| kappa to the residual's rounding.  A real one
+    keeps only the real part of its step, so it stays exactly real; each
+    partner is set to the exact conjugate.  Where np.longdouble is no
+    wider than double, none is refined.
 
     Raises NonDiagonalizable when the eigenvector matrix condition number
     exceeds _DEFECT_COND_LIMIT: the matrix is defective to tolerance and the
@@ -376,6 +388,15 @@ def eigen_decompose(A) -> EigenSystem:
     W[rank[first + 1]] = np.conj(W[rank[first]])
 
     residual = float(vector_norms((A @ V - V * evals).T, 2).max())
+    wider = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    refined = (evals.real == evals.real[0]) & wider
+    A_ext = A.astype(np.longdouble)
+    for j in np.flatnonzero(refined & (evals.imag >= 0.0)):
+        v = V[:, j].astype(np.clongdouble)
+        r = (A_ext @ v - evals[j] * v).astype(complex)
+        step = (W[j] @ r) / (W[j] @ V[:, j])
+        evals[j] += step if evals[j].imag else step.real
+    evals[rank[first + 1]] = np.conj(evals[rank[first]])
     return EigenSystem(
         eigenvalues=evals,
         right_vectors=V,
@@ -383,6 +404,7 @@ def eigen_decompose(A) -> EigenSystem:
         residual=residual,
         basis_cond=float(svals[0] / svals[-1]),
         basis_norm=float(svals[0]),
+        refined=refined,
     )
 
 
@@ -390,8 +412,8 @@ def eigen_decompose(A) -> EigenSystem:
 #: random matrices with cond(V) up to 1e6, the error that c = V^{-1} U
 #: leaves reaches about 6 u cond(V) ||U|| ||e^{tB}||, and the errors of the
 #: eigenvalues LAPACK returns about 15 u ||A||_2 kappa_j (20 for the
-#: rightmost pair of one 3 x 3 normal matrix, which the Newton step
-#: removes)
+#: rightmost pair of one 3 x 3 normal matrix, which eigen_decompose's
+#: Newton step removes)
 _EXPAND_SAFETY = 8.0
 _EIGVAL_SAFETY = 16.0
 
@@ -418,11 +440,9 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     the grid.  This is the eigenvector method (Moler & Van Loan, SIAM Rev.
     45(1), 2003, method 14); its error grows with cond(V) and with |t|
     times the errors of the eigenvalues.  The rightmost eigenvalues, whose
-    errors |t| multiplies for the longest, first take one Newton step
-    lambda += w (A v - lambda v) / (w v), the residual formed in extended
-    precision (np.longdouble): their error falls from some u ||A|| kappa
-    to the residual's rounding.  Where np.longdouble is no wider than
-    double, the step is not taken.
+    errors |t| multiplies for the longest, come refined from
+    eigen_decompose's Newton step where np.longdouble is wider than double,
+    and es.refined marks them.
 
     est[i] estimates the sum over the columns U_l of ||delta X|| / ||X||
     in the p-norm, from the magnitudes a_j(t) = rho_j |e_j(t)| ||v_j||_p
@@ -439,7 +459,7 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     max_j |e_j(t)| r) bounds the 2-to-p norm of e^{tB}, r = n^max(0, 1/p
     - 1/2), and ||V||_p = r ||V||_2 that of V, which carries the errors of
     the eigenvalues as it carries the terms.  The error of lambda_j,
-    dlambda_j, is _EIGVAL_SAFETY u ||A||_2 kappa_j, or once refined
+    dlambda_j, is _EIGVAL_SAFETY u ||A||_2 kappa_j, or where es.refined
     s ((n + 1) u_ext ||A||_2 kappa_j + u |lambda_j - shift|), u_ext the
     unit roundoff of np.longdouble.  The error of v_j moves X by at most
     |t| ||A|| kappa_j, nor by more than the distance gap_j to the nearest
@@ -466,13 +486,9 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     u_ext = float(np.finfo(np.longdouble).eps) / 2.0
     a_norm = float(matrix_norms(A, 2))
     dlam = _EIGVAL_SAFETY * u * a_norm * kappa
-    top = np.flatnonzero(lam.real == lam.real[0]) if u_ext < u else []
-    for j in top:
-        v = V[:, j].astype(np.clongdouble)
-        r = (A.astype(np.longdouble) @ v - lam[j] * v).astype(complex)
-        lam[j] += (W[j] @ r) / (W[j] @ V[:, j])
-        dlam[j] = su * ((n + 1) * u_ext / u * a_norm * kappa[j]
-                        + abs(lam[j] - shift))
+    top = es.refined[keep]
+    dlam[top] = su * ((n + 1) * u_ext / u * a_norm * kappa[top]
+                      + np.abs(lam[top] - shift))
     gaps = np.abs(lam[:, None] - es.eigenvalues)
     gaps[np.arange(lam.size), np.flatnonzero(keep)] = np.inf
     with np.errstate(divide="ignore"):  # a repeated eigenvalue: inf

@@ -137,14 +137,9 @@ def alpha_extrema(p: VWPair, x: float):
 
 def _f_extremes(p: VWPair, x):
     """(amax, amin, fmax, fmin): the extremizer angles of f( . , x) over
-    alpha and its maximum and minimum, from one solve of the angles.  V = 0
-    or W = 0 short-circuits the values to the constants (1 + V) / (1 - W)
-    and (1 - V) / (1 + W)."""
+    alpha and its maximum and minimum, from one solve of the angles."""
     x = np.asarray(x, dtype=float)
     amax, amin = _alpha_extrema_arrays(p, x)
-    if p.V == 0.0 or p.W == 0.0:
-        return (amax, amin, np.full(x.shape, (1.0 + p.V) / (1.0 - p.W)),
-                np.full(x.shape, (1.0 - p.V) / (1.0 + p.W)))
     return amax, amin, f_vw(p, amax, x), f_vw(p, amin, x)
 
 

@@ -604,23 +604,27 @@ def test_envelope_ratio_curve_has_local_but_not_global_min(tmp_path, capsys):
 
 
 def test_envelope_rejects_out_of_range(tmp_path, capsys):
-    for V, W in [(1.2, 0.5), (-0.1, 0.5), (0.5, 1.0)]:
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["envelope", "--V", V, "--W", W,
-                     "--out", tmp_path / "x"])
-        assert exc.value.code == 1
+    # VWPair decides the domain [0, 1)^2 before any file is opened
+    for V, W in [(1.2, 0.5), (-0.1, 0.5), (0.5, 1.0), ("nan", 0.5)]:
+        assert run_cli(["envelope", "--V", V, "--W", W,
+                        "--out", tmp_path / "x"]) == 1
+        assert "must lie in [0, 1)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------- branches
 
 def test_branches_rejects_boundary_pairs(tmp_path, capsys):
-    # envelope takes V = 0 or W = 0; branch tracing needs the open square
-    for V, W in [(0.0, 0.5), (0.5, 0.0)]:
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["branches", "--V", V, "--W", W,
-                     "--out", tmp_path / "x"])
-        assert exc.value.code == 1
-        assert "must lie in (0, 1)" in capsys.readouterr().err
+    # envelope takes V = 0 or W = 0; branch tracing needs the open square.
+    # VWPair refuses nan and trace_branches the boundary, before any file
+    # is opened
+    for V, W, why in [(0.0, 0.5, "open interval (0, 1)"),
+                      (0.5, 0.0, "open interval (0, 1)"),
+                      (0.5, "nan", "[0, 1)")]:
+        assert run_cli(["branches", "--V", V, "--W", W,
+                        "--out", tmp_path / "x"]) == 1
+        assert why in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def branch_table(path):

@@ -218,6 +218,27 @@ def test_k_asym_matches_exact_when_dominant(rng):
         done += 1
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double")
+@pytest.mark.parametrize("axis, refs", [
+    ("right_minor", (66.841434768672941696, 57.008392600721765692,
+                     8.3214180571083517757)),
+    ("right_major", (1.000111572772546615, 1.0001534563711313167,
+                     1.007199450342303734)),
+])
+def test_k_asym_demo_at_long_times(axis, refs):
+    # the error of omega_1 grows with t in the oscillating term; LAPACK's
+    # omega_1, 1.55e-14 off, put k_asym 2.2e-10 off at t = 3000.  The
+    # references are k_exact of the demo scenarios, worst case, from
+    # mpmath at 60 digits (mp.expm and the 2-norm from mp.svd_r), where
+    # the dominance sums bound k_exact / k_asym - 1 below 1e-88
+    an = analyze_spectrum(EXAMPLE_A)
+    y0 = getattr(an.blocks[0], axis)
+    s = Scenario(matrix=EXAMPLE_A, y0=y0, t_grid=two_point_grid())
+    got = k_asym(s, an, np.array([200.0, 1000.0, 3000.0]))
+    assert np.all(np.abs(got / np.array(refs) - 1.0) <= 2e-12)
+
+
 # --------------------------------------------------------------------- osf
 
 def test_osf_example_values():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_A
+from conftest import EXAMPLE_A, sample_supported
 from oracles import sphere_max, taylor_expm
 
 from odecond import matrix_core
@@ -556,6 +556,79 @@ def test_eigen_sorted_by_real_part():
     es = eigen_decompose(A)
     r = es.eigenvalues.real
     assert np.all(np.diff(r) <= 1e-12)
+
+
+_WIDER = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than double")
+
+
+def _without_extended_precision():
+    return mock.patch.multiple(np, longdouble=np.float64,
+                               clongdouble=np.complex128)
+
+
+@_WIDER
+def test_eigen_demo_omega_refined():
+    # LAPACK's omega_1 is 0.9999999999999987; the exact value is
+    # 1.000000000000014210854715... (mpmath, 60 digits)
+    es = eigen_decompose(EXAMPLE_A)
+    omega = 1.0000000000000142
+    assert abs(es.eigenvalues[0].imag - omega) <= 2 * np.spacing(omega)
+    assert es.eigenvalues[1] == np.conj(es.eigenvalues[0])
+    assert es.refined.tolist() == [True, True, False]
+
+
+@_WIDER
+def test_eigen_refined_real_eigenvalue_stays_real():
+    # complex V and V^{-1} give the Newton step of the real rightmost
+    # eigenvalue an imaginary part, which it drops
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(4, 4))
+    D = np.zeros((4, 4))
+    D[0, 0], D[1:3, 1:3], D[3, 3] = 0.5, _rotation(-0.5, 2.0), -1.0
+    A = S @ D @ np.linalg.inv(S)
+    es = eigen_decompose(A)
+    assert es.refined.tolist() == [True, False, False, False]
+    assert es.eigenvalues[0].imag == 0.0
+    assert analyze_spectrum(A).blocks[0].is_real
+
+
+@_WIDER
+def test_eigen_refinement_within_a_priori_bound():
+    # no eigenvalue moves from LAPACK's value by more than eigen_expand's
+    # a priori error _EIGVAL_SAFETY u ||A||_2 kappa_j
+    rng = np.random.default_rng(26)
+    u = np.finfo(float).eps / 2.0
+    moves = []
+    for n in (2, 3, 5, 8, 20):
+        for _ in range(5):
+            A, _ = sample_supported(rng, n)
+            es = eigen_decompose(A)
+            with _without_extended_precision():
+                lapack = eigen_decompose(A).eigenvalues
+            # unit right columns: kappa_j = ||w_j||
+            kappa = np.linalg.norm(es.left_rows, axis=1)
+            bound = (matrix_core._EIGVAL_SAFETY * u * np.linalg.norm(A, 2)
+                     * kappa)
+            moved = np.abs(es.eigenvalues - lapack)
+            assert np.all(moved <= bound)
+            moves.append(moved.max())
+    assert max(moves) > 0.0
+
+
+def test_eigen_without_extended_precision_is_lapack():
+    # where np.longdouble is double nothing is refined: the eigenvalues
+    # are LAPACK's bit for bit
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 5, 8, 20):
+        A, _ = sample_supported(rng, n)
+        with _without_extended_precision():
+            es = eigen_decompose(A)
+        lam = np.linalg.eig(A)[0]
+        lam = lam[np.lexsort((-lam.imag, -lam.real))]
+        assert not es.refined.any()
+        assert np.array_equal(es.eigenvalues, lam)
 
 
 def test_eigen_defective_matrix_rejected():

@@ -211,12 +211,15 @@ def test_extremes_random_grid_oracle(rng):
             grid_extreme_f(V, W, x, which="min"), abs=1e-8)
 
 
-def test_extremes_shortcircuit_constants(rng):
-    for V, W in ((0.0, 0.6), (0.6, 0.0), (0.0, 0.0)):
+def test_extremes_at_zero_modulus_are_the_constants_exactly():
+    # V = 0 or W = 0 takes the general path, whose extremizer angles put
+    # the values on (1 + V) / (1 - W) and (1 - V) / (1 + W) bit for bit
+    xs = np.concatenate([np.linspace(-1e4, 1e4, 400000), [0.0, np.pi, -np.pi]])
+    for V, W in ((0.0, 0.3), (0.0, 0.999), (0.0, 1e-300), (0.4, 0.0),
+                 (0.999, 0.0), (1e-300, 0.0), (0.0, 0.0)):
         p = VWPair(V, W)
-        xs = rng.uniform(-7, 7, 50)
-        assert np.allclose(f_vw_max(p, xs), (1 + V) / (1 - W), atol=1e-15)
-        assert np.allclose(f_vw_min(p, xs), (1 - V) / (1 + W), atol=1e-15)
+        assert np.all(f_vw_max(p, xs) == (1 + V) / (1 - W))
+        assert np.all(f_vw_min(p, xs) == (1 - V) / (1 + W))
 
 
 def test_extremes_over_x():
