@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .condition import (Scenario, _k_exact_ratios, _norm_label, _shift_for,
-                        _shifted, sweep)
+from .condition import (Scenario, _norm_label, _shift_for,
+                        _worst_case_propagators, sweep)
 from .errors import (
     AmbiguousGrouping,
     BranchLost,
@@ -38,7 +38,7 @@ from .errors import (
     ZeroProjection,
 )
 from .g17 import write_csv
-from .matrix_core import mat_exp, vector_norms
+from .matrix_core import vector_norms
 from .minimax import h_envelope_sweep, h_extremes, trace_branches
 from .oscillator import VWPair, _f_extremes
 from .spectral import SpectrumAnalysis, analyze_spectrum
@@ -358,14 +358,15 @@ def _write_json(path: str, doc, matrix=None) -> None:
 def _spot_check(s: Scenario, analysis: SpectrumAnalysis, seed: int) -> dict:
     """Randomized directional oracle at the final grid time: the worst
     case must dominate every sampled direction and be nearly attained.
-    Both come from one e^{t(A - r1 I)} with the r1 of sweep, so the worst
-    case equals a worst-case sweep's last k_exact bit for bit."""
+    Both come from one e^{t(A - r1 I)}, formed with the r1 of sweep by
+    the route a worst-case sweep takes at that t, so the worst case equals
+    a worst-case sweep's last k_exact bit for bit."""
     rng = np.random.default_rng(seed)
-    t = float(s.t_grid[-1])
+    t = np.array([float(s.t_grid[-1])])
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
-    E = mat_exp(_shifted(s, r1), t)
-    worst = float(_k_exact_ratios(E[None], s.y0_hat, None, s.norm_p,
-                                  np.array([t]))[0])
+    _, worst, E = next(_worst_case_propagators(s, t, r1,
+                                               analysis.eigensystem))
+    worst, t, E = float(worst[0]), float(t[0]), E[0]
     Z = rng.standard_normal((512, s.n))
     Z /= vector_norms(Z, s.norm_p)[:, None]
     best = float(np.max(vector_norms(Z @ E.T, s.norm_p))

@@ -14,13 +14,14 @@ dominance sums eps(t) and eps(t, u) over the subdominant blocks, which
 yield a computable relative-precision bound.
 
 Exact propagation takes one of two routes per sample, under one tolerance,
-_EXPANSION_TOL.  A directional sweep needs only e^{tA} [y0_hat, z0] and
-forms it from the analysis's eigendecomposition wherever that route's
-error estimate is at most the tolerance; every other sample, the whole
-worst case and the scalar k_exact take the batched Pade kernel.  So the
-worst case, which certifies the dominance sums, never shares the
-eigenvectors of k_asym and the sums, and k_exact is the sweep's
-independent oracle.
+_EXPANSION_TOL.  Given the analysis's eigendecomposition, a sample takes
+the eigen-expansion wherever that route's error estimate is at most the
+tolerance: a directional sweep forms only e^{tA} [y0_hat, z0], the worst
+case all of e^{tA} with e^{tA} y0_hat, under an estimate that bounds the
+error of the whole matrix.  Every other sample and the scalar k_exact
+take the batched Pade kernel, which needs no eigenvectors, so k_exact is
+the sweep's independent oracle; the tests check both routes against it
+and against a long-double Taylor series.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .matrix_core import (
     EigenSystem,
     as_real_matrix,
     eigen_expand,
+    eigen_propagate,
     expm_grid,
     matrix_norms,
     vector_norms,
@@ -325,23 +327,28 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
     """k_exact at every t of the 1-D array ts.
 
     Two routes to the propagator e^{t(A - r1 I)}, one tolerance.  Given the
-    eigendecomposition es of A, a directional scenario needs only
-    e^{t(A - r1 I)} [y0_hat, z0]: matrix_core.eigen_expand forms it from es
-    at each sample whose relative error estimate is at most
-    _EXPANSION_TOL, estimated first in O(n) per sample.  Every other
-    sample, and the whole worst case, which needs all of e^{t(A - r1 I)},
-    takes matrix_core.expm_grid, one batched Pade kernel, which forms each
-    sample alone: the Pade samples get the bits they have on the whole grid.
-    The p = 2 worst case takes the largest singular value of each matrix
-    from its Gram matrix (matrix_core.matrix_norms).  Raises OdecondError
-    when a propagated value is not finite or the denominator vanishes; the
-    expansion leaves every such sample to the kernel, so the error names
-    the samples the kernel alone would.
+    eigendecomposition es of A, each sample takes the eigen-expansion
+    wherever its relative error estimate is at most _EXPANSION_TOL,
+    estimated first in O(n) per sample: a directional scenario needs only
+    e^{t(A - r1 I)} [y0_hat, z0] (matrix_core.eigen_expand), the worst case
+    all of it with e^{t(A - r1 I)} y0_hat (_worst_case_propagators).
+    Every other sample takes matrix_core.expm_grid, one batched Pade
+    kernel, which forms each sample alone: the Pade samples get the bits
+    they have on the whole grid.  The p = 2 worst case takes the largest
+    singular value of each matrix from its Gram matrix
+    (matrix_core.matrix_norms).  Raises OdecondError when a propagated
+    value is not finite or the denominator vanishes; the expansion leaves
+    every such sample to the kernel, so the error names the samples the
+    kernel alone would.
     """
-    y0h = s.y0_hat
     out = np.empty(ts.shape)
+    if not s.directional:
+        for idx, k, _ in _worst_case_propagators(s, ts, r1, es):
+            out[idx] = k
+        return out
+    y0h = s.y0_hat
     pade = np.ones(ts.shape, dtype=bool)
-    if es is not None and s.directional:
+    if es is not None:
         for idx, X, est in eigen_expand(s.matrix, es,
                                         np.column_stack((y0h, s.z0)), ts,
                                         r1, s.norm_p, _EXPANSION_TOL):
@@ -356,6 +363,35 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
             idx = sub[idx]
             out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
     return out
+
+
+def _worst_case_propagators(s: Scenario, ts: np.ndarray, r1: float,
+                            es: Optional[EigenSystem] = None):
+    """Yields (idx, k, E): the worst-case k_exact k and the propagator
+    E = e^{t(A - r1 I)} at the samples ts[idx], every index of ts in one
+    idx, by the route the worst case takes there:
+    matrix_core.eigen_propagate where es is given and its estimate is at
+    most _EXPANSION_TOL (E is then a transposed view), expm_grid
+    elsewhere.  A sample's route and bits do not depend on the rest of the
+    grid, so the spot check, which asks for the last sample alone, gets
+    the sweep's propagator and k_exact there."""
+    p, y0h = s.norm_p, s.y0_hat
+    pade = np.ones(ts.shape, dtype=bool)
+    if es is not None:
+        for idx, est, X, e_norm, y_norm in eigen_propagate(
+                s.matrix, es, y0h, ts, r1, p, _EXPANSION_TOL):
+            ok = est <= _EXPANSION_TOL
+            if not ok.all():
+                idx, X, e_norm, y_norm = idx[ok], X[ok], e_norm[ok], y_norm[ok]
+            pade[idx] = False
+            if idx.size:
+                yield (idx, _checked_ratios(e_norm, y_norm, ts[idx]),
+                       np.swapaxes(X[:, 1:], -1, -2))
+    sub = np.flatnonzero(pade)
+    if sub.size:
+        for idx, E in expm_grid(_shifted(s, r1), ts[sub]):
+            idx = sub[idx]
+            yield idx, _k_exact_ratios(E, y0h, None, p, ts[idx]), E
 
 
 def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:

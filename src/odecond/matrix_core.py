@@ -13,16 +13,22 @@ its samples; expm_grid yields (index array, E) pairs in no set order.
 Every norm of the package, p in {1, 2, inf}, is taken by vector_norms,
 over the last axis of a stack of vectors, or by matrix_norms, the induced
 norm over the last two axes of a stack of matrices, whose 2-norm comes
-from the Gram matrices; at p = 2 both scale by exact powers of two first,
-so no square overflows.  Grid functions hold their (T, n, n) stacks in
-chunks from stack_slices, so memory stays flat in the grid length.
+from the Gram matrices: from eigvalsh for small matrices, and from
+n = _CERTIFIED_MIN_N on from a Krylov Rayleigh quotient that one
+Cholesky factorization per matrix certifies to a few ulps, eigvalsh
+taking the matrices it does not certify.  At p = 2 both scale by exact
+powers of two first, so no square overflows.  Grid functions hold their
+(T, n, n) stacks in chunks from stack_slices, so memory stays flat in the
+grid length.
 
-eigen_expand is the other way, for a few vectors rather than the whole
-propagator: e^{tB} U from an eigendecomposition, V diag(e^{(lambda_j -
-shift) t}) V^{-1} U, one (n, n/2) by (n/2, k T) product over the grid,
-with an error estimate per sample that grows with cond(V) and with |t|
-times the eigenvalues' errors.  The caller takes it where the estimate is
-small enough and expm_grid elsewhere; it never replaces mat_exp.
+eigen_expand and eigen_propagate are the other way: e^{tB} U from an
+eigendecomposition, V diag(e^{(lambda_j - shift) t}) V^{-1} U, with an
+error estimate per sample that grows with cond(V) and with |t| times the
+eigenvalues' errors.  eigen_expand forms a few vectors U, one
+(n, n/2) by (n/2, k T) product over the grid; eigen_propagate forms the
+whole e^{tB} with e^{tB} y, one product per sample, under an estimate
+of the whole matrix's error.  The caller takes them where the estimate is
+small enough and expm_grid elsewhere; they never replace mat_exp.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ __all__ = [
     "as_real_matrix",
     "eigen_decompose",
     "eigen_expand",
+    "eigen_propagate",
     "expm_grid",
     "mat_exp",
     "matrix_norms",
@@ -294,17 +301,121 @@ def matrix_norms(E, p) -> np.ndarray:
 
     p = 1 and p = inf are np.linalg.norm's largest column and row absolute
     sums, bit for bit.  p = 2 is the largest singular value sigma,
-    sqrt(lambda_max(E^T E)) from one batched eigvalsh, cheaper than the
-    SVD and as accurate: the error of lambda_max is eps sigma^2.  Each
-    matrix is first scaled as in vector_norms, so E^T E cannot overflow
-    where the SVD would not."""
+    sqrt(lambda_max(E^T E)), as accurate as the SVD: the error of
+    lambda_max is some eps sigma^2.  Each matrix is first scaled as in
+    vector_norms, so E^T E cannot overflow where the SVD would not.
+    Below _CERTIFIED_MIN_N columns lambda_max comes from one batched
+    eigvalsh; from there on from _certified_top_eigenvalue, a Rayleigh
+    quotient certified to a few ulps, and from eigvalsh only where the
+    certificate fails.  Either way each matrix is handled alone, so its
+    norm does not depend on the rest of the stack."""
     p = _normalize_p(p)
     E = np.asarray(E, dtype=float)
     if p != 2:
         return np.linalg.norm(E, p, axis=(-2, -1))
     F, k = _unit_scaled(E, (-2, -1))
-    lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
+    G = np.swapaxes(F, -1, -2) @ F
+    del F
+    if G.shape[-1] < _CERTIFIED_MIN_N:
+        lam = np.linalg.eigvalsh(G)[..., -1]
+    else:
+        # the kernel overwrites G; a matrix it leaves uncertified gets
+        # its Gram matrix again, from the same scaled columns
+        E = E.reshape((-1,) + E.shape[-2:])
+        lam, ok = _certified_top_eigenvalue(G.reshape(E.shape[0], -1,
+                                                      G.shape[-1]))
+        if not ok.all():
+            F, _ = _unit_scaled(E[~ok], (-2, -1))
+            lam[~ok] = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[:, -1]
+        lam = lam.reshape(k.shape[:-2])
     return np.ldexp(np.sqrt(lam), k[..., 0, 0])
+
+
+#: matrix_norms takes sigma_max^2 from _certified_top_eigenvalue from this
+#: size on: below it one batched eigvalsh costs less than the kernel's
+#: two dozen batched calls
+_CERTIFIED_MIN_N = 32
+#: Krylov vectors behind the Rayleigh quotient, and the relative width of
+#: the certified interval [rho, rho + r^2 / (rho - a)] that is accepted
+_KRYLOV_DIM = 8
+_CERTIFIED_ULPS = 4.0
+
+
+def _certified_top_eigenvalue(G):
+    """(lam, ok): lam[i] is the largest eigenvalue of the symmetric
+    positive semidefinite G[i] (T, n, n) to _CERTIFIED_ULPS ulps wherever
+    ok[i]; elsewhere the caller takes eigvalsh.  G is overwritten.  Each
+    matrix is handled alone, so lam[i] does not depend on the rest of the
+    stack.
+
+    Rayleigh-Ritz on the Krylov space of _KRYLOV_DIM vectors started
+    from the largest column of G[i] gives the unit vector q, its Rayleigh
+    quotient rho <= lam_1 and the residual r = ||G q - rho q||.  If
+    lam_2 <= a < rho, the Kato-Temple bound gives lam_1 <= rho +
+    r^2 / (rho - a) (Parlett, The Symmetric Eigenvalue Problem, 10.5), so
+    a is taken as large as the accepted width allows.  One Cholesky of
+    aI - G + rho q q^T per matrix then certifies lam_2 <= a: if it
+    succeeds that matrix is positive definite, and G is it minus aI plus
+    the rank-one rho q q^T, which moves no eigenvalue but the top one up
+    (Weyl).  The slack d = (n + 2)^2 u (2 rho + tr G) covers the rounding
+    of forming that matrix and the backward error of its Cholesky factor
+    (Higham, Accuracy and Stability of Numerical Algorithms, 10.1), and r
+    is charged it as the rounding of G q.  A matrix whose a falls to its
+    second Ritz value, which is at most lam_2, fails without a
+    factorization."""
+    T, n, _ = G.shape
+    u = np.finfo(float).eps / 2.0
+    diag = np.diagonal(G, axis1=-2, axis2=-1)
+    trace = diag.sum(axis=-1)
+    K = np.empty((T, n, _KRYLOV_DIM))
+    K[:, :, 0] = G[np.arange(T), :, diag.argmax(axis=-1)]
+    # G / tr G has norm at most 1, so no power overflows; a zero G gives
+    # zero vectors and rho = 0, which is not certified
+    scale = np.divide(1.0, trace, out=np.zeros(T), where=trace > 0.0)
+    for j in range(1, _KRYLOV_DIM):
+        K[:, :, j] = (G @ K[:, :, j - 1:j])[..., 0] * scale[:, None]
+    Q, _ = np.linalg.qr(K)
+    GQ = G @ Q
+    theta, Y = np.linalg.eigh(np.swapaxes(Q, -1, -2) @ GQ)
+    y = Y[:, :, -1:]
+    q = (Q @ y)[..., 0]
+    Gq = (GQ @ y)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q /= np.sqrt(np.einsum("ti,ti->t", q, q))[:, None]
+        rho = np.einsum("ti,ti->t", q, Gq)
+        slack = (n + 2) ** 2 * u * (2.0 * rho + trace)
+        r = np.linalg.norm(Gq - rho[:, None] * q, axis=-1) + slack
+        a = rho - r * r / (_CERTIFIED_ULPS * 2.0 * u * rho) - 2.0 * slack
+    ok = (a > theta[:, -2]) & (rho > 0.0) & np.isfinite(a)
+    if ok.any():
+        M = np.negative(G, out=G)
+        for i in np.flatnonzero(ok):
+            M[i] += np.outer(q[i], rho[i] * q[i])
+        M.reshape(T, -1)[:, ::n + 1] += np.where(ok, a, 0.0)[:, None]
+        ok &= _positive_definite(M)
+    return rho, ok
+
+
+def _positive_definite(M):
+    """Whether the Cholesky factorization of each symmetric M[i] succeeds;
+    M is overwritten.  numpy's cholesky raises for the whole stack if one
+    matrix fails, so the gufunc behind it is called directly, which leaves
+    NaN in the failing factors; a numpy without it factors the matrices
+    one by one."""
+    try:
+        from numpy.linalg import _umath_linalg
+        factor = _umath_linalg.cholesky_lo
+    except (ImportError, AttributeError):  # pragma: no cover
+        out = np.ones(len(M), dtype=bool)
+        for i, Mi in enumerate(M):
+            try:
+                np.linalg.cholesky(Mi)
+            except np.linalg.LinAlgError:
+                out[i] = False
+        return out
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        factor(M, signature="d->d", out=M)      # one matrix at a time
+    return np.isfinite(np.diagonal(M, axis1=-2, axis2=-1)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -471,64 +582,26 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     finite, is not expanded, and there X is NaN and est that bound.  Where
     ||X|| is zero or not finite, est is inf.
     """
-    A = as_real_matrix(A, square=True)
     U = np.asarray(U, dtype=float)
     n, k = U.shape
-    lam = es.eigenvalues
-    keep = lam.imag >= 0.0
-    rho = np.where(lam.imag[keep] > 0.0, 2.0, 1.0)
-    lam, V, W = lam[keep], es.right_vectors[:, keep], es.left_rows[keep]
-    vp = vector_norms(V.T, p)
-    wn = vector_norms(W, 2)
-    kappa = vector_norms(V.T, 2) * wn
-    u = np.finfo(float).eps / 2.0
-    su = _EXPAND_SAFETY * u
-    u_ext = float(np.finfo(np.longdouble).eps) / 2.0
-    a_norm = float(matrix_norms(A, 2))
-    dlam = _EIGVAL_SAFETY * u * a_norm * kappa
-    top = es.refined[keep]
-    dlam[top] = su * ((n + 1) * u_ext / u * a_norm * kappa[top]
-                      + np.abs(lam[top] - shift))
-    gaps = np.abs(lam[:, None] - es.eigenvalues)
-    gaps[np.arange(lam.size), np.flatnonzero(keep)] = np.inf
-    with np.errstate(divide="ignore"):  # a repeated eigenvalue: inf
-        reach = 1.0 / gaps.min(axis=1)
-    lam = lam - shift
-    C = rho[:, None] * (W @ U)                              # (m, k)
-    mags = np.abs(C) * vp[:, None]                          # a_j / |e_j|
-    to_p = rho * vp * wn
-    u_cond = su * es.basis_cond * vector_norms(U.T, 2)      # (k,)
-    # 2-to-p norms: n^max(0, 1/p - 1/2) ||M||_2 bounds ||M||_{2 -> p}
-    to_p_norm = np.sqrt(n) if p == 1 else 1.0
-    cond_p = es.basis_cond * to_p_norm
-    basis_p = es.basis_norm * to_p_norm
-    coefs = np.abs(C) ** 2                                  # (rho |c_j|)^2
-    tiny = np.finfo(float).tiny
+    md = _Modes(A, es, shift, p)
+    cols = _Columns(md, U)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     step = max(1, STACK_BYTES // (8 * _EXPAND_LIVE_VALUES * k * n))
     for lo in range(0, ts.size, step):
         idx = np.arange(lo, min(lo + step, ts.size))
         t = ts[idx]
-        at = np.abs(t)[:, None]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mod = np.exp(np.multiply.outer(t, lam.real))     # |e_j(t)|
-            total = mod @ mags
-            g = np.minimum(mod @ to_p, cond_p * mod.max(axis=1))
-            # the eigenvalues' errors scale the terms along V, which
-            # bounds their sum by ||V|| times their 2-norm
-            lam_err = mod * (at * dlam)
-            drift = np.minimum(lam_err @ mags,
-                               basis_p * np.sqrt(lam_err ** 2 @ coefs))
-            drift += (mod * (su * a_norm * kappa * np.minimum(at, reach))
-                      @ mags)
-            num = su * total + g[:, None] * u_cond + drift + tiny
+            mod = np.exp(np.multiply.outer(t, md.lam.real))  # |e_j(t)|
+            total, num = cols.numerators(mod, np.abs(t)[:, None])
             est = (num / total).sum(axis=1)
         X = np.full((t.size, k, n), np.nan)
         go = np.flatnonzero(est <= tol)
         if go.size:
-            Z = np.exp(np.multiply.outer(lam, t[go]))[:, :, None] * C[:, None]
+            Z = (np.exp(np.multiply.outer(md.lam, t[go]))[:, :, None]
+                 * cols.C[:, None])
             Z = Z.reshape(-1, go.size * k)
-            Xg = V.real @ Z.real - V.imag @ Z.imag
+            Xg = md.V.real @ Z.real - md.V.imag @ Z.imag
             X[go] = Xg.reshape(n, go.size, k).transpose(1, 2, 0)
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
@@ -536,3 +609,174 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
                 est[go] = np.where(np.isfinite(xn).all(axis=1),
                                    (num[go] / xn).sum(axis=1), np.inf)
         yield idx, X, est
+
+
+#: (n + 1, n) float64 stacks eigen_propagate holds at once: the real and
+#: imaginary parts of the terms, then the product, the Gram matrix and the
+#: certificate of its 2-norm
+_PROPAGATE_LIVE_STACKS = 3
+
+
+def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float):
+    """e^{tB} and e^{tB} y, B = A - shift I, for the real n-vector y at
+    the t of the 1-D array ts where the eigen-expansion's error estimate
+    allows, from the eigendecomposition es of A, chunk by chunk: the
+    expansion of eigen_expand with U = [y | I], whose estimate bounds
+    e^{tB} as one matrix.
+
+    Yields (idx, est, X, e_norm, y_norm) for the samples ts[idx] that are
+    formed, in order; a sample that is not yielded has an estimate above
+    tol.  est is the estimate, X[i] the (n + 1, n) matrix
+    [e^{tB} y | e^{tB}]^T, so X[i, 0] is e^{tB} y and X[i, 1:] the
+    transpose of e^{tB}, and e_norm and y_norm their p-norms.  A formed
+    sample's est may still exceed tol, since its estimate is then taken
+    against the norms themselves.  Each sample is one (n + 1, 2m) by
+    (2m, n) product of the real and imaginary parts of e_j(t) c_j,
+    m ~ n / 2, by the stacked [Re V^T; -Im V^T], so its bits do not
+    depend on the rest of the grid.
+
+    est is the estimate of e^{tB} y, eigen_expand's for the column y,
+    plus that of e^{tB} in the induced p-norm, both relative: the ratio
+    ||e^{tB}|| / ||e^{tB} y|| moves by at most their sum.  The matrix
+    terms are rho_j e_j(t) v_j w_j, of p-norm a_j(t) = rho_j |e_j(t)|
+    ||v_j||_p ||w_j||_q (q the dual exponent), and the error is bounded as
+    one matrix, not column by column (K = ||V||_p ||V^{-1}||_p, the p-norms
+    of the whole bases):
+
+        (s u (sum_j a_j(t) + r cond(V) G(t))           rounding, V^{-1}
+         + min(sum_j a_j(t) |t| dlambda_j, K max_j |e_j(t)| |t| dlambda_j)
+         + min(sum_j a_j(t) d_j(t), K max_j |e_j(t)| d_j(t))      v_j
+         + tiny) / ||e^{tB}||_p,
+
+    with d_j(t) = s u ||A||_2 kappa_j min(|t|, 1 / gap_j), r =
+    n^|1/2 - 1/p| and G(t) = min(sum_j a_j(t), K max_j |e_j(t)|), which
+    bounds ||e^{tB}||_p: an error that scales the terms, such as that of
+    an eigenvalue, is V diag(delta_j) V^{-1}, at most K max_j |delta_j| in
+    norm, where the sum over the terms would charge each term its own
+    bound.  As in eigen_expand, the sums bound the norms from above, so
+    the estimate is first bounded from below, for the whole grid at once
+    in O(n) per sample, and only the samples whose bound is at most tol
+    are formed.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    n = y.shape[0]
+    md = _Modes(A, es, shift, p)
+    q = {1: np.inf, 2: 2, np.inf: 1}[_normalize_p(p)]
+    mat = md.rho * md.vp * vector_norms(md.W, q)            # a_j / |e_j|
+    if q == 2:
+        box = es.basis_cond
+    else:
+        axis = 0 if q == np.inf else 1   # column sums at p = 1, rows at inf
+        box = float(np.abs(es.right_vectors).sum(axis=axis).max()
+                    * np.abs(es.left_rows).sum(axis=axis).max())
+    inv = md.su * es.basis_cond * (1.0 if q == 2 else np.sqrt(n))
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    at = np.abs(ts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # mode by mode, (m, T): the maxima over the modes are elementwise
+        mod = np.exp(np.multiply.outer(md.lam.real, ts))    # |e_j(t)|
+        total = mat @ mod
+        lam_err = mod * md.dlam[:, None]
+        vec_err = mod * (md.drift[:, None] * np.minimum(at, md.reach[:, None]))
+        num = (md.su * total
+               + inv * np.minimum(total, box * mod.max(axis=0))
+               + at * np.minimum(mat @ lam_err, box * lam_err.max(axis=0))
+               + np.minimum(mat @ vec_err, box * vec_err.max(axis=0))
+               + np.finfo(float).tiny)
+        est = num / total
+        go = np.flatnonzero(est <= tol)
+        if not go.size:
+            return
+        col = _Columns(md, y)
+        total_y, num_y = col.numerators(mod[:, go].T, at[go, None])
+        est = est[go] + num_y[:, 0] / total_y[:, 0]
+    keep = est <= tol
+    go, num, num_y = go[keep], num[go[keep]], num_y[keep, 0]
+    C = np.column_stack((col.C, md.rho[:, None] * md.W)).T  # (n + 1, m)
+    VV = np.concatenate((md.V.real.T, -md.V.imag.T))       # (2m, n)
+    m = md.lam.size
+    step = max(1, STACK_BYTES // (8 * _PROPAGATE_LIVE_STACKS * (n + 1) * n))
+    for lo in range(0, go.size, step):
+        sl = slice(lo, lo + step)
+        Z = np.exp(np.multiply.outer(ts[go[sl]], md.lam))[:, None, :] * C
+        Zr = np.empty(Z.shape[:2] + (2 * m,))
+        Zr[..., :m] = Z.real
+        Zr[..., m:] = Z.imag
+        del Z
+        X = Zr @ VV
+        del Zr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e_norm = matrix_norms(X[:, 1:], q)      # ||E^T||_q = ||E||_p
+            y_norm = vector_norms(X[:, 0], p)
+            est = np.where(np.isfinite(e_norm) & np.isfinite(y_norm),
+                           num[sl] / e_norm + num_y[sl] / y_norm, np.inf)
+        yield go[sl], est, X, e_norm, y_norm
+
+
+class _Modes:
+    """The eigen-expansion's per-mode data for e^{tB}, B = A - shift I:
+    the real eigenvalues and one member of each conjugate pair (lam,
+    shifted, with weights rho and the columns V and rows W of V and
+    V^{-1}), the p-norms of V's columns and 2-norms of W's rows, the
+    condition numbers kappa_j, the eigenvalue errors dlam_j, and the rate
+    s u ||A||_2 kappa_j and reach 1 / gap_j of the eigenvector errors."""
+
+    def __init__(self, A, es: EigenSystem, shift: float, p):
+        A = as_real_matrix(A, square=True)
+        n = A.shape[0]
+        lam = es.eigenvalues
+        keep = lam.imag >= 0.0
+        self.rho = np.where(lam.imag[keep] > 0.0, 2.0, 1.0)
+        lam, self.V, self.W = (lam[keep], es.right_vectors[:, keep],
+                               es.left_rows[keep])
+        self.vp = vector_norms(self.V.T, p)
+        self.wn = vector_norms(self.W, 2)
+        self.kappa = vector_norms(self.V.T, 2) * self.wn
+        u = np.finfo(float).eps / 2.0
+        self.su = su = _EXPAND_SAFETY * u
+        u_ext = float(np.finfo(np.longdouble).eps) / 2.0
+        self.a_norm = float(matrix_norms(A, 2))
+        dlam = _EIGVAL_SAFETY * u * self.a_norm * self.kappa
+        top = es.refined[keep]
+        dlam[top] = su * ((n + 1) * u_ext / u * self.a_norm
+                          * self.kappa[top] + np.abs(lam[top] - shift))
+        self.dlam = dlam
+        gaps = np.abs(lam[:, None] - es.eigenvalues)
+        gaps[np.arange(lam.size), np.flatnonzero(keep)] = np.inf
+        with np.errstate(divide="ignore"):  # a repeated eigenvalue: inf
+            self.reach = 1.0 / gaps.min(axis=1)
+        self.lam = lam - shift
+        self.drift = su * self.a_norm * self.kappa
+        # 2-to-p norms: n^max(0, 1/p - 1/2) ||M||_2 bounds ||M||_{2 -> p}
+        to_p_norm = np.sqrt(n) if p == 1 else 1.0
+        self.cond_p = es.basis_cond * to_p_norm
+        self.basis_p = es.basis_norm * to_p_norm
+        self.basis_cond = es.basis_cond
+
+
+class _Columns:
+    """eigen_expand's error numerators for the columns of U."""
+
+    def __init__(self, md: _Modes, U):
+        self.md = md
+        self.C = md.rho[:, None] * (md.W @ U)                # (m, k)
+        self.mags = np.abs(self.C) * md.vp[:, None]          # a_j / |e_j|
+        self.to_p = md.rho * md.vp * md.wn
+        self.u_cond = md.su * md.basis_cond * vector_norms(U.T, 2)
+        self.coefs = np.abs(self.C) ** 2                     # (rho |c_j|)^2
+
+    def numerators(self, mod, at):
+        """(sum_j a_j(t), the estimate's numerator), each (T, k), from the
+        moduli mod = |e_j(t)| (T, m) at |t| = at (T, 1)."""
+        md = self.md
+        total = mod @ self.mags
+        g = np.minimum(mod @ self.to_p, md.cond_p * mod.max(axis=1))
+        # the eigenvalues' errors scale the terms along V, which bounds
+        # their sum by ||V|| times their 2-norm
+        lam_err = mod * (at * md.dlam)
+        drift = np.minimum(lam_err @ self.mags,
+                           md.basis_p * np.sqrt(lam_err ** 2 @ self.coefs))
+        drift += (mod * (md.drift * np.minimum(at, md.reach))) @ self.mags
+        num = (md.su * total + g[:, None] * self.u_cond + drift
+               + np.finfo(float).tiny)
+        return total, num

@@ -40,3 +40,20 @@ def sample_supported(rng, n, norm_p=2, need_complex_rightmost=False,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def spectral_kind(rng, n):
+    """S D S^-1 with a rightmost pair r1 +- i w1, n / 2 - 1 further pairs
+    with real parts spread over [r1 - 4, r1 - 1], and S of singular values
+    1 .. 10 with random singular vectors (n even)."""
+    r1, w1 = rng.uniform(-0.2, 0.2), rng.uniform(0.8, 1.25)
+    m = n // 2 - 1
+    reals = r1 - 1.0 - 3.0 / m * (np.arange(m) + rng.uniform(0.3, 0.7, m))
+    freqs = rng.uniform(0.5, 3.0, m)
+    D = np.zeros((n, n))
+    for k, (a, b) in enumerate(zip(np.r_[r1, reals], np.r_[w1, freqs])):
+        D[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, a]]
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = q1 @ np.diag(np.geomspace(1.0, 10.0, n)) @ q2
+    return np.linalg.solve(S.T, (S @ D).T).T, w1

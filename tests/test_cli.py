@@ -23,11 +23,14 @@ import pytest
 import odecond
 from odecond.cli import (RunConfig, _json_numbers, _scenario_echo,
                          _write_json, build_parser, main, parse_config)
+from odecond.condition import _EXPANSION_TOL, _shift_for
+from odecond.matrix_core import (_certified_top_eigenvalue, _unit_scaled,
+                                 eigen_propagate)
 from odecond.minimax import h_extremes
 from odecond.oscillator import VWPair
 from odecond.spectral import analyze_spectrum
 
-from conftest import EXAMPLE_A
+from conftest import EXAMPLE_A, spectral_kind
 
 
 def write_matrix_csv(path, A):
@@ -281,24 +284,44 @@ def test_non_finite_error_names_only_failing_samples(tmp_path, capsys):
     assert "e^{tB} is not finite for t in [2.5e+299, 1e+300]" in err
 
 
-@pytest.mark.parametrize("case", ["demo", "n8"])
+@pytest.mark.parametrize("case", ["demo", "n8", "n40"])
 def test_spot_check_worst_case_is_last_k_exact(tmp_path, capsys, case):
-    # the spot check and the sweep take e^{t(A - r1 I)} at the last t from
-    # one kernel, which forms each sample alone: the two worst cases
-    # agree bit for bit (the n = 8 case is 1.1e-15 apart when the kernel's
-    # rounding depends on the chunk)
+    # the spot check forms e^{t(A - r1 I)} at the last t by the route the
+    # sweep took there, and either route forms each sample alone: the two
+    # worst cases agree bit for bit (the n = 8 case is 1.1e-15 apart when
+    # the Pade kernel's rounding depends on the chunk).  The demo takes the
+    # Pade kernel; the n = 40 case takes the eigen-expansion and its
+    # certified 2-norm at the last t
     if case == "demo":
         args = ["--matrix", write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A),
                 "--y0", "1,2,3", "--t1", 4096]
-    else:
+    elif case == "n8":
         rng = np.random.default_rng(1)
         mat = write_matrix_csv(tmp_path / "A.csv", rng.standard_normal((8, 8)))
         y0 = ",".join(repr(float(v)) for v in rng.standard_normal(8))
         args = ["--matrix", mat, "--y0", y0, "--t1", 20, "--steps", 64]
+    else:
+        rng = np.random.default_rng(40)
+        A, w1 = spectral_kind(rng, 40)
+        y0 = rng.standard_normal(40)
+        t1 = 4.0 * math.pi / w1
+        args = ["--matrix", write_matrix_csv(tmp_path / "A.csv", A),
+                "--y0", ",".join(repr(float(v)) for v in y0),
+                "--t1", repr(t1), "--steps", 65]
+        s = odecond.condition.Scenario(matrix=A, y0=y0,
+                                       t_grid=np.array([t1]))
+        es = analyze_spectrum(A).eigensystem
+        (_, est, X, _, _), = eigen_propagate(
+            A, es, s.y0_hat, s.t_grid, _shift_for(A, es.eigenvalues), 2,
+            _EXPANSION_TOL)
+        assert est[0] <= _EXPANSION_TOL
+        F, _ = _unit_scaled(X[:, 1:], (-2, -1))
+        assert _certified_top_eigenvalue(np.swapaxes(F, -1, -2) @ F)[1][0]
     out = tmp_path / case
     assert run_cli(["analyze", *args, "--seed", 1, "--out", out]) == 0
     spot = json.load(open(f"{out}.json"))["spot_check"]
     assert spot["worst_case"] == float_columns(f"{out}.csv")["k_exact"][-1]
+    assert spot["dominates_samples"] is True
     capsys.readouterr()
 
 
@@ -329,29 +352,43 @@ def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
                     err_msg=f"y0 {y0s[tag]}, norm {norm}: {name}")
 
 
-def test_spot_check_propagates_once(monkeypatch):
-    # the worst case and the sampled directions share one propagator, one
-    # expm_grid call; its shift comes from the analysis, as in sweep, with
-    # no eigenvalue solve of its own
-    s = odecond.condition.Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
+@pytest.mark.parametrize("matrix, route", [
+    (EXAMPLE_A, "expm_grid"),
+    ([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]],
+     "eigen_propagate")])
+def test_spot_check_propagates_once(monkeypatch, matrix, route):
+    # the worst case and the sampled directions share one propagator,
+    # formed once by the route a worst-case sweep takes at that t: the Pade
+    # kernel on the demo matrix (cond(V) = 52), the eigen-expansion on a
+    # normal one.  Its shift comes from the analysis, as in sweep, with no
+    # eigenvalue solve of its own
+    s = odecond.condition.Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0],
                                    t_grid=np.linspace(0.0, 3.0, 8))
     analysis = analyze_spectrum(s.matrix)
-    calls = {"expm_grid": 0, "eigvals": 0}
+    calls = {"expm_grid": 0, "eigen_propagate": 0, "eigvals": 0}
     expm_grid, eigvals = odecond.matrix_core.expm_grid, np.linalg.eigvals
+    propagate = odecond.matrix_core.eigen_propagate
 
     def counting_expm_grid(*args):
         calls["expm_grid"] += 1
         return expm_grid(*args)
 
+    def counting_propagate(*args):
+        for formed in propagate(*args):
+            calls["eigen_propagate"] += 1
+            yield formed
+
     def counting_eigvals(*args):
         calls["eigvals"] += 1
         return eigvals(*args)
 
-    monkeypatch.setattr(odecond.matrix_core, "expm_grid", counting_expm_grid)
     monkeypatch.setattr(odecond.condition, "expm_grid", counting_expm_grid)
+    monkeypatch.setattr(odecond.condition, "eigen_propagate",
+                        counting_propagate)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     spot = odecond.cli._spot_check(s, analysis, 1)
-    assert calls == {"expm_grid": 1, "eigvals": 0}
+    assert calls == {"expm_grid": 0, "eigen_propagate": 0, "eigvals": 0,
+                     route: 1}
     assert spot["dominates_samples"] is True
 
 

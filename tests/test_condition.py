@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import EXAMPLE_A, sample_supported, unit
+from conftest import EXAMPLE_A, sample_supported, spectral_kind, unit
 from oracles import sphere_max, taylor_expm
 
 import odecond.condition
@@ -30,7 +30,8 @@ from odecond.condition import (_EXPANSION_TOL, _k_exact_grid,
                                _k_exact_ratios, _shift_for)
 from odecond.errors import (NonDiagonalizable, OdecondError,
                             UnsupportedBlock, ZeroProjection)
-from odecond.matrix_core import eigen_decompose, eigen_expand, mat_exp
+from odecond.matrix_core import (eigen_decompose, eigen_expand,
+                                 eigen_propagate, mat_exp)
 from odecond.minimax import h_envelope
 from odecond.oscillator import (
     VWPair,
@@ -888,11 +889,16 @@ def test_sweep_csv_json_serialization():
 
 
 def expansion_estimates(s, an):
-    """Per sample, the error estimate of sweep's eigen-expansion (inf for
-    the worst case, which takes the Pade kernel only)."""
-    if not s.directional:
-        return np.full(s.t_grid.shape, np.inf)
+    """Per sample, the error estimate of sweep's eigen-expansion; for the
+    worst case inf where the expansion is not formed."""
     r1 = _shift_for(s.matrix, an.eigensystem.eigenvalues)
+    if not s.directional:
+        est = np.full(s.t_grid.shape, np.inf)
+        for idx, e, *_ in eigen_propagate(s.matrix, an.eigensystem, s.y0_hat,
+                                          s.t_grid, r1, s.norm_p,
+                                          _EXPANSION_TOL):
+            est[idx] = e
+        return est
     U = np.column_stack((s.y0_hat, s.z0))
     return np.concatenate([
         est for _, _, est in eigen_expand(s.matrix, an.eigensystem, U,
@@ -911,9 +917,9 @@ def test_sweep_matches_scalar_functions(rng, p, directional):
     s = Scenario(matrix=A, y0=rng.normal(size=5), z0=z0, norm_p=p,
                  t_grid=np.linspace(0.0, 4.0, 21))
     ser = sweep(s, an)
-    # k_exact stays on the Pade kernel: so do the sweep's worst case and its
-    # rejected directional samples, to 1e-14; an expanded directional
-    # sample is within its own error estimate of it
+    # k_exact stays on the Pade kernel, and so do the sweep's rejected
+    # samples, to 1e-14; an expanded sample, worst case or directional, is
+    # within its own error estimate of it
     est = expansion_estimates(s, an)
     if directional:
         assert np.any(est <= _EXPANSION_TOL)
@@ -1223,23 +1229,6 @@ def test_rejected_samples_equal_the_pade_column(matrix):
         assert 0.05 < took.mean() < 0.5 and took[:took.sum()].all()
 
 
-def spectral_kind(rng, n):
-    """S D S^-1 with a rightmost pair r1 +- i w1, n / 2 - 1 further pairs
-    with real parts spread over [r1 - 4, r1 - 1], and S of singular values
-    1 .. 10 with random singular vectors (n even)."""
-    r1, w1 = rng.uniform(-0.2, 0.2), rng.uniform(0.8, 1.25)
-    m = n // 2 - 1
-    reals = r1 - 1.0 - 3.0 / m * (np.arange(m) + rng.uniform(0.3, 0.7, m))
-    freqs = rng.uniform(0.5, 3.0, m)
-    D = np.zeros((n, n))
-    for k, (a, b) in enumerate(zip(np.r_[r1, reals], np.r_[w1, freqs])):
-        D[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, a]]
-    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    S = q1 @ np.diag(np.geomspace(1.0, 10.0, n)) @ q2
-    return np.linalg.solve(S.T, (S @ D).T).T, w1
-
-
 def test_n100_directional_sweep_expands_every_sample():
     # the kind of matrix the benchmark sweeps at n = 100, over four periods
     # of the rightmost pair: every sample takes the expansion, with no Pade
@@ -1278,6 +1267,57 @@ def test_directional_underflow_raises_the_same_error():
         _k_exact_grid(s, s.t_grid, 0.0, es)
     assert str(both.value) == str(pade.value)
     assert "underflows to zero for t in [750, 750]" in str(both.value)
+
+
+def far_from_normal(c):
+    """A seeded 6 x 6 S D S^-1 with cond(S) = c: D holds the rightmost pair
+    -0.1 +- i, the pair -0.8 +- 2.5i and the real -1.5 and -2.2 (real-part
+    gaps 0.7 to 2.1), S = Q1 diag(geomspace(1, c, 6)) Q2; and a y0."""
+    rng = np.random.default_rng(0)
+    D = np.zeros((6, 6))
+    D[0:2, 0:2] = [[-0.1, 1.0], [-1.0, -0.1]]
+    D[2:4, 2:4] = [[-0.8, 2.5], [-2.5, -0.8]]
+    D[4, 4], D[5, 5] = -1.5, -2.2
+    q1 = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    S = q1 @ np.diag(np.geomspace(1.0, c, 6)) @ q2
+    return np.linalg.solve(S.T, (S @ D).T).T, rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
+def test_worst_case_expansion_against_the_taylor_oracle(c, p):
+    # far from normal, where the Pade kernel is the less accurate route
+    # (ROADMAP item 9): its k_exact is up to 2.8e-12 (c = 1e2) to 2.9e-6
+    # (c = 1e4) off the long-double oracle of e^{tA} itself over [0, 40].
+    # An expanded sample of the worst case is within its estimate of the
+    # oracle, and the swept column is nowhere worse than the Pade column.
+    # At _EXPANSION_TOL no sample of these expands, so the expansion is
+    # also formed at every sample whatever its estimate, and each is within
+    # it: up to 1.5e-13 (c = 1e2) to 7.1e-9 (c = 1e4) off, at most 0.061
+    # of its estimate
+    A, y0 = far_from_normal(c)
+    ts = np.linspace(0.0, 40.0, 81)
+    s = Scenario(matrix=A, y0=y0, norm_p=p, t_grid=ts)
+    an = analyze_spectrum(A, norm_p=p)
+    r1 = _shift_for(A, an.eigensystem.eigenvalues)
+    ref = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        E = taylor_expm(A, t)
+        ref[i] = np.linalg.norm(E, p) / np.linalg.norm(E @ s.y0_hat, p)
+    swept = _k_exact_grid(s, ts, r1, an.eigensystem)
+    pade = _k_exact_grid(s, ts, r1)
+    est = expansion_estimates(s, an)
+    took = est <= _EXPANSION_TOL
+    err = np.abs(swept / ref - 1.0)
+    assert np.all(err[took] <= est[took])
+    assert err.max() <= np.abs(pade / ref - 1.0).max()
+    formed = 0
+    for idx, e, X, e_norm, y_norm in eigen_propagate(
+            A, an.eigensystem, s.y0_hat, ts, r1, p, np.inf):
+        assert np.all(np.abs(e_norm / y_norm / ref[idx] - 1.0) <= e)
+        formed += idx.size
+    assert formed == ts.size
 
 
 def test_k_exact_stays_on_pade_and_takes_defective_matrices():

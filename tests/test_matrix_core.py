@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_A, sample_supported
+from conftest import EXAMPLE_A, sample_supported, spectral_kind
 from oracles import sphere_max, taylor_expm
 
 from odecond import matrix_core
 from odecond.errors import NonDiagonalizable, OdecondError
 from odecond.matrix_core import (
+    _certified_top_eigenvalue,
+    _unit_scaled,
     as_real_matrix,
     eigen_decompose,
+    eigen_propagate,
     expm_grid,
     mat_exp,
     matrix_norms,
@@ -447,6 +450,131 @@ def test_vector_norms_complex_extremes(u):
     ref = math.hypot(*np.abs(u))
     for got in (vector_norms(u, 2), vector_norms(np.stack([u, u]), 2)[1]):
         assert got == pytest.approx(ref, rel=4e-16, abs=5e-324)
+
+
+def test_eigen_propagate_sample_alone_has_the_grid_bits():
+    # each sample is its own product and its own norm: formed alone it has
+    # the bits it has on the grid, whatever the chunks, so the spot check
+    # can ask for the last t alone
+    rng = np.random.default_rng(3)
+    A, w1 = spectral_kind(rng, 40)
+    es = eigen_decompose(A)
+    shift = float(es.eigenvalues.real.max())
+    y = rng.standard_normal(40)
+    ts = np.linspace(0.0, 4.0 * np.pi / w1, 97)
+    for p in (1, 2, np.inf):
+        formed = list(eigen_propagate(A, es, y, ts, shift, p, 1e-12))
+        assert sum(idx.size for idx, *_ in formed) > 90
+        for idx, est, X, e_norm, y_norm in formed:
+            for i, t in enumerate(ts[idx]):
+                (_, one_est, one_X, one_e, one_y), = eigen_propagate(
+                    A, es, y, np.array([t]), shift, p, 1e-12)
+                assert np.array_equal(one_X[0], X[i])
+                assert one_e[0] == e_norm[i] and one_y[0] == y_norm[i]
+                assert one_est[0] == pytest.approx(est[i], rel=1e-12)
+
+
+def test_eigen_propagate_is_e_tb_to_its_estimate():
+    # [e^{tB} y | e^{tB}]^T against the Pade kernel, whose own error on
+    # this matrix (cond(V) = 10) is far below 1e-12
+    rng = np.random.default_rng(4)
+    A, w1 = spectral_kind(rng, 40)
+    es = eigen_decompose(A)
+    y = rng.standard_normal(40)
+    ts = np.linspace(0.0, 4.0 * np.pi / w1, 33)
+    for idx, est, X, e_norm, y_norm in eigen_propagate(A, es, y, ts, 0.0, 2,
+                                                       1e-12):
+        for i, t in enumerate(ts[idx]):
+            E = mat_exp(A, t)
+            assert (np.abs(X[i, 1:] - E.T).max() / np.abs(E).max()
+                    <= 1e-12)
+            assert (vector_norms(X[i, 0] - E @ y, 2) / vector_norms(E @ y, 2)
+                    <= 1e-12)
+            assert e_norm[i] == pytest.approx(np.linalg.norm(E, 2), rel=1e-12)
+
+
+# ------------------------------------------------- certified sigma_max
+
+
+def _stack(kind, rng, n, count, decade):
+    """count n x n matrices of one kind, scaled by 10^decade."""
+    Q1 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    if kind == "random":
+        E = rng.standard_normal((count, n, n))
+    elif kind == "graded":
+        E = (Q1 * np.geomspace(1.0, 1e-8, n)) @ Q2
+    elif kind == "rank_one":
+        E = rng.standard_normal((count, n, 1)) * rng.standard_normal(
+            (count, 1, n))
+    elif kind == "top_pair":     # sigma_1 = sigma_2 up to rounding
+        E = (Q1 * np.r_[2.0, 2.0, np.geomspace(1.0, 0.1, n - 2)]) @ Q2
+    else:                        # a scaled orthogonal matrix
+        E = 3.0 * Q1
+    return E * 10.0 ** decade
+
+
+def _eigvalsh_sigma(E):
+    F, k = _unit_scaled(E, (-2, -1))
+    lam = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[..., -1]
+    return np.ldexp(np.sqrt(lam), k[..., 0, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 64),
+       count=st.integers(1, 5), decade=st.integers(-300, 300),
+       kind=st.sampled_from(["random", "graded", "rank_one", "top_pair",
+                             "orthogonal"]))
+def test_matrix_norms_certified_two_norm(seed, n, count, decade, kind):
+    # above the size crossover the 2-norm is a Rayleigh quotient certified
+    # to a few ulps, or eigvalsh's value where the certificate fails: a
+    # few ulps from eigvalsh either way, each matrix alone the same bits
+    # as in the stack, at any scale; a repeated top singular value cannot
+    # be certified
+    rng = np.random.default_rng(seed)
+    E = _stack(kind, rng, n, count, decade)
+    got = matrix_norms(E, 2)
+    ref = _eigvalsh_sigma(E)
+    assert np.all(np.abs(got / ref - 1.0) <= 8.0 * np.finfo(float).eps)
+    for i in range(count):
+        assert matrix_norms(E[i], 2) == got[i]
+    F, _ = _unit_scaled(E, (-2, -1))
+    G = np.swapaxes(F, -1, -2) @ F
+    lam, ok = _certified_top_eigenvalue(G.copy())
+    if kind in ("top_pair", "orthogonal"):
+        assert not ok.any()
+    if n >= matrix_core._CERTIFIED_MIN_N:
+        want = np.where(ok, np.sqrt(lam), 0.0)
+        assert np.array_equal(np.ldexp(want, _unit_scaled(E, (-2, -1))[1]
+                                       [:, 0, 0])[ok], got[ok])
+
+
+def test_matrix_norms_certificate_failure_takes_eigvalsh():
+    # where no Cholesky factor exists, every matrix takes eigvalsh: the
+    # norms are those of the eigvalsh route bit for bit
+    rng = np.random.default_rng(5)
+    E = _stack("random", rng, 48, 4, 0)
+    fine = matrix_norms(E, 2)
+    with mock.patch.object(matrix_core, "_positive_definite",
+                           side_effect=lambda M: np.zeros(len(M), bool)):
+        forced = matrix_norms(E, 2)
+    assert np.array_equal(forced, _eigvalsh_sigma(E))
+    assert np.all(np.abs(forced / fine - 1.0) <= 8.0 * np.finfo(float).eps)
+
+
+def test_matrix_norms_certifies_propagators():
+    # e^{tB} of the benchmark's kind of matrix: the certificate holds for
+    # most samples (the small t, where e^{tB} is near I and its top
+    # singular values cluster, take eigvalsh)
+    rng = np.random.default_rng(6)
+    A, w1 = spectral_kind(rng, 64)
+    ts = np.linspace(0.0, 4.0 * np.pi / w1, 65)
+    Es = np.empty((ts.size, 64, 64))
+    for idx, E in expm_grid(A, ts):
+        Es[idx] = E
+    F, _ = _unit_scaled(Es, (-2, -1))
+    lam, ok = _certified_top_eigenvalue(np.swapaxes(F, -1, -2) @ F)
+    assert ok.mean() > 0.8
 
 
 # --------------------------------------------------------- eigen_decompose
