@@ -611,9 +611,10 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
         yield idx, X, est
 
 
-#: (n + 1, n) float64 stacks eigen_propagate holds at once: the real and
-#: imaginary parts of the terms, then the product, the Gram matrix and the
-#: certificate of its 2-norm
+#: (n + 1, n) float64 stacks eigen_propagate holds at once: the complex
+#: terms and their real and imaginary parts, then the product with the
+#: scaled copy and the Gram matrix behind its 2-norm, which the
+#: certificate overwrites
 _PROPAGATE_LIVE_STACKS = 3
 
 

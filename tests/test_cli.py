@@ -352,22 +352,16 @@ def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
                     err_msg=f"y0 {y0s[tag]}, norm {norm}: {name}")
 
 
-@pytest.mark.parametrize("matrix, route", [
-    (EXAMPLE_A, "expm_grid"),
-    ([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]],
-     "eigen_propagate")])
-def test_spot_check_propagates_once(monkeypatch, matrix, route):
+def test_spot_check_propagates_once(monkeypatch):
     # the worst case and the sampled directions share one propagator,
     # formed once by the route a worst-case sweep takes at that t: the Pade
     # kernel on the demo matrix (cond(V) = 52), the eigen-expansion on a
     # normal one.  Its shift comes from the analysis, as in sweep, with no
     # eigenvalue solve of its own
-    s = odecond.condition.Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0],
-                                   t_grid=np.linspace(0.0, 3.0, 8))
-    analysis = analyze_spectrum(s.matrix)
-    calls = {"expm_grid": 0, "eigen_propagate": 0, "eigvals": 0}
+    normal = [[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]]
     expm_grid, eigvals = odecond.matrix_core.expm_grid, np.linalg.eigvals
     propagate = odecond.matrix_core.eigen_propagate
+    calls = {}
 
     def counting_expm_grid(*args):
         calls["expm_grid"] += 1
@@ -386,10 +380,16 @@ def test_spot_check_propagates_once(monkeypatch, matrix, route):
     monkeypatch.setattr(odecond.condition, "eigen_propagate",
                         counting_propagate)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    spot = odecond.cli._spot_check(s, analysis, 1)
-    assert calls == {"expm_grid": 0, "eigen_propagate": 0, "eigvals": 0,
-                     route: 1}
-    assert spot["dominates_samples"] is True
+    for matrix, route in ((EXAMPLE_A, "expm_grid"),
+                          (normal, "eigen_propagate")):
+        s = odecond.condition.Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0],
+                                       t_grid=np.linspace(0.0, 3.0, 8))
+        analysis = analyze_spectrum(s.matrix)
+        calls.update(expm_grid=0, eigen_propagate=0, eigvals=0)
+        spot = odecond.cli._spot_check(s, analysis, 1)
+        assert calls == {"expm_grid": 0, "eigen_propagate": 0,
+                         "eigvals": 0, route: 1}
+        assert spot["dominates_samples"] is True
 
 
 @pytest.mark.parametrize("doc, argv", [
