@@ -372,9 +372,10 @@ def _worst_case_propagators(s: Scenario, ts: np.ndarray, r1: float,
     idx, by the route the worst case takes there:
     matrix_core.eigen_propagate where es is given and its estimate is at
     most _EXPANSION_TOL (E is then a transposed view), expm_grid
-    elsewhere.  A sample's route and bits do not depend on the rest of the
-    grid, so the spot check, which asks for the last sample alone, gets
-    the sweep's propagator and k_exact there."""
+    elsewhere.  A sample's bits do not depend on the rest of the grid, nor
+    does its route unless its estimate lies within rounding of the
+    tolerance, so the spot check, which asks for the last sample alone,
+    gets the sweep's propagator and k_exact there."""
     p, y0h = s.norm_p, s.y0_hat
     pade = np.ones(ts.shape, dtype=bool)
     if es is not None:

@@ -381,7 +381,9 @@ def _certified_top_eigenvalue(G):
     q = (Q @ y)[..., 0]
     Gq = (GQ @ y)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q /= np.sqrt(np.einsum("ti,ti->t", q, q))[:, None]
+        norm = np.sqrt(np.einsum("ti,ti->t", q, q))[:, None]
+        q /= norm
+        Gq /= norm
         rho = np.einsum("ti,ti->t", q, Gq)
         slack = (n + 2) ** 2 * u * (2.0 * rho + trace)
         r = np.linalg.norm(Gq - rho[:, None] * q, axis=-1) + slack

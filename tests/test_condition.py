@@ -1288,7 +1288,7 @@ def far_from_normal(c):
 @pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
 def test_worst_case_expansion_against_the_taylor_oracle(c, p):
     # far from normal, where the Pade kernel is the less accurate route
-    # (ROADMAP item 9): its k_exact is up to 2.8e-12 (c = 1e2) to 2.9e-6
+    # (ROADMAP item 9): its k_exact is up to 3.1e-12 (c = 1e2) to 2.9e-6
     # (c = 1e4) off the long-double oracle of e^{tA} itself over [0, 40].
     # An expanded sample of the worst case is within its estimate of the
     # oracle, and the swept column is nowhere worse than the Pade column.
