@@ -359,14 +359,15 @@ def _spot_check(s: Scenario, analysis: SpectrumAnalysis, seed: int) -> dict:
     """Randomized directional oracle at the final grid time: the worst
     case must dominate every sampled direction and be nearly attained.
     Both come from one e^{t(A - r1 I)}, formed with the r1 of sweep by
-    the route a worst-case sweep takes at that t, so the worst case equals
-    a worst-case sweep's last k_exact bit for bit."""
+    the route a worst-case sweep takes at that t, chosen on the whole
+    grid as the sweep chooses it, so the worst case equals a worst-case
+    sweep's last k_exact bit for bit."""
     rng = np.random.default_rng(seed)
-    t = np.array([float(s.t_grid[-1])])
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
-    _, worst, E = next(_worst_case_propagators(s, t, r1,
-                                               analysis.eigensystem))
-    worst, t, E = float(worst[0]), float(t[0]), E[0]
+    last = s.t_grid.size - 1
+    _, worst, E = next(_worst_case_propagators(
+        s, s.t_grid, r1, analysis.eigensystem, only=[last]))
+    worst, t, E = float(worst[0]), float(s.t_grid[last]), E[0]
     Z = rng.standard_normal((512, s.n))
     Z /= vector_norms(Z, s.norm_p)[:, None]
     best = float(np.max(vector_norms(Z @ E.T, s.norm_p))

@@ -366,21 +366,22 @@ def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
 
 
 def _worst_case_propagators(s: Scenario, ts: np.ndarray, r1: float,
-                            es: Optional[EigenSystem] = None):
+                            es: Optional[EigenSystem] = None, only=None):
     """Yields (idx, k, E): the worst-case k_exact k and the propagator
-    E = e^{t(A - r1 I)} at the samples ts[idx], every index of ts in one
-    idx, by the route the worst case takes there:
-    matrix_core.eigen_propagate where es is given and its estimate is at
-    most _EXPANSION_TOL (E is then a transposed view), expm_grid
-    elsewhere.  A sample's bits do not depend on the rest of the grid, nor
-    does its route unless its estimate lies within rounding of the
-    tolerance, so the spot check, which asks for the last sample alone,
-    gets the sweep's propagator and k_exact there."""
+    E = e^{t(A - r1 I)} at the samples ts[idx], every index of ts (or of
+    the indices only, where given) in one idx, by the route the worst case
+    takes there: matrix_core.eigen_propagate where es is given and its
+    estimate is at most _EXPANSION_TOL (E is then a transposed view),
+    expm_grid elsewhere.  A sample's bits do not depend on the rest of
+    the grid, and its route is chosen on the whole of ts even where only
+    names a few samples, so the spot check, which asks for the last
+    one, gets the sweep's propagator and k_exact there."""
     p, y0h = s.norm_p, s.y0_hat
-    pade = np.ones(ts.shape, dtype=bool)
+    pade = np.zeros(ts.shape, dtype=bool)
+    pade[slice(None) if only is None else only] = True
     if es is not None:
         for idx, est, X, e_norm, y_norm in eigen_propagate(
-                s.matrix, es, y0h, ts, r1, p, _EXPANSION_TOL):
+                s.matrix, es, y0h, ts, r1, p, _EXPANSION_TOL, only):
             ok = est <= _EXPANSION_TOL
             if not ok.all():
                 idx, X, e_norm, y_norm = idx[ok], X[ok], e_norm[ok], y_norm[ok]

@@ -319,14 +319,10 @@ def matrix_norms(E, p) -> np.ndarray:
     if G.shape[-1] < _CERTIFIED_MIN_N:
         lam = np.linalg.eigvalsh(G)[..., -1]
     else:
-        # the kernel overwrites G; a matrix it leaves uncertified gets
-        # its Gram matrix again, from the same scaled columns
-        E = E.reshape((-1,) + E.shape[-2:])
-        lam, ok = _certified_top_eigenvalue(G.reshape(E.shape[0], -1,
-                                                      G.shape[-1]))
+        G = G.reshape((-1,) + G.shape[-2:])
+        lam, ok = _certified_top_eigenvalue(G)
         if not ok.all():
-            F, _ = _unit_scaled(E[~ok], (-2, -1))
-            lam[~ok] = np.linalg.eigvalsh(np.swapaxes(F, -1, -2) @ F)[:, -1]
+            lam[~ok] = np.linalg.eigvalsh(G[~ok])[:, -1]
         lam = lam.reshape(k.shape[:-2])
     return np.ldexp(np.sqrt(lam), k[..., 0, 0])
 
@@ -344,9 +340,8 @@ _CERTIFIED_ULPS = 4.0
 def _certified_top_eigenvalue(G):
     """(lam, ok): lam[i] is the largest eigenvalue of the symmetric
     positive semidefinite G[i] (T, n, n) to _CERTIFIED_ULPS ulps wherever
-    ok[i]; elsewhere the caller takes eigvalsh.  G is overwritten.  Each
-    matrix is handled alone, so lam[i] does not depend on the rest of the
-    stack.
+    ok[i]; elsewhere the caller takes eigvalsh.  Each matrix is handled
+    alone, so lam[i] does not depend on the rest of the stack.
 
     Rayleigh-Ritz on the Krylov space of _KRYLOV_DIM vectors started
     from the largest column of G[i] gives the unit vector q, its Rayleigh
@@ -354,7 +349,8 @@ def _certified_top_eigenvalue(G):
     lam_2 <= a < rho, the Kato-Temple bound gives lam_1 <= rho +
     r^2 / (rho - a) (Parlett, The Symmetric Eigenvalue Problem, 10.5), so
     a is taken as large as the accepted width allows.  One Cholesky of
-    aI - G + rho q q^T per matrix then certifies lam_2 <= a: if it
+    aI - G + rho q q^T per matrix (np.linalg.cholesky, one matrix at a
+    time, as it raises for a whole stack) then certifies lam_2 <= a: if it
     succeeds that matrix is positive definite, and G is it minus aI plus
     the rank-one rho q q^T, which moves no eigenvalue but the top one up
     (Weyl).  The slack d = (n + 2)^2 u (2 rho + tr G) covers the rounding
@@ -389,35 +385,14 @@ def _certified_top_eigenvalue(G):
         r = np.linalg.norm(Gq - rho[:, None] * q, axis=-1) + slack
         a = rho - r * r / (_CERTIFIED_ULPS * 2.0 * u * rho) - 2.0 * slack
     ok = (a > theta[:, -2]) & (rho > 0.0) & np.isfinite(a)
-    if ok.any():
-        M = np.negative(G, out=G)
-        for i in np.flatnonzero(ok):
-            M[i] += np.outer(q[i], rho[i] * q[i])
-        M.reshape(T, -1)[:, ::n + 1] += np.where(ok, a, 0.0)[:, None]
-        ok &= _positive_definite(M)
+    for i in np.flatnonzero(ok):
+        M = np.outer(q[i], rho[i] * q[i]) - G[i]
+        M.flat[::n + 1] += a[i]
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            ok[i] = False
     return rho, ok
-
-
-def _positive_definite(M):
-    """Whether the Cholesky factorization of each symmetric M[i] succeeds;
-    M is overwritten.  numpy's cholesky raises for the whole stack if one
-    matrix fails, so the gufunc behind it is called directly, which leaves
-    NaN in the failing factors; a numpy without it factors the matrices
-    one by one."""
-    try:
-        from numpy.linalg import _umath_linalg
-        factor = _umath_linalg.cholesky_lo
-    except (ImportError, AttributeError):  # pragma: no cover
-        out = np.ones(len(M), dtype=bool)
-        for i, Mi in enumerate(M):
-            try:
-                np.linalg.cholesky(Mi)
-            except np.linalg.LinAlgError:
-                out[i] = False
-        return out
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        factor(M, signature="d->d", out=M)      # one matrix at a time
-    return np.isfinite(np.diagonal(M, axis1=-2, axis2=-1)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -615,12 +590,12 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
 
 #: (n + 1, n) float64 stacks eigen_propagate holds at once: the complex
 #: terms and their real and imaginary parts, then the product with the
-#: scaled copy and the Gram matrix behind its 2-norm, which the
-#: certificate overwrites
+#: scaled copy and the Gram matrix behind its 2-norm
 _PROPAGATE_LIVE_STACKS = 3
 
 
-def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float):
+def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float,
+                    only=None):
     """e^{tB} and e^{tB} y, B = A - shift I, for the real n-vector y at
     the t of the 1-D array ts where the eigen-expansion's error estimate
     allows, from the eigendecomposition es of A, chunk by chunk: the
@@ -629,7 +604,11 @@ def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float):
 
     Yields (idx, est, X, e_norm, y_norm) for the samples ts[idx] that are
     formed, in order; a sample that is not yielded has an estimate above
-    tol.  est is the estimate, X[i] the (n + 1, n) matrix
+    tol, or is not among the indices only, where only is given.  The
+    estimates are taken over the whole of ts either way, by the same
+    products, so only picks out samples without changing which of them
+    are formed: a BLAS product's rounding may depend on how many samples
+    it spans.  est is the estimate, X[i] the (n + 1, n) matrix
     [e^{tB} y | e^{tB}]^T, so X[i, 0] is e^{tB} y and X[i, 1:] the
     transpose of e^{tB}, and e_norm and y_norm their p-norms.  A formed
     sample's est may still exceed tol, since its estimate is then taken
@@ -694,6 +673,8 @@ def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float):
         total_y, num_y = col.numerators(mod[:, go].T, at[go, None])
         est = est[go] + num_y[:, 0] / total_y[:, 0]
     keep = est <= tol
+    if only is not None:
+        keep &= np.isin(go, only)
     go, num, num_y = go[keep], num[go[keep]], num_y[keep, 0]
     C = np.column_stack((col.C, md.rho[:, None] * md.W)).T  # (n + 1, m)
     VV = np.concatenate((md.V.real.T, -md.V.imag.T))       # (2m, n)
