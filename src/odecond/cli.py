@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .condition import (Scenario, _norm_label, _shift_for,
-                        _worst_case_propagators, sweep)
+from .condition import (Scenario, _norm_label, _propagators, _shift_for,
+                        sweep)
 from .errors import (
     AmbiguousGrouping,
     BranchLost,
@@ -365,8 +365,8 @@ def _spot_check(s: Scenario, analysis: SpectrumAnalysis, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
     last = s.t_grid.size - 1
-    _, worst, E = next(_worst_case_propagators(
-        s, s.t_grid, r1, analysis.eigensystem, only=[last]))
+    _, worst, E = next(_propagators(
+        s, s.t_grid, r1, analysis.eigensystem, None, only=[last]))
     worst, t, E = float(worst[0]), float(s.t_grid[last]), E[0]
     Z = rng.standard_normal((512, s.n))
     Z /= vector_norms(Z, s.norm_p)[:, None]

@@ -16,8 +16,8 @@ yield a computable relative-precision bound.
 Exact propagation takes one of two routes per sample, under one tolerance,
 _EXPANSION_TOL.  Given the analysis's eigendecomposition, a sample takes
 the eigen-expansion wherever that route's error estimate is at most the
-tolerance: a directional sweep forms only e^{tA} [y0_hat, z0], the worst
-case all of e^{tA} with e^{tA} y0_hat, under an estimate that bounds the
+tolerance: one function forms e^{tA} y0_hat together with e^{tA} z0, or
+with all of e^{tA} for the worst case, whose estimate then bounds the
 error of the whole matrix.  Every other sample and the scalar k_exact
 take the batched Pade kernel, which needs no eigenvectors, so k_exact is
 the sweep's independent oracle; the tests check both routes against it
@@ -39,7 +39,6 @@ from .g17 import write_csv
 from .matrix_core import (
     EigenSystem,
     as_real_matrix,
-    eigen_expand,
     eigen_propagate,
     expm_grid,
     matrix_norms,
@@ -79,8 +78,8 @@ UNBOUNDED = math.inf
 # z0 is a unit vector to this: norm rounding, far below deliberate scaling
 _UNIT_TOL = 1e-12
 
-# a directional sample takes the eigen-expansion where its relative error
-# estimate is at most this, and the Pade kernel elsewhere
+# a sample, directional or worst case, takes the eigen-expansion where its
+# relative error estimate is at most this, and the Pade kernel elsewhere
 _EXPANSION_TOL = 1e-12
 
 _CSV_COLUMNS = ("t", "k_exact", "k_asym", "osf", "ot",
@@ -324,76 +323,54 @@ def _shifted(s: Scenario, r1: float) -> np.ndarray:
 
 def _k_exact_grid(s: Scenario, ts: np.ndarray, r1: float,
                   es: Optional[EigenSystem] = None) -> np.ndarray:
-    """k_exact at every t of the 1-D array ts.
-
-    Two routes to the propagator e^{t(A - r1 I)}, one tolerance.  Given the
-    eigendecomposition es of A, each sample takes the eigen-expansion
-    wherever its relative error estimate is at most _EXPANSION_TOL,
-    estimated first in O(n) per sample: a directional scenario needs only
-    e^{t(A - r1 I)} [y0_hat, z0] (matrix_core.eigen_expand), the worst case
-    all of it with e^{t(A - r1 I)} y0_hat (_worst_case_propagators).
-    Every other sample takes matrix_core.expm_grid, one batched Pade
-    kernel, which forms each sample alone: the Pade samples get the bits
-    they have on the whole grid.  The p = 2 worst case takes the largest
-    singular value of each matrix from its Gram matrix
+    """k_exact at every t of the 1-D array ts, by the route _propagators
+    takes at each sample: the eigen-expansion where es is given and its
+    estimate allows, the Pade kernel elsewhere.  The p = 2 worst case takes
+    the largest singular value of each matrix from its Gram matrix
     (matrix_core.matrix_norms).  Raises OdecondError when a propagated
     value is not finite or the denominator vanishes; the expansion leaves
     every such sample to the kernel, so the error names the samples the
     kernel alone would.
     """
     out = np.empty(ts.shape)
-    if not s.directional:
-        for idx, k, _ in _worst_case_propagators(s, ts, r1, es):
-            out[idx] = k
-        return out
-    y0h = s.y0_hat
-    pade = np.ones(ts.shape, dtype=bool)
-    if es is not None:
-        for idx, X, est in eigen_expand(s.matrix, es,
-                                        np.column_stack((y0h, s.z0)), ts,
-                                        r1, s.norm_p, _EXPANSION_TOL):
-            ok = est <= _EXPANSION_TOL
-            norms = vector_norms(X[ok], s.norm_p)
-            idx = idx[ok]
-            out[idx] = _checked_ratios(norms[:, 1], norms[:, 0], ts[idx])
-            pade[idx] = False
-    sub = np.flatnonzero(pade)
-    if sub.size:
-        for idx, E in expm_grid(_shifted(s, r1), ts[sub]):
-            idx = sub[idx]
-            out[idx] = _k_exact_ratios(E, y0h, s.z0, s.norm_p, ts[idx])
+    for idx, k, _ in _propagators(s, ts, r1, es, s.z0):
+        out[idx] = k
     return out
 
 
-def _worst_case_propagators(s: Scenario, ts: np.ndarray, r1: float,
-                            es: Optional[EigenSystem] = None, only=None):
-    """Yields (idx, k, E): the worst-case k_exact k and the propagator
-    E = e^{t(A - r1 I)} at the samples ts[idx], every index of ts (or of
-    the indices only, where given) in one idx, by the route the worst case
-    takes there: matrix_core.eigen_propagate where es is given and its
-    estimate is at most _EXPANSION_TOL (E is then a transposed view),
-    expm_grid elsewhere.  A sample's bits do not depend on the rest of
-    the grid, and its route is chosen on the whole of ts even where only
-    names a few samples, so the spot check, which asks for the last
-    one, gets the sweep's propagator and k_exact there."""
+def _propagators(s: Scenario, ts: np.ndarray, r1: float,
+                 es: Optional[EigenSystem] = None, z0=None, only=None):
+    """Yields (idx, k, E): k_exact k at the samples ts[idx], directional
+    for the unit vector z0 or worst case where z0 is None, and E what the
+    route formed there: all of e^{t(A - r1 I)}, or e^{t(A - r1 I)} z0 as a
+    column where a directional sample is expanded.  Every index of ts (or
+    of the indices only, where given) comes in one idx.  Each sample takes
+    matrix_core.eigen_propagate where es is given and its estimate is at
+    most _EXPANSION_TOL (E is then a transposed view), and expm_grid, one
+    batched Pade kernel, elsewhere.  Either route forms each sample alone,
+    and the expansion chooses its samples from estimates taken in fixed
+    chunks of ts even where only names a few, so a sample picked out by
+    only gets the route and the bits it has on the whole grid: the spot
+    check, which asks for the last one, gets the sweep's propagator and
+    k_exact there."""
     p, y0h = s.norm_p, s.y0_hat
     pade = np.zeros(ts.shape, dtype=bool)
     pade[slice(None) if only is None else only] = True
     if es is not None:
-        for idx, est, X, e_norm, y_norm in eigen_propagate(
-                s.matrix, es, y0h, ts, r1, p, _EXPANSION_TOL, only):
+        for idx, est, X, x_norm, y_norm in eigen_propagate(
+                s.matrix, es, y0h, z0, ts, r1, p, _EXPANSION_TOL, only):
             ok = est <= _EXPANSION_TOL
             if not ok.all():
-                idx, X, e_norm, y_norm = idx[ok], X[ok], e_norm[ok], y_norm[ok]
+                idx, X, x_norm, y_norm = idx[ok], X[ok], x_norm[ok], y_norm[ok]
             pade[idx] = False
             if idx.size:
-                yield (idx, _checked_ratios(e_norm, y_norm, ts[idx]),
+                yield (idx, _checked_ratios(x_norm, y_norm, ts[idx]),
                        np.swapaxes(X[:, 1:], -1, -2))
     sub = np.flatnonzero(pade)
     if sub.size:
         for idx, E in expm_grid(_shifted(s, r1), ts[sub]):
             idx = sub[idx]
-            yield idx, _k_exact_ratios(E, y0h, None, p, ts[idx]), E
+            yield idx, _k_exact_ratios(E, y0h, z0, p, ts[idx]), E
 
 
 def _k_exact_ratios(E, y0h, z0, p, ts) -> np.ndarray:

@@ -21,14 +21,12 @@ powers of two first, so no square overflows.  Grid functions hold their
 (T, n, n) stacks in chunks from stack_slices, so memory stays flat in the
 grid length.
 
-eigen_expand and eigen_propagate are the other way: e^{tB} U from an
-eigendecomposition, V diag(e^{(lambda_j - shift) t}) V^{-1} U, with an
-error estimate per sample that grows with cond(V) and with |t| times the
-eigenvalues' errors.  eigen_expand forms a few vectors U, one
-(n, n/2) by (n/2, k T) product over the grid; eigen_propagate forms the
-whole e^{tB} with e^{tB} y, one product per sample, under an estimate
-of the whole matrix's error.  The caller takes them where the estimate is
-small enough and expm_grid elsewhere; they never replace mat_exp.
+eigen_propagate is the other way: e^{tB} y together with e^{tB} z or all
+of e^{tB}, from an eigendecomposition, V diag(e^{(lambda_j - shift) t})
+V^{-1} U, one product per sample, with an error estimate per sample that
+grows with cond(V) and with |t| times the eigenvalues' errors, taken in
+fixed chunks of the grid.  The caller takes it where the estimate is small
+enough and expm_grid elsewhere; it never replaces mat_exp.
 """
 from __future__ import annotations
 
@@ -42,7 +40,6 @@ __all__ = [
     "EigenSystem",
     "as_real_matrix",
     "eigen_decompose",
-    "eigen_expand",
     "eigen_propagate",
     "expm_grid",
     "mat_exp",
@@ -496,7 +493,7 @@ def eigen_decompose(A) -> EigenSystem:
     )
 
 
-#: factors of the unit roundoff in eigen_expand's error estimate.  On
+#: factors of the unit roundoff in eigen_propagate's error estimate.  On
 #: random matrices with cond(V) up to 1e6, the error that c = V^{-1} U
 #: leaves reaches about 6 u cond(V) ||U|| ||e^{tB}||, and the errors of the
 #: eigenvalues LAPACK returns about 15 u ||A||_2 kappa_j (20 for the
@@ -505,43 +502,59 @@ def eigen_decompose(A) -> EigenSystem:
 _EXPAND_SAFETY = 8.0
 _EIGVAL_SAFETY = 16.0
 
-#: float64 values per sample and per column of U that eigen_expand holds
-#: at a time: the magnitudes, the exponentials, Z and the products
-_EXPAND_LIVE_VALUES = 8
+#: float64 values per sample and per row of A that eigen_propagate's
+#: estimates hold at a time: the moduli and the error terms, each m ~ n / 2
+#: per sample, with their products and temporaries
+_ESTIMATE_LIVE_VALUES = 16
+
+#: (k, n) float64 stacks eigen_propagate holds at once while forming: the
+#: complex terms and their real and imaginary parts, then the product
+#: with the scaled copy and the Gram matrix behind its 2-norm
+_PROPAGATE_LIVE_STACKS = 3
 
 
-def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
-    """e^{tB} U, B = A - shift I, for the real (n, k) block U at every t of
-    the 1-D array ts, from the eigendecomposition es of A, chunk by chunk,
-    with a per-sample relative error estimate.
+def eigen_propagate(A, es: EigenSystem, y, z, ts, shift: float, p,
+                    tol: float, only=None):
+    """e^{tB} y with e^{tB} z, or with all of e^{tB} where z is None,
+    B = A - shift I, for the real n-vectors y and z at the t of the 1-D
+    array ts where the eigen-expansion's error estimate allows, from the
+    eigendecomposition es of A, chunk by chunk.
 
-    Yields (idx, X, est): X[i] is e^{tB} U at t = ts[idx[i]], transposed to
-    (k, n), so the columns of U are its rows; every index of ts comes in
-    exactly one idx, in order.  The expansion is
+    Yields (idx, est, X, x_norm, y_norm) for the samples ts[idx] that are
+    formed, in order.  X[i] is the (k, n) matrix [e^{tB} y | e^{tB} U]^T
+    at t = ts[idx[i]], U = z (k = 2) or I (k = n + 1), so X[i, 0] is
+    e^{tB} y and X[i, 1:] e^{tB} z or the transpose of e^{tB}; y_norm is
+    the p-norm of e^{tB} y, and x_norm that of e^{tB} z or the induced
+    p-norm of e^{tB}; est is the estimate.  A sample that is not yielded
+    has an estimate above tol, or is not among the indices only, where
+    only is given.  The expansion is
 
-        X(t) = Re sum_j rho_j v_j e_j(t) c_j,
+        e^{tB} U = Re sum_j rho_j v_j e_j(t) c_j,
         e_j(t) = e^{(lambda_j - shift) t},  c = V^{-1} U,
 
     over the real eigenvalues (rho_j = 1) and one member of each conjugate
-    pair (rho_j = 2): the partner adds the conjugate, so X is exactly real,
-    and one (n, m) product by the (m, k T) exponentials, m ~ n / 2, serves
-    the grid.  This is the eigenvector method (Moler & Van Loan, SIAM Rev.
-    45(1), 2003, method 14); its error grows with cond(V) and with |t|
-    times the errors of the eigenvalues.  The rightmost eigenvalues, whose
-    errors |t| multiplies for the longest, come refined from
-    eigen_decompose's Newton step where np.longdouble is wider than double,
-    and es.refined marks them.
+    pair (rho_j = 2): the partner adds the conjugate, so the result is
+    exactly real.  Each sample is one (k, 2m) by (2m, n) product of the
+    real and imaginary parts of e_j(t) c_j, m ~ n / 2, by the stacked
+    [Re V^T; -Im V^T], so its bits do not depend on the rest of the grid.
+    This is the eigenvector method (Moler & Van Loan, SIAM Rev. 45(1),
+    2003, method 14); its error grows with cond(V) and with |t| times the
+    errors of the eigenvalues.  The rightmost eigenvalues, whose errors |t|
+    multiplies for the longest, come refined from eigen_decompose's Newton
+    step where np.longdouble is wider than double, and es.refined marks
+    them.
 
-    est[i] estimates the sum over the columns U_l of ||delta X|| / ||X||
-    in the p-norm, from the magnitudes a_j(t) = rho_j |e_j(t)| ||v_j||_p
-    |c_j| of the terms (u the unit roundoff, s = _EXPAND_SAFETY, kappa_j =
-    ||v_j|| ||w_j|| the condition number of lambda_j, w_j the row of V^{-1},
-    2-norms):
+    est is the relative error estimate of e^{tB} y plus that of e^{tB} z
+    or of e^{tB}: the ratio x_norm / y_norm moves by at most their sum.
+    A column's estimate comes from the magnitudes a_j(t) = rho_j |e_j(t)|
+    ||v_j||_p |c_j| of its terms (u the unit roundoff, s =
+    _EXPAND_SAFETY, kappa_j = ||v_j|| ||w_j|| the condition number of
+    lambda_j, w_j the row of V^{-1}, 2-norms):
 
         (s u (sum_j a_j(t) + cond(V) ||U_l|| g(t))    rounding, c
          + min(sum_j b_j(t), ||V||_p ||b(t) / ||v||_p||_2)   lambda_j
          + s u ||A||_2 sum_j a_j(t) kappa_j min(|t|, 1 / gap_j)   v_j
-         + tiny) / ||X(t)||,    b_j(t) = a_j(t) |t| dlambda_j,
+         + tiny) / ||e^{tB} U_l||,    b_j(t) = a_j(t) |t| dlambda_j,
 
     where g(t) = min(sum_j rho_j |e_j(t)| ||v_j||_p ||w_j||, cond(V)
     max_j |e_j(t)| r) bounds the 2-to-p norm of e^{tB}, r = n^max(0, 1/p
@@ -549,152 +562,83 @@ def eigen_expand(A, es: EigenSystem, U, ts, shift: float, p, tol: float):
     the eigenvalues as it carries the terms.  The error of lambda_j,
     dlambda_j, is _EIGVAL_SAFETY u ||A||_2 kappa_j, or where es.refined
     s ((n + 1) u_ext ||A||_2 kappa_j + u |lambda_j - shift|), u_ext the
-    unit roundoff of np.longdouble.  The error of v_j moves X by at most
-    |t| ||A|| kappa_j, nor by more than the distance gap_j to the nearest
-    other eigenvalue lets it.  tiny, the smallest normal number, puts a
-    subnormal ||X|| out of reach.
+    unit roundoff of np.longdouble.  The error of v_j moves the result by
+    at most |t| ||A|| kappa_j, nor by more than the distance gap_j to the
+    nearest other eigenvalue lets it.  tiny, the smallest normal number,
+    puts a subnormal norm out of reach.
 
-    sum_j a_j(t) >= ||X(t)||, so the estimate is first bounded from below
-    in O(n) per sample: a sample whose bound exceeds tol, or is not
-    finite, is not expanded, and there X is NaN and est that bound.  Where
-    ||X|| is zero or not finite, est is inf.
-    """
-    U = np.asarray(U, dtype=float)
-    n, k = U.shape
-    md = _Modes(A, es, shift, p)
-    cols = _Columns(md, U)
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    step = max(1, STACK_BYTES // (8 * _EXPAND_LIVE_VALUES * k * n))
-    for lo in range(0, ts.size, step):
-        idx = np.arange(lo, min(lo + step, ts.size))
-        t = ts[idx]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mod = np.exp(np.multiply.outer(t, md.lam.real))  # |e_j(t)|
-            total, num = cols.numerators(mod, np.abs(t)[:, None])
-            est = (num / total).sum(axis=1)
-        X = np.full((t.size, k, n), np.nan)
-        go = np.flatnonzero(est <= tol)
-        if go.size:
-            Z = (np.exp(np.multiply.outer(md.lam, t[go]))[:, :, None]
-                 * cols.C[:, None])
-            Z = Z.reshape(-1, go.size * k)
-            Xg = md.V.real @ Z.real - md.V.imag @ Z.imag
-            X[go] = Xg.reshape(n, go.size, k).transpose(1, 2, 0)
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
-                xn = vector_norms(X[go], p)
-                est[go] = np.where(np.isfinite(xn).all(axis=1),
-                                   (num[go] / xn).sum(axis=1), np.inf)
-        yield idx, X, est
+    All of e^{tB} is bounded as one matrix in the induced p-norm, not
+    column by column, from the p-norms a_j(t) = rho_j |e_j(t)| ||v_j||_p
+    ||w_j||_q of its terms rho_j e_j(t) v_j w_j (q the dual exponent) and
+    K = ||V||_p ||V^{-1}||_p, the p-norms of the whole bases:
 
-
-#: (n + 1, n) float64 stacks eigen_propagate holds at once: the complex
-#: terms and their real and imaginary parts, then the product with the
-#: scaled copy and the Gram matrix behind its 2-norm
-_PROPAGATE_LIVE_STACKS = 3
-
-
-def eigen_propagate(A, es: EigenSystem, y, ts, shift: float, p, tol: float,
-                    only=None):
-    """e^{tB} and e^{tB} y, B = A - shift I, for the real n-vector y at
-    the t of the 1-D array ts where the eigen-expansion's error estimate
-    allows, from the eigendecomposition es of A, chunk by chunk: the
-    expansion of eigen_expand with U = [y | I], whose estimate bounds
-    e^{tB} as one matrix.
-
-    Yields (idx, est, X, e_norm, y_norm) for the samples ts[idx] that are
-    formed, in order; a sample that is not yielded has an estimate above
-    tol, or is not among the indices only, where only is given.  The
-    estimates are taken over the whole of ts either way, by the same
-    products, so only picks out samples without changing which of them
-    are formed: a BLAS product's rounding may depend on how many samples
-    it spans.  est is the estimate, X[i] the (n + 1, n) matrix
-    [e^{tB} y | e^{tB}]^T, so X[i, 0] is e^{tB} y and X[i, 1:] the
-    transpose of e^{tB}, and e_norm and y_norm their p-norms.  A formed
-    sample's est may still exceed tol, since its estimate is then taken
-    against the norms themselves.  Each sample is one (n + 1, 2m) by
-    (2m, n) product of the real and imaginary parts of e_j(t) c_j,
-    m ~ n / 2, by the stacked [Re V^T; -Im V^T], so its bits do not
-    depend on the rest of the grid.
-
-    est is the estimate of e^{tB} y, eigen_expand's for the column y,
-    plus that of e^{tB} in the induced p-norm, both relative: the ratio
-    ||e^{tB}|| / ||e^{tB} y|| moves by at most their sum.  The matrix
-    terms are rho_j e_j(t) v_j w_j, of p-norm a_j(t) = rho_j |e_j(t)|
-    ||v_j||_p ||w_j||_q (q the dual exponent), and the error is bounded as
-    one matrix, not column by column (K = ||V||_p ||V^{-1}||_p, the p-norms
-    of the whole bases):
-
-        (s u (sum_j a_j(t) + r cond(V) G(t))           rounding, V^{-1}
+        (s u (sum_j a_j(t) + r' cond(V) G(t))          rounding, V^{-1}
          + min(sum_j a_j(t) |t| dlambda_j, K max_j |e_j(t)| |t| dlambda_j)
          + min(sum_j a_j(t) d_j(t), K max_j |e_j(t)| d_j(t))      v_j
          + tiny) / ||e^{tB}||_p,
 
-    with d_j(t) = s u ||A||_2 kappa_j min(|t|, 1 / gap_j), r =
-    n^|1/2 - 1/p| and G(t) = min(sum_j a_j(t), K max_j |e_j(t)|), which
-    bounds ||e^{tB}||_p: an error that scales the terms, such as that of
-    an eigenvalue, is V diag(delta_j) V^{-1}, at most K max_j |delta_j| in
-    norm, where the sum over the terms would charge each term its own
-    bound.  As in eigen_expand, the sums bound the norms from above, so
-    the estimate is first bounded from below, for the whole grid at once
-    in O(n) per sample, and only the samples whose bound is at most tol
-    are formed.
+    with d_j(t) = s u ||A||_2 kappa_j min(|t|, 1 / gap_j), r' =
+    n^|1/2 - 1/p| and G(t) = min(sum_j a_j(t), K max_j |e_j(t)|) >=
+    ||e^{tB}||_p.  An error that scales the terms, such as that of an
+    eigenvalue, is V diag(delta_j) V^{-1}, at most K max_j |delta_j| in
+    norm, where the sum over the terms would charge each its own bound.
+
+    The sums over the terms bound the norms from above, so the estimate is
+    first bounded from below in O(n) per sample, and only the samples
+    whose bound is at most tol are formed; a formed sample's est, then
+    taken against the norms themselves, may still exceed tol, and is inf
+    where a norm is zero or not finite.  The estimates are taken in fixed
+    chunks of ts, so memory stays flat in the grid length, and their
+    rounding, which a BLAS product over the modes may take from the
+    chunk's size, does not depend on only: only skips the chunks that
+    hold none of its indices, so a sample it names gets the estimate, the
+    route and the bits it has on the whole grid.
     """
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    n = y.shape[0]
+    y = np.asarray(y, dtype=float).reshape(-1)
     md = _Modes(A, es, shift, p)
-    q = {1: np.inf, 2: 2, np.inf: 1}[_normalize_p(p)]
-    mat = md.rho * md.vp * vector_norms(md.W, q)            # a_j / |e_j|
-    if q == 2:
-        box = es.basis_cond
+    if z is None:
+        parts = [_Columns(md, y[:, None]), _Whole(md, es)]
     else:
-        axis = 0 if q == np.inf else 1   # column sums at p = 1, rows at inf
-        box = float(np.abs(es.right_vectors).sum(axis=axis).max()
-                    * np.abs(es.left_rows).sum(axis=axis).max())
-    inv = md.su * es.basis_cond * (1.0 if q == 2 else np.sqrt(n))
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    at = np.abs(ts)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # mode by mode, (m, T): the maxima over the modes are elementwise
-        mod = np.exp(np.multiply.outer(md.lam.real, ts))    # |e_j(t)|
-        total = mat @ mod
-        lam_err = mod * md.dlam[:, None]
-        vec_err = mod * (md.drift[:, None] * np.minimum(at, md.reach[:, None]))
-        num = (md.su * total
-               + inv * np.minimum(total, box * mod.max(axis=0))
-               + at * np.minimum(mat @ lam_err, box * lam_err.max(axis=0))
-               + np.minimum(mat @ vec_err, box * vec_err.max(axis=0))
-               + np.finfo(float).tiny)
-        est = num / total
-        go = np.flatnonzero(est <= tol)
-        if not go.size:
-            return
-        col = _Columns(md, y)
-        total_y, num_y = col.numerators(mod[:, go].T, at[go, None])
-        est = est[go] + num_y[:, 0] / total_y[:, 0]
-    keep = est <= tol
-    if only is not None:
-        keep &= np.isin(go, only)
-    go, num, num_y = go[keep], num[go[keep]], num_y[keep, 0]
-    C = np.column_stack((col.C, md.rho[:, None] * md.W)).T  # (n + 1, m)
+        parts = [_Columns(md, np.column_stack((y, z)))]
+    C = np.hstack([part.C for part in parts]).T             # (k, m)
     VV = np.concatenate((md.V.real.T, -md.V.imag.T))       # (2m, n)
-    m = md.lam.size
-    step = max(1, STACK_BYTES // (8 * _PROPAGATE_LIVE_STACKS * (n + 1) * n))
-    for lo in range(0, go.size, step):
-        sl = slice(lo, lo + step)
-        Z = np.exp(np.multiply.outer(ts[go[sl]], md.lam))[:, None, :] * C
-        Zr = np.empty(Z.shape[:2] + (2 * m,))
-        Zr[..., :m] = Z.real
-        Zr[..., m:] = Z.imag
-        del Z
-        X = Zr @ VV
-        del Zr
+    (k, m), n = C.shape, y.size
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    step = max(1, STACK_BYTES // (8 * _ESTIMATE_LIVE_VALUES * n))
+    sub = max(1, STACK_BYTES // (8 * _PROPAGATE_LIVE_STACKS * k * n))
+    if sub < step:
+        step -= step % sub      # whole formation chunks per estimate chunk
+    for lo in range(0, ts.size, step):
+        idx = np.arange(lo, min(lo + step, ts.size))
+        want = True if only is None else np.isin(idx, only)
+        if not np.any(want):
+            continue
+        t = ts[idx]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            e_norm = matrix_norms(X[:, 1:], q)      # ||E^T||_q = ||E||_p
-            y_norm = vector_norms(X[:, 0], p)
-            est = np.where(np.isfinite(e_norm) & np.isfinite(y_norm),
-                           num[sl] / e_norm + num_y[sl] / y_norm, np.inf)
-        yield go[sl], est, X, e_norm, y_norm
+            # mode by mode, (m, T): the sums over the modes are products
+            mod = np.exp(np.multiply.outer(md.lam.real, t))  # |e_j(t)|
+            total, num = (np.vstack(a) for a in zip(*(
+                part.numerators(mod, np.abs(t)) for part in parts)))
+            go = np.flatnonzero(((num / total).sum(axis=0) <= tol) & want)
+        for lo_f in range(0, go.size, sub):
+            g = go[lo_f:lo_f + sub]
+            Z = np.exp(np.multiply.outer(t[g], md.lam))[:, None, :] * C
+            Zr = np.empty(Z.shape[:2] + (2 * m,))
+            Zr[..., :m] = Z.real
+            Zr[..., m:] = Z.imag
+            del Z
+            X = Zr @ VV
+            del Zr
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                y_norm = vector_norms(X[:, 0], p)
+                # ||E^T||_q = ||E||_p
+                x_norm = (vector_norms(X[:, 1], p) if z is not None
+                          else matrix_norms(X[:, 1:], parts[1].q))
+                norms = np.stack((y_norm, x_norm))
+                est = np.where(np.isfinite(norms).all(axis=0),
+                               (num[:, g] / norms).sum(axis=0), np.inf)
+            yield idx[g], est, X, x_norm, y_norm
 
 
 class _Modes:
@@ -710,6 +654,7 @@ class _Modes:
         n = A.shape[0]
         lam = es.eigenvalues
         keep = lam.imag >= 0.0
+        self.p = p = _normalize_p(p)
         self.rho = np.where(lam.imag[keep] > 0.0, 2.0, 1.0)
         lam, self.V, self.W = (lam[keep], es.right_vectors[:, keep],
                                es.left_rows[keep])
@@ -739,28 +684,62 @@ class _Modes:
 
 
 class _Columns:
-    """eigen_expand's error numerators for the columns of U."""
+    """eigen_propagate's error numerators for the columns of U."""
 
     def __init__(self, md: _Modes, U):
         self.md = md
         self.C = md.rho[:, None] * (md.W @ U)                # (m, k)
-        self.mags = np.abs(self.C) * md.vp[:, None]          # a_j / |e_j|
+        self.mags = np.abs(self.C).T * md.vp                 # a_j / |e_j|
         self.to_p = md.rho * md.vp * md.wn
         self.u_cond = md.su * md.basis_cond * vector_norms(U.T, 2)
-        self.coefs = np.abs(self.C) ** 2                     # (rho |c_j|)^2
+        self.coefs = np.abs(self.C).T ** 2                   # (rho |c_j|)^2
 
     def numerators(self, mod, at):
-        """(sum_j a_j(t), the estimate's numerator), each (T, k), from the
-        moduli mod = |e_j(t)| (T, m) at |t| = at (T, 1)."""
+        """(sum_j a_j(t), the estimate's numerator), each (k, T), from the
+        moduli mod = |e_j(t)| (m, T) at |t| = at (T,)."""
         md = self.md
-        total = mod @ self.mags
-        g = np.minimum(mod @ self.to_p, md.cond_p * mod.max(axis=1))
+        total = self.mags @ mod
+        g = np.minimum(self.to_p @ mod, md.cond_p * mod.max(axis=0))
         # the eigenvalues' errors scale the terms along V, which bounds
         # their sum by ||V|| times their 2-norm
-        lam_err = mod * (at * md.dlam)
-        drift = np.minimum(lam_err @ self.mags,
-                           md.basis_p * np.sqrt(lam_err ** 2 @ self.coefs))
-        drift += (mod * (md.drift * np.minimum(at, md.reach))) @ self.mags
-        num = (md.su * total + g[:, None] * self.u_cond + drift
+        lam_err = mod * (md.dlam[:, None] * at)
+        drift = np.minimum(self.mags @ lam_err,
+                           md.basis_p * np.sqrt(self.coefs @ lam_err ** 2))
+        drift += self.mags @ (mod * (md.drift[:, None]
+                                     * np.minimum(at, md.reach[:, None])))
+        num = (md.su * total + self.u_cond[:, None] * g + drift
                + np.finfo(float).tiny)
         return total, num
+
+
+class _Whole:
+    """eigen_propagate's error numerator for all of e^{tB}, bounded as one
+    matrix in the induced p-norm."""
+
+    def __init__(self, md: _Modes, es: EigenSystem):
+        self.md = md
+        self.q = q = {1: np.inf, 2: 2, np.inf: 1}[md.p]
+        self.C = md.rho[:, None] * md.W                      # (m, n)
+        self.mat = md.rho * md.vp * vector_norms(md.W, q)    # a_j / |e_j|
+        if q == 2:
+            self.box = es.basis_cond
+        else:
+            axis = 0 if q == np.inf else 1   # column sums at p = 1, rows at inf
+            self.box = float(np.abs(es.right_vectors).sum(axis=axis).max()
+                             * np.abs(es.left_rows).sum(axis=axis).max())
+        self.inv = md.su * es.basis_cond * (1.0 if q == 2 else np.sqrt(es.n))
+
+    def numerators(self, mod, at):
+        """(sum_j a_j(t), the estimate's numerator), each (1, T), from the
+        moduli mod = |e_j(t)| (m, T) at |t| = at (T,); the maxima over the
+        modes are elementwise."""
+        md, mat, box = self.md, self.mat, self.box
+        total = mat @ mod
+        lam_err = mod * md.dlam[:, None]
+        vec_err = mod * (md.drift[:, None] * np.minimum(at, md.reach[:, None]))
+        num = (md.su * total
+               + self.inv * np.minimum(total, box * mod.max(axis=0))
+               + at * np.minimum(mat @ lam_err, box * lam_err.max(axis=0))
+               + np.minimum(mat @ vec_err, box * vec_err.max(axis=0))
+               + np.finfo(float).tiny)
+        return total[None], num[None]

@@ -312,8 +312,8 @@ def test_spot_check_worst_case_is_last_k_exact(tmp_path, capsys, case):
                                        t_grid=np.array([t1]))
         es = analyze_spectrum(A).eigensystem
         (_, est, X, _, _), = eigen_propagate(
-            A, es, s.y0_hat, s.t_grid, _shift_for(A, es.eigenvalues), 2,
-            _EXPANSION_TOL)
+            A, es, s.y0_hat, None, s.t_grid, _shift_for(A, es.eigenvalues),
+            2, _EXPANSION_TOL)
         assert est[0] <= _EXPANSION_TOL
         F, _ = _unit_scaled(X[:, 1:], (-2, -1))
         assert _certified_top_eigenvalue(np.swapaxes(F, -1, -2) @ F)[1][0]
@@ -355,9 +355,10 @@ def test_analyze_y0_near_overflow_exits_0(tmp_path, capsys):
 def test_spot_check_propagates_once(monkeypatch):
     # the worst case and the sampled directions share one propagator,
     # formed once by the route a worst-case sweep takes at that t: the Pade
-    # kernel on the demo matrix (cond(V) = 52), the eigen-expansion on a
-    # normal one.  Its shift comes from the analysis, as in sweep, with no
-    # eigenvalue solve of its own
+    # kernel on the demo matrix (cond(V) = 52), the eigen-expansion of all
+    # of e^{tB} (z = None) on a normal one, for a directional scenario too.
+    # Its shift comes from the analysis, as in sweep, with no eigenvalue
+    # solve of its own
     normal = [[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]]
     expm_grid, eigvals = odecond.matrix_core.expm_grid, np.linalg.eigvals
     propagate = odecond.matrix_core.eigen_propagate
@@ -367,8 +368,9 @@ def test_spot_check_propagates_once(monkeypatch):
         calls["expm_grid"] += 1
         return expm_grid(*args)
 
-    def counting_propagate(*args):
-        for formed in propagate(*args):
+    def counting_propagate(A, es, y, z, *args):
+        assert z is None
+        for formed in propagate(A, es, y, z, *args):
             calls["eigen_propagate"] += 1
             yield formed
 
@@ -382,14 +384,16 @@ def test_spot_check_propagates_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     for matrix, route in ((EXAMPLE_A, "expm_grid"),
                           (normal, "eigen_propagate")):
-        s = odecond.condition.Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0],
-                                       t_grid=np.linspace(0.0, 3.0, 8))
-        analysis = analyze_spectrum(s.matrix)
-        calls.update(expm_grid=0, eigen_propagate=0, eigvals=0)
-        spot = odecond.cli._spot_check(s, analysis, 1)
-        assert calls == {"expm_grid": 0, "eigen_propagate": 0,
-                         "eigvals": 0, route: 1}
-        assert spot["dominates_samples"] is True
+        for z0 in (None, [0.0, 0.6, 0.8]):
+            s = odecond.condition.Scenario(matrix=matrix, y0=[1.0, 2.0, 3.0],
+                                           z0=z0,
+                                           t_grid=np.linspace(0.0, 3.0, 8))
+            analysis = analyze_spectrum(s.matrix)
+            calls.update(expm_grid=0, eigen_propagate=0, eigvals=0)
+            spot = odecond.cli._spot_check(s, analysis, 1)
+            assert calls == {"expm_grid": 0, "eigen_propagate": 0,
+                             "eigvals": 0, route: 1}
+            assert spot["dominates_samples"] is True
 
 
 @pytest.mark.parametrize("doc, argv", [

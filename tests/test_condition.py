@@ -30,8 +30,7 @@ from odecond.condition import (_EXPANSION_TOL, _k_exact_grid,
                                _k_exact_ratios, _shift_for)
 from odecond.errors import (NonDiagonalizable, OdecondError,
                             UnsupportedBlock, ZeroProjection)
-from odecond.matrix_core import (eigen_decompose, eigen_expand,
-                                 eigen_propagate, mat_exp)
+from odecond.matrix_core import eigen_decompose, eigen_propagate, mat_exp
 from odecond.minimax import h_envelope
 from odecond.oscillator import (
     VWPair,
@@ -889,21 +888,15 @@ def test_sweep_csv_json_serialization():
 
 
 def expansion_estimates(s, an):
-    """Per sample, the error estimate of sweep's eigen-expansion; for the
-    worst case inf where the expansion is not formed."""
+    """Per sample, the error estimate of sweep's eigen-expansion, inf
+    where the expansion is not formed."""
     r1 = _shift_for(s.matrix, an.eigensystem.eigenvalues)
-    if not s.directional:
-        est = np.full(s.t_grid.shape, np.inf)
-        for idx, e, *_ in eigen_propagate(s.matrix, an.eigensystem, s.y0_hat,
-                                          s.t_grid, r1, s.norm_p,
-                                          _EXPANSION_TOL):
-            est[idx] = e
-        return est
-    U = np.column_stack((s.y0_hat, s.z0))
-    return np.concatenate([
-        est for _, _, est in eigen_expand(s.matrix, an.eigensystem, U,
-                                          s.t_grid, r1, s.norm_p,
-                                          _EXPANSION_TOL)])
+    est = np.full(s.t_grid.shape, np.inf)
+    for idx, e, *_ in eigen_propagate(s.matrix, an.eigensystem, s.y0_hat,
+                                      s.z0, s.t_grid, r1, s.norm_p,
+                                      _EXPANSION_TOL):
+        est[idx] = e
+    return est
 
 
 @pytest.mark.parametrize("directional", [False, True],
@@ -1314,7 +1307,7 @@ def test_worst_case_expansion_against_the_taylor_oracle(c, p):
     assert err.max() <= np.abs(pade / ref - 1.0).max()
     formed = 0
     for idx, e, X, e_norm, y_norm in eigen_propagate(
-            A, an.eigensystem, s.y0_hat, ts, r1, p, np.inf):
+            A, an.eigensystem, s.y0_hat, None, ts, r1, p, np.inf):
         assert np.all(np.abs(e_norm / y_norm / ref[idx] - 1.0) <= e)
         formed += idx.size
     assert formed == ts.size
@@ -1328,7 +1321,7 @@ def test_k_exact_stays_on_pade_and_takes_defective_matrices():
         eigen_decompose(jordan)
     s = Scenario(matrix=jordan, y0=[0.0, 1.0], z0=[1.0, 0.0],
                  t_grid=two_point_grid())
-    with mock.patch("odecond.condition.eigen_expand",
+    with mock.patch("odecond.condition.eigen_propagate",
                     side_effect=AssertionError("expansion called")):
         # e^{tJ} (0, 1) = e^{-t} (t, 1), e^{tJ} (1, 0) = e^{-t} (1, 0)
         assert k_exact(s, 3.0) == pytest.approx(1.0 / math.hypot(3.0, 1.0),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -235,7 +236,7 @@ def test_expm_grid_refuses_what_it_cannot_compute():
         mat_exp(np.array([[0.0, 1e60], [0.0, -1.0]]), 10.0)
 
 
-# ------------------------------------------------------------ eigen_expand
+# -------------------------------------------------------- eigen-expansion
 
 def graded_matrix(rng, n, cond):
     """S D S^-1 with S of singular values 1 .. cond, D of real entries and
@@ -258,16 +259,18 @@ def graded_matrix(rng, n, cond):
 
 
 def expansion(A, U, ts, p, shift=0.0, es=None):
-    """eigen_expand's (X, est) over the whole grid, tol = 1e-12."""
+    """eigen_propagate's (X, est) over the whole grid for y and z the two
+    columns of U, tol = 1e-12; X is NaN and est inf where no sample is
+    formed."""
     es = eigen_decompose(A) if es is None else es
-    X = np.empty((ts.size, U.shape[1], U.shape[0]))
-    est = np.empty(ts.size)
+    X = np.full((ts.size, 2, U.shape[0]), np.nan)
+    est = np.full(ts.size, np.inf)
     seen = np.zeros(ts.size, dtype=int)
-    for idx, Xc, ec in matrix_core.eigen_expand(A, es, U, ts, shift, p,
-                                                1e-12):
+    for idx, ec, Xc, *_ in matrix_core.eigen_propagate(
+            A, es, U[:, 0], U[:, 1], ts, shift, p, 1e-12):
         np.add.at(seen, idx, 1)
         X[idx], est[idx] = Xc, ec
-    assert np.all(seen == 1)
+    assert np.all(seen <= 1)
     return X, est
 
 
@@ -356,7 +359,7 @@ def test_eigen_expand_without_extended_precision():
 
 def test_eigen_expand_refuses_what_it_cannot_vouch_for():
     # ||X|| underflows to 0, or overflows at negative t, or is subnormal:
-    # the estimate is not below tol and X is NaN there
+    # the estimate is not below tol and no X is formed there
     A = np.diag([0.0, -1.0])
     U = np.array([[0.0, 1.0], [1.0, 0.0]])
     ts = np.array([1.0, 720.0, 800.0, -800.0])
@@ -453,32 +456,36 @@ def test_vector_norms_complex_extremes(u):
 
 
 def test_eigen_propagate_sample_alone_has_the_grid_bits():
-    # each sample is its own product and its own norm: formed alone it has
-    # the bits it has on the grid, whatever the chunks.  Its estimate is a
-    # sum over the modes, which a BLAS product may round by the grid's
-    # size, so the spot check picks the last t out of the whole grid (only),
-    # where the estimate has the grid's bits as well
+    # each sample is its own product and its own norm, for the worst case
+    # (z None) and for a direction z: formed alone it has the bits it has
+    # on the grid, whatever the chunks.  Its estimate is a sum over the
+    # modes, which a BLAS product may round by the chunk's size, so the
+    # spot check picks the last t out of the whole grid (only), where the
+    # estimate has the grid's bits as well
     rng = np.random.default_rng(3)
     A, w1 = spectral_kind(rng, 40)
     es = eigen_decompose(A)
     shift = float(es.eigenvalues.real.max())
     y = rng.standard_normal(40)
+    z = rng.standard_normal(40)
     ts = np.linspace(0.0, 4.0 * np.pi / w1, 97)
     for p in (1, 2, np.inf):
-        formed = list(eigen_propagate(A, es, y, ts, shift, p, 1e-12))
-        assert sum(idx.size for idx, *_ in formed) > 90
-        for idx, est, X, e_norm, y_norm in formed:
-            for i, t in enumerate(ts[idx]):
-                (_, one_est, one_X, one_e, one_y), = eigen_propagate(
-                    A, es, y, np.array([t]), shift, p, 1e-12)
-                assert np.array_equal(one_X[0], X[i])
-                assert one_e[0] == e_norm[i] and one_y[0] == y_norm[i]
-                assert one_est[0] == pytest.approx(est[i], rel=1e-12)
-                (at_idx, at_est, at_X, _, _), = eigen_propagate(
-                    A, es, y, ts, shift, p, 1e-12, [idx[i]])
-                assert at_idx.tolist() == [idx[i]]
-                assert at_est[0] == est[i]
-                assert np.array_equal(at_X[0], X[i])
+        for zp in (None, z / np.linalg.norm(z, p)):
+            formed = list(eigen_propagate(A, es, y, zp, ts, shift, p, 1e-12))
+            assert sum(idx.size for idx, *_ in formed) > 90
+            for idx, est, X, x_norm, y_norm in formed:
+                assert X.shape[1:] == (2 if zp is not None else 41, 40)
+                for i, t in enumerate(ts[idx]):
+                    (_, one_est, one_X, one_x, one_y), = eigen_propagate(
+                        A, es, y, zp, np.array([t]), shift, p, 1e-12)
+                    assert np.array_equal(one_X[0], X[i])
+                    assert one_x[0] == x_norm[i] and one_y[0] == y_norm[i]
+                    assert one_est[0] == pytest.approx(est[i], rel=1e-12)
+                    (at_idx, at_est, at_X, _, _), = eigen_propagate(
+                        A, es, y, zp, ts, shift, p, 1e-12, [idx[i]])
+                    assert at_idx.tolist() == [idx[i]]
+                    assert at_est[0] == est[i]
+                    assert np.array_equal(at_X[0], X[i])
 
 
 def test_eigen_propagate_is_e_tb_to_its_estimate():
@@ -489,8 +496,8 @@ def test_eigen_propagate_is_e_tb_to_its_estimate():
     es = eigen_decompose(A)
     y = rng.standard_normal(40)
     ts = np.linspace(0.0, 4.0 * np.pi / w1, 33)
-    for idx, est, X, e_norm, y_norm in eigen_propagate(A, es, y, ts, 0.0, 2,
-                                                       1e-12):
+    for idx, est, X, e_norm, y_norm in eigen_propagate(A, es, y, None, ts,
+                                                       0.0, 2, 1e-12):
         for i, t in enumerate(ts[idx]):
             E = mat_exp(A, t)
             assert (np.abs(X[i, 1:] - E.T).max() / np.abs(E).max()
@@ -498,6 +505,35 @@ def test_eigen_propagate_is_e_tb_to_its_estimate():
             assert (vector_norms(X[i, 0] - E @ y, 2) / vector_norms(E @ y, 2)
                     <= 1e-12)
             assert e_norm[i] == pytest.approx(np.linalg.norm(E, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("directional", [False, True],
+                         ids=["worst", "directional"])
+def test_eigen_propagate_memory_is_flat_in_the_grid_length(directional):
+    # 20000 samples at n = 100: the estimates are taken chunk by chunk and
+    # the samples formed in chunks of their own, so the traced peak stays
+    # within a few STACK_BYTES (1.9 MiB worst case, 1.0 MiB directional,
+    # on numpy 2.4).  Estimates held as (m, T) arrays over the whole grid
+    # took 55 MiB for the worst case, even with only picking out its last
+    # 64 samples, as here; the directional case forms every sample
+    rng = np.random.default_rng(7)
+    A, w1 = spectral_kind(rng, 100)
+    es = eigen_decompose(A)
+    y = rng.standard_normal(100)
+    z = rng.standard_normal(100)
+    ts = np.linspace(0.0, 40.0 * np.pi / w1, 20000)
+    args = ((A, es, y, z / np.linalg.norm(z), ts) if directional
+            else (A, es, y, None, ts))
+    only = None if directional else np.arange(ts.size - 64, ts.size)
+    tracemalloc.start()
+    try:
+        formed = sum(idx.size for idx, *_ in eigen_propagate(
+            *args, float(es.eigenvalues.real.max()), 2, 1e-12, only))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert formed == (ts.size if directional else 64)
+    assert peak <= 4 * matrix_core.STACK_BYTES
 
 
 # ------------------------------------------------- certified sigma_max
@@ -734,7 +770,7 @@ def test_eigen_refined_real_eigenvalue_stays_real():
 
 @_WIDER
 def test_eigen_refinement_within_a_priori_bound():
-    # no eigenvalue moves from LAPACK's value by more than eigen_expand's
+    # no eigenvalue moves from LAPACK's value by more than eigen_propagate's
     # a priori error _EIGVAL_SAFETY u ||A||_2 kappa_j
     rng = np.random.default_rng(26)
     u = np.finfo(float).eps / 2.0
