@@ -431,11 +431,16 @@ def k_asym(s: Scenario, analysis: SpectrumAnalysis, t):
     """
     block = _rightmost(s, analysis)
     _require_finite(t)
-    y, z = _projections(s, block)
-    base = _osf(block, y, z)
-    if block.is_real:
-        return base if np.ndim(t) == 0 else np.full(np.shape(t), base)
-    return base * g_factor(block, t, proj=z) / g_factor(block, t, proj=y)
+    ka = _k_asym(block, *_projections(s, block), t)[0]
+    return ka if np.ndim(t) else float(ka)
+
+
+def _k_asym(block1: EigenBlock, y, z, t):
+    """(k_asym, OSF, g_z, g_y) from the projections of y0_hat and z0 (None:
+    worst case): k_asym = OSF g_z / g_y, with g_z and g_y as in k_asym."""
+    factor = _osf(block1, y, z)
+    g_z, g_y = g_factor(block1, t, proj=z), g_factor(block1, t, proj=y)
+    return factor * g_z / g_y + np.zeros(np.shape(t)), factor, g_z, g_y
 
 
 def _osf(block1: EigenBlock, y, z) -> float:
@@ -495,11 +500,6 @@ def ot(s: Scenario, analysis: SpectrumAnalysis, t: float) -> float:
     return math.sqrt(num / (1.0 + V * math.cos(x_t + d_y)))
 
 
-def _universal_directional(V: float):
-    a_max = math.sqrt((1.0 + V) / (1.0 - V))
-    return a_max, 1.0, 1.0, 1.0 / a_max
-
-
 def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
                 ) -> OscillationProfile:
     """Extremes of the oscillating term over t, plus universal envelopes.
@@ -523,7 +523,8 @@ def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
         _, _, f_hi, f_lo = _f_extremes(pair, x)
         ot_max = math.sqrt(f_hi)
         ot_min = math.sqrt(f_lo)
-        a_max, a_minmax, a_maxmin, a_min = _universal_directional(V)
+        a_max = math.sqrt((1.0 + V) / (1.0 - V))
+        a_minmax, a_maxmin, a_min = 1.0, 1.0, 1.0 / a_max
     else:
         # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), with the
         # scale formed as (1 + W)(1 - W), which does not cancel as W -> 1;
@@ -571,13 +572,21 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     if p is not None and _normalize_p(p) != analysis.norm_p:
         raise ValueError(f"p = {p} is not the analysis's norm "
                          f"{_norm_label(analysis.norm_p)}")
-    # each block projects u once: its projection serves coef and g_factor
     pr1 = None if u is None else checked_projection(b1, u)
     t = np.asarray(t, dtype=float)
     _require_finite(t)
-    g1 = g_factor(b1, t, proj=pr1)
-    eps = np.zeros(t.shape)
-    ratios = []
+    eps, _, ratios = _member_pass(analysis, t, u, pr1,
+                                  g_factor(b1, t, proj=pr1))
+    return (eps if np.ndim(eps) else float(eps)), ratios
+
+
+@np.errstate(over="ignore")
+def _member_pass(analysis: SpectrumAnalysis, t, u, pr1, g1):
+    """(eps, terms, ratios) of eps(t, u), given u's projection pr1 on block
+    1 (None without u) and g1 = g_1(t, u): one term per member that u
+    projects on, in block order, and eps their sum in that order."""
+    b1 = analysis.blocks[0]
+    terms, ratios = [], []
     for bj in analysis.blocks[1:]:
         coef, prj = 1.0, None
         if u is not None:
@@ -589,9 +598,8 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
             coef = prj.wu_mod / pr1.wu_mod
         ratio = g_factor(bj, t, proj=prj) / g1
         ratios.append(ratio)
-        with np.errstate(over="ignore"):
-            eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
-    return (eps if np.ndim(eps) else float(eps)), ratios
+        terms.append(np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio)
+    return sum(terms, np.zeros(np.shape(t))), terms, ratios
 
 
 def precision_bound(eps_t, eps_tu):
@@ -607,18 +615,17 @@ def precision_bound(eps_t, eps_tu):
 
 
 def _profile_for(s: Scenario, analysis: SpectrumAnalysis,
-                 ka: np.ndarray) -> OscillationProfile:
-    """Oscillation profile of a sweep whose k_asym column is ka."""
+                 ka: np.ndarray, factor: float) -> OscillationProfile:
+    """Oscillation profile of a sweep with k_asym column ka and OSF factor."""
     block = analysis.blocks[0]
     if block.is_real:
         # k_asym is the constant scale factor
-        return OscillationProfile(osf=float(ka[0]), block_kind="real")
+        return OscillationProfile(osf=factor, block_kind="real")
     if s.norm_p == 2:
         return ot_envelope(s, analysis)
     # p in {1, inf}: the scale/oscillation split still holds but the
     # closed-form envelopes do not; the ot range is that of the series
     # over the grid
-    factor = osf(s, analysis)
     ot_vals = ka / factor
     return OscillationProfile(
         osf=factor,
@@ -660,16 +667,16 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
         analysis = analyze_spectrum(s.matrix, norm_p=s.norm_p)
     block = _rightmost(s, analysis)
     notes = []
-    _projections(s, block, notes)
+    y, z = _projections(s, block, notes)
     grid = s.t_grid
     # exact propagation first: its refusal of a non-finite e^{t(A - r1 I)}
     # comes before any asymptotic layer sees such a t
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
     ke = _k_exact_grid(s, grid, r1, analysis.eigensystem)
-    ka = k_asym(s, analysis, grid)
-    profile = _profile_for(s, analysis, ka)
-    et, _ = epsilon_bounds(analysis, grid, u=s.z0)
-    eu, _ = epsilon_bounds(analysis, grid, u=s.y0_hat)
+    ka, factor, g_z, g_y = _k_asym(block, y, z, grid)
+    profile = _profile_for(s, analysis, ka, factor)
+    et = _member_pass(analysis, grid, s.z0, z, g_z)[0]
+    eu = _member_pass(analysis, grid, s.y0_hat, y, g_y)[0]
     return ConditionSeries(
         t=grid,
         k_exact=ke,

@@ -145,14 +145,12 @@ def _f_extremes(p: VWPair, x):
 
 def f_vw_max(p: VWPair, x):
     """Maximum of f( . , x) over alpha; accepts array x."""
-    val = _f_extremes(p, x)[2]
-    return val if np.ndim(val) else float(val)
+    return _f_extremes(p, x)[2]
 
 
 def f_vw_min(p: VWPair, x):
     """Minimum of f( . , x) over alpha; accepts array x."""
-    val = _f_extremes(p, x)[3]
-    return val if np.ndim(val) else float(val)
+    return _f_extremes(p, x)[3]
 
 
 # ------------------------------------------------------------------ blocks

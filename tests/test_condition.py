@@ -13,6 +13,7 @@ from conftest import EXAMPLE_A, sample_supported, spectral_kind, unit
 from oracles import sphere_max, taylor_expm
 
 import odecond.condition
+import odecond.oscillator
 from odecond.condition import (
     UNBOUNDED,
     OscillationProfile,
@@ -1165,16 +1166,42 @@ def test_oscillation_profile_validation():
 # ------------------------------------------- two routes to k_exact
 
 def test_sweep_projects_each_block_once():
-    # epsilon_bounds and k_asym hand each block's projection of u to
-    # g_factor instead of projecting u again: a directional demo sweep
-    # makes 10 projections, 4 fewer than when g_factor projected its own
-    s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], z0=[0.0, 1.0, 0.0],
+    # one member pass: sweep projects y0_hat and z0 on the rightmost block
+    # once, for k_asym and both dominance sums, and ot_envelope once more;
+    # each subdominant block once per direction.  The g_1 of each direction
+    # is formed once, by k_asym, and normalizes that direction's sum: 4
+    # g_factor calls, where separate k_asym and epsilon_bounds calls made 6
+    # (and 10 or 5 projections)
+    for z0, projections in (([0.0, 1.0, 0.0], 6), (None, 3)):
+        s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], z0=z0,
+                     t_grid=np.linspace(0.0, 4.0 * math.pi, 65))
+        wrapped = mock.Mock(wraps=odecond.spectral.checked_projection)
+        g = mock.Mock(wraps=odecond.oscillator.g_factor)
+        with mock.patch("odecond.condition.checked_projection", wrapped), \
+                mock.patch("odecond.oscillator.checked_projection",
+                           wrapped), \
+                mock.patch("odecond.condition.g_factor", g):
+            sweep(s)
+        assert wrapped.call_count <= projections
+        assert g.call_count == 4
+
+
+def test_sweep_forms_the_rightmost_theta_stack_once():
+    # a p = 1 worst case with three complex pairs: the (T, n, n) Theta
+    # stack of the rightmost block is formed once, by k_asym, and eps(t)
+    # reuses its g_1(t); 6 Theta norms in all (3 blocks, 2 directions),
+    # where the separate calls formed 8, that stack twice
+    A, _ = spectral_kind(np.random.default_rng(6), 6)
+    s = Scenario(matrix=A, y0=np.arange(1.0, 7.0), norm_p=1,
                  t_grid=np.linspace(0.0, 4.0 * math.pi, 65))
-    wrapped = mock.Mock(wraps=odecond.spectral.checked_projection)
-    with mock.patch("odecond.condition.checked_projection", wrapped), \
-            mock.patch("odecond.oscillator.checked_projection", wrapped):
-        sweep(s)
-    assert wrapped.call_count == 10
+    an = analyze_spectrum(A, norm_p=1)
+    theta = mock.Mock(wraps=odecond.oscillator._theta_norm_p)
+    with mock.patch("odecond.oscillator._theta_norm_p", theta):
+        sweep(s, an)
+    stacks = [c for c in theta.call_args_list
+              if c.args[0] is an.blocks[0] and c.args[2] is None]
+    assert len(stacks) == 1
+    assert theta.call_count == 6
 
 
 def test_repeated_eigenvalue_expands_without_warning():

@@ -278,7 +278,7 @@ def expansion(A, U, ts, p, shift=0.0, es=None):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
        decade=st.floats(0.0, 6.0), p=st.sampled_from([1, 2, np.inf]),
        graze=st.booleans())
-def test_eigen_expand_within_its_estimate(seed, n, decade, p, graze):
+def test_eigen_propagate_within_its_estimate(seed, n, decade, p, graze):
     # cond(V) from 1 to 1e6, t on a grid, past it and negative, and with
     # graze a first column that nearly misses the rightmost left vector:
     # at every sample the estimate accepts, each column's relative gap to
@@ -323,7 +323,7 @@ def test_eigen_expand_within_its_estimate(seed, n, decade, p, graze):
     assert not np.isnan(X[est <= 1e-12]).any()
 
 
-def test_eigen_expand_is_real_from_half_the_modes():
+def test_eigen_propagate_is_real_from_half_the_modes():
     # one member per conjugate pair, doubled: the pair's product is never
     # formed, and X equals e^{tA} U to rounding
     A = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -1.0]])
@@ -337,7 +337,7 @@ def test_eigen_expand_is_real_from_half_the_modes():
         assert np.abs(got - ref).max() <= 4e-15
 
 
-def test_eigen_expand_without_extended_precision():
+def test_eigen_propagate_without_extended_precision():
     # where np.longdouble is double, the rightmost eigenvalues are not
     # refined and the estimate keeps their a priori error, which grows
     # with t: fewer samples pass, each still within its estimate
@@ -357,7 +357,7 @@ def test_eigen_expand_without_extended_precision():
                           <= e * vector_norms(ref, 2))
 
 
-def test_eigen_expand_refuses_what_it_cannot_vouch_for():
+def test_eigen_propagate_refuses_what_it_cannot_vouch_for():
     # ||X|| underflows to 0, or overflows at negative t, or is subnormal:
     # the estimate is not below tol and no X is formed there
     A = np.diag([0.0, -1.0])
