@@ -440,7 +440,7 @@ def _k_asym(block1: EigenBlock, y, z, t):
     worst case): k_asym = OSF g_z / g_y, with g_z and g_y as in k_asym."""
     factor = _osf(block1, y, z)
     g_z, g_y = g_factor(block1, t, proj=z), g_factor(block1, t, proj=y)
-    return factor * g_z / g_y + np.zeros(np.shape(t)), factor, g_z, g_y
+    return np.full(np.shape(t), factor) * g_z / g_y, factor, g_z, g_y
 
 
 def _osf(block1: EigenBlock, y, z) -> float:
