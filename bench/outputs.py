@@ -1,7 +1,7 @@
 """Write every output file of the benchmark's sweep rounds, for a
 byte-for-byte comparison of two trees.
 
-    python3 bench/outputs.py --out DIR [--seed 1] [--rounds 3] [--quick]
+    python3 bench/outputs.py --out DIR [--seed 1] [--rounds 3]
 
 Rounds 0 .. R-1 of the ``small-n`` and ``large-n`` workloads are built
 with ``perfbench/workloads.build_round``, and each operation's argv runs
@@ -13,8 +13,9 @@ the same outputs when ``diff -r`` of their two DIRs is clean.
 OpenBLAS runs on one thread, set in the script's own environment before
 numpy loads, so the bits do not depend on the host's core count.  Each
 operation prints its label and exit code; the program's own printed
-output is discarded.  ``--quick`` runs one round of each workload, a
-smoke run that needs no scipy.
+output is discarded.  The script exits 1 if an operation that is not one
+of the workloads' known faults (``op.fault``) exits nonzero.  It needs no
+scipy; ``--rounds 1`` is a short smoke run.
 """
 from __future__ import annotations
 
@@ -43,11 +44,10 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--quick", action="store_true")
     args = ap.parse_args(argv)
-    files = 0
+    files, unexpected = 0, []
     for workload in WORKLOADS:
-        for r in range(1 if args.quick else args.rounds):
+        for r in range(args.rounds):
             workdir = Path(args.out) / workload / f"r{r}"
             workdir.mkdir(parents=True, exist_ok=True)
             for op in build_round(workload, args.seed, r, str(workdir),
@@ -55,9 +55,13 @@ def main(argv=None):
                 with contextlib.redirect_stdout(io.StringIO()):
                     rc = odecond.cli.main(list(op.argv))
                 print(f"{workload} r{r} {op.label}: exit {rc}")
+                if rc != 0 and op.fault is None:
+                    unexpected.append(f"{workload} r{r} {op.label}")
             files += sum(1 for _ in workdir.iterdir())
     print(f"{files} files under {args.out}")
-    return 0
+    for label in unexpected:
+        print(f"unexpected failure: {label}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

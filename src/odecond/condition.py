@@ -500,6 +500,11 @@ def ot(s: Scenario, analysis: SpectrumAnalysis, t: float) -> float:
     return math.sqrt(num / (1.0 + V * math.cos(x_t + d_y)))
 
 
+def _universal_directional(V: float):
+    a_max = math.sqrt((1.0 + V) / (1.0 - V))
+    return a_max, 1.0, 1.0, 1.0 / a_max
+
+
 def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
                 ) -> OscillationProfile:
     """Extremes of the oscillating term over t, plus universal envelopes.
@@ -523,8 +528,7 @@ def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
         _, _, f_hi, f_lo = _f_extremes(pair, x)
         ot_max = math.sqrt(f_hi)
         ot_min = math.sqrt(f_lo)
-        a_max = math.sqrt((1.0 + V) / (1.0 - V))
-        a_minmax, a_maxmin, a_min = 1.0, 1.0, 1.0 / a_max
+        a_max, a_minmax, a_maxmin, a_min = _universal_directional(V)
     else:
         # OT^2 = (1 - W^2)/2 * H(x, beta) at beta = Delta(y0), with the
         # scale formed as (1 + W)(1 - W), which does not cancel as W -> 1;
@@ -575,18 +579,15 @@ def epsilon_bounds(analysis: SpectrumAnalysis, t, u=None, p=None):
     pr1 = None if u is None else checked_projection(b1, u)
     t = np.asarray(t, dtype=float)
     _require_finite(t)
-    eps, _, ratios = _member_pass(analysis, t, u, pr1,
-                                  g_factor(b1, t, proj=pr1))
+    eps, ratios = _member_pass(analysis, t, u, pr1, g_factor(b1, t, proj=pr1))
     return (eps if np.ndim(eps) else float(eps)), ratios
 
 
-@np.errstate(over="ignore")
 def _member_pass(analysis: SpectrumAnalysis, t, u, pr1, g1):
-    """(eps, terms, ratios) of eps(t, u), given u's projection pr1 on block
-    1 (None without u) and g1 = g_1(t, u): one term per member that u
-    projects on, in block order, and eps their sum in that order."""
+    """(eps, ratios) of eps(t, u) from u's projection pr1 on block 1 (None
+    without u) and g1 = g_1(t, u); eps adds the members in block order."""
     b1 = analysis.blocks[0]
-    terms, ratios = [], []
+    eps, ratios = np.zeros(np.shape(t)), []
     for bj in analysis.blocks[1:]:
         coef, prj = 1.0, None
         if u is not None:
@@ -598,8 +599,9 @@ def _member_pass(analysis: SpectrumAnalysis, t, u, pr1, g1):
             coef = prj.wu_mod / pr1.wu_mod
         ratio = g_factor(bj, t, proj=prj) / g1
         ratios.append(ratio)
-        terms.append(np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio)
-    return sum(terms, np.zeros(np.shape(t))), terms, ratios
+        with np.errstate(over="ignore"):
+            eps += np.exp((bj.r - b1.r) * t) * (bj.f / b1.f) * coef * ratio
+    return eps, ratios
 
 
 def precision_bound(eps_t, eps_tu):
@@ -675,8 +677,8 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     ke = _k_exact_grid(s, grid, r1, analysis.eigensystem)
     ka, factor, g_z, g_y = _k_asym(block, y, z, grid)
     profile = _profile_for(s, analysis, ka, factor)
-    et = _member_pass(analysis, grid, s.z0, z, g_z)[0]
-    eu = _member_pass(analysis, grid, s.y0_hat, y, g_y)[0]
+    et, _ = _member_pass(analysis, grid, s.z0, z, g_z)
+    eu, _ = _member_pass(analysis, grid, s.y0_hat, y, g_y)
     return ConditionSeries(
         t=grid,
         k_exact=ke,
