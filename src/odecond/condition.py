@@ -520,9 +520,33 @@ def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
     block1 = _rightmost(s, analysis)
     _require_euclidean(block1)
     y, z = _projections(s, block1)
+    return _profile(block1, y, z, _osf(block1, y, z))
+
+
+def _profile(block1: EigenBlock, y, z, factor: float, ot_vals=None
+             ) -> OscillationProfile:
+    """The oscillation profile from the projections of y0_hat and z0 (None:
+    worst case), the OSF factor they give and, for p in {1, inf}, the ot
+    column ot_vals of a sweep."""
+    if block1.is_real:
+        # k_asym is the constant scale factor
+        return OscillationProfile(osf=factor, block_kind="real")
+    if block1.norm_p != 2:
+        # p in {1, inf}: the scale/oscillation split still holds but the
+        # closed-form envelopes do not; the ot range is that of the series
+        # over the grid
+        return OscillationProfile(
+            osf=factor,
+            block_kind="complex",
+            ot_min=float(ot_vals.min()),
+            ot_max=float(ot_vals.max()),
+            ot_range_source="grid",
+            period=math.pi / abs(block1.omega),
+        )
+    _require_euclidean(block1)
     V, W = block1.V_mod, block1.W_mod
     q1 = q1_threshold(VWPair(V, W))
-    if s.directional:
+    if z is not None:
         x = 2.0 * (z.gamma - y.gamma) - math.pi
         pair = VWPair(V, V)
         _, _, f_hi, f_lo = _f_extremes(pair, x)
@@ -542,7 +566,7 @@ def ot_envelope(s: Scenario, analysis: SpectrumAnalysis
         a_max, a_minmax, a_maxmin, a_min = (
             math.sqrt(scale * h) for h in h_extremes(pair)[:4])
     return OscillationProfile(
-        osf=_osf(block1, y, z),
+        osf=factor,
         block_kind="complex",
         ot_min=ot_min,
         ot_max=ot_max,
@@ -616,29 +640,6 @@ def precision_bound(eps_t, eps_tu):
     return float(out) if out.ndim == 0 else out
 
 
-def _profile_for(s: Scenario, analysis: SpectrumAnalysis,
-                 ka: np.ndarray, factor: float) -> OscillationProfile:
-    """Oscillation profile of a sweep with k_asym column ka and OSF factor."""
-    block = analysis.blocks[0]
-    if block.is_real:
-        # k_asym is the constant scale factor
-        return OscillationProfile(osf=factor, block_kind="real")
-    if s.norm_p == 2:
-        return ot_envelope(s, analysis)
-    # p in {1, inf}: the scale/oscillation split still holds but the
-    # closed-form envelopes do not; the ot range is that of the series
-    # over the grid
-    ot_vals = ka / factor
-    return OscillationProfile(
-        osf=factor,
-        block_kind="complex",
-        ot_min=float(ot_vals.min()),
-        ot_max=float(ot_vals.max()),
-        ot_range_source="grid",
-        period=math.pi / abs(block.omega),
-    )
-
-
 def _block_info(analysis: SpectrumAnalysis, block: EigenBlock) -> dict:
     info = {
         "kind": block.kind.value,
@@ -676,14 +677,15 @@ def sweep(s: Scenario, analysis: Optional[SpectrumAnalysis] = None
     r1 = _shift_for(s.matrix, analysis.eigensystem.eigenvalues)
     ke = _k_exact_grid(s, grid, r1, analysis.eigensystem)
     ka, factor, g_z, g_y = _k_asym(block, y, z, grid)
-    profile = _profile_for(s, analysis, ka, factor)
+    ot_vals = ka / factor
+    profile = _profile(block, y, z, factor, ot_vals)
     et, _ = _member_pass(analysis, grid, s.z0, z, g_z)
     eu, _ = _member_pass(analysis, grid, s.y0_hat, y, g_y)
     return ConditionSeries(
         t=grid,
         k_exact=ke,
         k_asym=ka,
-        ot=ka / profile.osf,
+        ot=ot_vals,
         eps_t=et,
         eps_tu=eu,
         precision_bound=precision_bound(et, eu),

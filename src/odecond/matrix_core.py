@@ -51,6 +51,9 @@ __all__ = [
 #: bytes of the float64 (T, n, n) stacks a grid function holds at a time
 STACK_BYTES = 1 << 20
 
+#: the dual exponent q of p, 1/p + 1/q = 1: the norm of the left rows
+_DUAL = {1: np.inf, 2: 2, np.inf: 1}
+
 #: Pade-13 coefficients b_0..b_13 of e^x, divided by b_0 so that r_13(0)
 #: is exactly the identity, and the largest scaled norm for which r_13 is
 #: accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4),
@@ -718,7 +721,7 @@ class _Whole:
 
     def __init__(self, md: _Modes, es: EigenSystem):
         self.md = md
-        self.q = q = {1: np.inf, 2: 2, np.inf: 1}[md.p]
+        self.q = q = _DUAL[md.p]
         self.C = md.rho[:, None] * md.W                      # (m, n)
         self.mat = md.rho * md.vp * vector_norms(md.W, q)    # a_j / |e_j|
         if q == 2:

@@ -156,12 +156,17 @@ def f_vw_min(p: VWPair, x):
 # ------------------------------------------------------------------ blocks
 
 def _require_euclidean(block: EigenBlock):
+    """The check every closed form shares: a complex block of the 2-norm
+    whose V and W lie below 1 (spectral caps them at 1)."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
     if block.V_mod is None:
         raise UnsupportedBlock(
             "the closed forms hold for a block analyzed with norm_p=2 only"
         )
+    if max(block.V_mod, block.W_mod) >= 1.0:
+        raise UnsupportedBlock("V or W rounds to 1: the pair is too near "
+                               "real for the closed forms")
 
 
 def phase_x(block: EigenBlock, t):

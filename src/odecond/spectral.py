@@ -33,7 +33,7 @@ from .matrix_core import (
     matrix_norms,
     vector_norms,
 )
-from .matrix_core import _normalize_p
+from .matrix_core import _DUAL, _normalize_p
 
 __all__ = [
     "BlockKind",
@@ -61,9 +61,6 @@ PROJECTION_WARN = 1e-6
 #: so delta or theta is pinned to 0 and every closed form takes its V = 0 /
 #: W = 0 limit.
 ZERO_MODULUS = 1e-13
-
-#: the dual exponent q of p, 1/p + 1/q = 1, whose norm normalizes w_hat
-_DUAL = {1: np.inf, 2: 2, np.inf: 1}
 
 
 class BlockKind(enum.Enum):
@@ -123,50 +120,49 @@ class SpectrumAnalysis:
     eigensystem: EigenSystem
 
 
-def _build_supported_block(kind, members, v, w, p):
-    """The block of lambda = members[0] from its right vector and left row."""
-    vnorm = float(vector_norms(v, p))
-    wnorm = float(vector_norms(w, _DUAL[p]))
-    v_hat = v / vnorm
-    w_hat = w / wnorm
-    f = wnorm * vnorm
-    lam = members[0]
-    extra = {}
-    if kind is BlockKind.SIMPLE_SINGLE_COMPLEX and p == 2:
-        vv, ww = complex(v_hat @ v_hat), complex(w_hat @ w_hat)
-        V_mod, W_mod = (0.0 if abs(z) <= ZERO_MODULUS else abs(z)
-                        for z in (vv, ww))
-        delta = 0.0 if V_mod == 0.0 else float(np.angle(vv))
-        theta = 0.0 if W_mod == 0.0 else float(np.angle(ww)) / 2.0
+def _member_blocks(members, v, w, p) -> list:
+    """The blocks of the eigenvalues members (m,), each real or the
+    positive-imaginary member of its pair, from their right vectors, the
+    rows of v, and their left rows, the rows of w (both m x n).  Every
+    member's data are formed in one batched pass, row by row, so a
+    member's block has the same bits whichever members share the pass."""
+    vnorm, wnorm = vector_norms(v, p), vector_norms(w, _DUAL[p])
+    v_hat, w_hat = v / vnorm[:, None], w / wnorm[:, None]
+    extra = [{} for _ in members]
+    pair = np.flatnonzero((members.imag > 0) & (p == 2))
+    if pair.size:
+        vv, ww = (np.sum(x[pair] * x[pair], axis=-1) for x in (v_hat, w_hat))
+        # noise at or below ZERO_MODULUS is stored as 0, rounding above 1
+        # as 1 (a pair so near real lies outside the closed forms)
+        V, W = (np.where(np.abs(z) <= ZERO_MODULUS, 0.0,
+                         np.minimum(np.abs(z), 1.0)) for z in (vv, ww))
+        delta = np.where(V == 0.0, 0.0, np.angle(vv))
+        theta = np.where(W == 0.0, 0.0, np.angle(ww) / 2.0)
         # Re and Im of e^{-i theta} w_hat are orthogonal, of norms sigma
         # and mu: the axes for the left vectors (cos theta, sin theta) and
         # +-(-sin theta, cos theta), each with a positive first nonzero
         # entry, so the minor one flips where theta > 0
-        turned = np.exp(-1j * theta) * w_hat
-        sigma = float(vector_norms(turned.real, 2))
-        mu = float(vector_norms(turned.imag, 2))
-        extra = dict(
-            V_mod=V_mod,
-            delta=delta,
-            W_mod=W_mod,
-            sigma=sigma,
-            mu=mu,
-            theta_axis=theta,
-            right_major=turned.real / sigma,
-            right_minor=(-1.0 if theta > 0.0 else 1.0) * turned.imag / mu,
-        )
-    return EigenBlock(
-        kind=kind,
-        r=float(lam.real),
-        omega=float(lam.imag),
-        eigenvalue=complex(lam),
-        group_eigenvalues=np.array(members),
-        norm_p=p,
-        v_hat=v_hat,
-        w_hat=w_hat,
-        f=f,
-        **extra,
-    )
+        turned = np.exp(-1j * theta)[:, None] * w_hat[pair]
+        sigma, mu = vector_norms(turned.real, 2), vector_norms(turned.imag, 2)
+        flip = np.where(theta > 0.0, -1.0, 1.0)[:, None]
+        cols = dict(V_mod=V.tolist(), delta=delta.tolist(), W_mod=W.tolist(),
+                    sigma=sigma.tolist(), mu=mu.tolist(),
+                    theta_axis=theta.tolist(),
+                    right_major=turned.real / sigma[:, None],
+                    right_minor=flip * turned.imag / mu[:, None])
+        for k, i in enumerate(pair):
+            extra[i] = {name: col[k] for name, col in cols.items()}
+    f = (wnorm * vnorm).tolist()
+    blocks = []
+    for i, lam in enumerate(members.tolist()):
+        group = [lam, lam.conjugate()] if lam.imag > 0 else [lam]
+        kind = (BlockKind.SIMPLE_SINGLE_COMPLEX if lam.imag > 0
+                else BlockKind.SIMPLE_SINGLE_REAL)
+        blocks.append(EigenBlock(
+            kind=kind, r=lam.real, omega=lam.imag, eigenvalue=lam,
+            group_eigenvalues=np.array(group), norm_p=p, v_hat=v_hat[i],
+            w_hat=w_hat[i], f=f[i], **extra[i]))
+    return blocks
 
 
 def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAnalysis:
@@ -207,16 +203,9 @@ def analyze_spectrum(A, norm_p=2, tol: float = DEFAULT_GROUP_TOL) -> SpectrumAna
 
     # each pair is stored once, by its positive-imaginary member, whose
     # partner eigen_decompose makes its exact conjugate
-    blocks = []
-    for i in np.flatnonzero(evals.imag >= 0):
-        lam = evals[i]
-        if lam.imag == 0:
-            kind, members = BlockKind.SIMPLE_SINGLE_REAL, evals[[i]]
-        else:
-            kind, members = BlockKind.SIMPLE_SINGLE_COMPLEX, np.array(
-                [lam, np.conj(lam)])
-        blocks.append(_build_supported_block(
-            kind, members, es.right_vectors[:, i], es.left_rows[i, :], p))
+    stored = np.flatnonzero(evals.imag >= 0)
+    blocks = _member_blocks(evals[stored], es.right_vectors[:, stored].T,
+                            es.left_rows[stored], p)
     # generic: one real eigenvalue, or one pair whose |Im| the grouping
     # tolerance does not blur into two real ones
     generic = [len(idx) == 1 or (len(idx) == 2

@@ -32,7 +32,7 @@ from odecond.oscillator import (
     theta_norm_mat,
     theta_norm_u,
 )
-from odecond.spectral import _build_supported_block, analyze_spectrum, build_Q
+from odecond.spectral import _member_blocks, analyze_spectrum, build_Q
 
 from conftest import EXAMPLE_A, sample_supported, unit
 from oracles import grid_extreme_1d, grid_extreme_f, sphere_max, taylor_expm
@@ -234,8 +234,8 @@ def test_invariant_suites(capsys, rng):
         w = es.left_rows[i, :]
         for phi in rng.uniform(-math.pi, math.pi, size=4):
             g = np.exp(1j * phi)
-            b2 = _build_supported_block(b.kind, b.group_eigenvalues,
-                                        v * g, w / g, 2)
+            b2 = _member_blocks(b.group_eigenvalues[:1], (v * g)[None],
+                                (w / g)[None], 2)[0]
             for name in ("f", "V_mod", "W_mod", "sigma", "mu"):
                 close(getattr(b2, name), getattr(b, name), 1e-10, name)
             assert np.allclose(build_Q(b2, 0.7), build_Q(b, 0.7),

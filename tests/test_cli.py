@@ -519,6 +519,21 @@ def test_repeated_eigenvalue_exits_2(tmp_path, capsys):
     assert "unsupported spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z0", [None, "0,1,0"])
+def test_near_real_pair_exits_2(tmp_path, capsys, z0):
+    # Im(lambda) = 3.2e-9: V rounds to 1, outside the closed forms, so the
+    # worst case and the directional run are refused, not a ValueError
+    mat = write_matrix_csv(tmp_path / "N.csv",
+                           [[0.0, 1.0, 0.0], [-1e-17, 0.0, 0.0],
+                            [0.0, 0.0, -1.0]])
+    argv = ["analyze", "--matrix", mat, "--y0", "1,2,3", "--tol-group",
+            1e-14, "--steps", 8, "--out", tmp_path / "x"]
+    assert run_cli(argv + (["--z0", z0] if z0 else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported spectrum: V or W rounds to 1")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_grouping_tolerance_exits_1(tmp_path, capsys, tol):
     mat = write_matrix_csv(tmp_path / "A.csv", EXAMPLE_A)

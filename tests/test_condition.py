@@ -1167,12 +1167,12 @@ def test_oscillation_profile_validation():
 
 def test_sweep_projects_each_block_once():
     # one member pass: sweep projects y0_hat and z0 on the rightmost block
-    # once, for k_asym and both dominance sums, and ot_envelope once more;
-    # each subdominant block once per direction.  The g_1 of each direction
-    # is formed once, by k_asym, and normalizes that direction's sum: 4
+    # once, for k_asym, the profile and both dominance sums; each
+    # subdominant block once per direction.  The g_1 of each direction is
+    # formed once, by k_asym, and normalizes that direction's sum: 4
     # g_factor calls, where separate k_asym and epsilon_bounds calls made 6
     # (and 10 or 5 projections)
-    for z0, projections in (([0.0, 1.0, 0.0], 6), (None, 3)):
+    for z0, projections in (([0.0, 1.0, 0.0], 4), (None, 2)):
         s = Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0], z0=z0,
                      t_grid=np.linspace(0.0, 4.0 * math.pi, 65))
         wrapped = mock.Mock(wraps=odecond.spectral.checked_projection)
@@ -1182,7 +1182,7 @@ def test_sweep_projects_each_block_once():
                            wrapped), \
                 mock.patch("odecond.condition.g_factor", g):
             sweep(s)
-        assert wrapped.call_count <= projections
+        assert wrapped.call_count == projections
         assert g.call_count == 4
 
 

@@ -31,8 +31,7 @@ from odecond.oscillator import (
     theta_norm_u,
     wrap_angle,
 )
-from odecond.spectral import BlockKind, analyze_spectrum, build_Q
-from odecond.spectral import _build_supported_block
+from odecond.spectral import _member_blocks, analyze_spectrum, build_Q
 
 
 def complex_block(rng, n, norm_p=2):
@@ -315,7 +314,7 @@ def test_theta_norm_mat_w_zero_constant():
     v = np.array([c, 0.0, 1.0], dtype=complex)
     w = np.array([1.0, 1.0j, 0.0]) / c
     members = np.array([-0.2 + 1.3j, -0.2 - 1.3j])
-    b = _build_supported_block(BlockKind.SIMPLE_SINGLE_COMPLEX, members, v, w, 2)
+    b = _member_blocks(members[:1], v[None], w[None], 2)[0]
     assert b.W_mod == pytest.approx(0.0, abs=1e-15)
     assert b.V_mod > 0.1
     want = np.sqrt((1 + b.V_mod) / 4)

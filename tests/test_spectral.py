@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import EXAMPLE_A, sample_supported, unit
+from conftest import EXAMPLE_A, sample_supported, spectral_kind, unit
 from oracles import sphere_max
 
-from odecond.condition import Scenario, k_asym
+from odecond.condition import Scenario, k_asym, ot_envelope, sweep
 from odecond.errors import AmbiguousGrouping, ZeroProjection, UnsupportedBlock
 from odecond.matrix_core import mat_exp
 from odecond.oscillator import phase_offset, theta_norm_u
@@ -16,7 +16,7 @@ from odecond.spectral import (
     build_Q,
     checked_projection,
 )
-from odecond.spectral import _build_supported_block
+from odecond.spectral import _member_blocks
 
 
 def rightmost(A, norm_p=2):
@@ -33,6 +33,56 @@ def test_diagonal_two_real_blocks():
     assert an.blocks[1].r == pytest.approx(-1.0)
     for b in an.blocks:
         assert b.f == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("norm_p", [1, 2, np.inf])
+def test_member_rows_equal_one_member_builds(norm_p):
+    # a seeded n = 100 analysis (49 pairs, two real eigenvalues): each
+    # block of the batched pass equals, bit for bit, the block the builder
+    # forms from that member alone
+    A, _ = spectral_kind(np.random.default_rng(100), 98)
+    A = np.block([[A, np.zeros((98, 2))],
+                  [np.zeros((2, 98)), np.diag([-0.5, -7.0])]])
+    an = analyze_spectrum(A, norm_p=norm_p)
+    es = an.eigensystem
+    assert len(an.blocks) == 51
+    for b in an.blocks:
+        i = int(np.flatnonzero(es.eigenvalues == b.eigenvalue)[0])
+        one = _member_blocks(es.eigenvalues[[i]], es.right_vectors[:, [i]].T,
+                             es.left_rows[[i]], norm_p)[0]
+        for field in dataclasses.fields(b):
+            got, want = getattr(b, field.name), getattr(one, field.name)
+            assert type(got) is type(want), field.name
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) \
+                else got == want, field.name
+
+
+# Im(lambda) = 3.2e-9: one modulus of the pair rounds to 1 (or, conjugated
+# by a dense S, just above it)
+NEAR_REAL = np.array([[0.0, 1.0, 0.0], [-1e-17, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def test_near_real_moduli_are_capped_at_1():
+    mods = []
+    for seed in range(20):
+        S = np.random.default_rng(seed).standard_normal((3, 3))
+        for A in (NEAR_REAL, S @ NEAR_REAL @ np.linalg.inv(S)):
+            b = analyze_spectrum(A, tol=1e-14).blocks[0]
+            if b.is_complex:
+                mods += [b.V_mod, b.W_mod]
+    assert all(0.0 <= m <= 1.0 for m in mods)
+    assert mods.count(1.0) >= 5
+
+
+@pytest.mark.parametrize("z0", [None, [0.0, 1.0, 0.0]])
+def test_near_real_rightmost_pair_is_refused(z0):
+    an = analyze_spectrum(NEAR_REAL, tol=1e-14)
+    assert max(an.blocks[0].V_mod, an.blocks[0].W_mod) == 1.0
+    s = Scenario(matrix=NEAR_REAL, y0=[1.0, 2.0, 3.0], z0=z0,
+                 t_grid=np.linspace(0.0, 1.0, 5))
+    for run in (sweep, ot_envelope):
+        with pytest.raises(UnsupportedBlock, match="V or W rounds to 1"):
+            run(s, an)
 
 
 def test_example_matrix_block_moduli():
@@ -199,7 +249,7 @@ def test_phase_gauge_invariance():
     members = b.group_eigenvalues
     for phi in rng.uniform(-np.pi, np.pi, size=5):
         g = np.exp(1j * phi)
-        b2 = _build_supported_block(b.kind, members, v * g, w / g, 2)
+        b2 = _member_blocks(members[:1], (v * g)[None], (w / g)[None], 2)[0]
         assert b2.f == pytest.approx(b.f, rel=1e-10)
         assert b2.V_mod == pytest.approx(b.V_mod, abs=1e-10)
         assert b2.W_mod == pytest.approx(b.W_mod, abs=1e-10)
