@@ -3,12 +3,13 @@ byte-for-byte comparison of two trees.
 
     python3 bench/outputs.py --out DIR [--seed 1] [--rounds 3]
 
-Rounds 0 .. R-1 of the ``small-n`` and ``large-n`` workloads are built
-with ``perfbench/workloads.build_round``, and each operation's argv runs
-through ``odecond.cli.main`` in this process.  Round r of workload w
-writes its scenario inputs and the program's CSV and JSON files to
-``DIR/w/r<r>/``.  The script only reads ``perfbench/``.  Two trees give
-the same outputs when ``diff -r`` of their two DIRs is clean.
+Rounds 0 .. R-1 of the ``small-n``, ``large-n`` and ``envelopes``
+workloads are built with ``perfbench/workloads.build_round``, and each
+operation's argv runs through ``odecond.cli.main`` in this process.
+Round r of workload w writes its scenario inputs and the program's CSV,
+JSON and log files to ``DIR/w/r<r>/``.  The script only reads
+``perfbench/``.  Two trees give the same outputs when ``diff -r`` of
+their two DIRs is clean.
 
 OpenBLAS runs on one thread, set in the script's own environment before
 numpy loads, so the bits do not depend on the host's core count.  Each
@@ -36,7 +37,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import odecond.cli  # noqa: E402
 from workloads import Checker, build_round  # noqa: E402
 
-WORKLOADS = ("small-n", "large-n")
+WORKLOADS = ("small-n", "large-n", "envelopes")
 
 
 def main(argv=None):

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import BranchLost
 from .matrix_core import stack_slices
-from .oscillator import VWPair, _alpha_extrema_arrays, f_vw_max, wrap_angle
+from .oscillator import (VWPair, _alpha_extrema_arrays, f_vw, f_vw_max,
+                         wrap_angle)
 
 __all__ = [
     "BranchPolyline",
@@ -258,7 +259,7 @@ def h_envelope_sweep(p: VWPair, betas):
     x, row, _ = _solve(p, betas)
     hval = h_func(p, x, betas[row])
     hi_arg, lo_arg = np.full(betas.size, np.pi), np.full(betas.size, np.pi)
-    hi_val, lo_val = h_func(p, hi_arg, betas), h_func(p, lo_arg, betas)
+    hi_val, lo_val = np.tile(h_func(p, hi_arg, betas), (2, 1))
     _merge_roots(hi_val, hi_arg, hval, x, row, 1.0)
     _merge_roots(lo_val, lo_arg, hval, x, row, -1.0)
     return hi_val, lo_val, hi_arg, lo_arg
@@ -356,7 +357,9 @@ def _branch_points(p: VWPair, betas):
     b = np.repeat(betas, counts)
     am, _ = _alpha_extrema_arrays(p, x, with_min=False)
     axis = np.abs(wrap_angle(am - b)) <= _AXIS_TOL
-    h = np.where(axis, 1.0 / (1.0 - p.W * np.cos(b)), h_func(p, x, b))
+    # H from the maximizer am already holds: f_vw_max would solve again
+    h = np.where(axis, 1.0 / (1.0 - p.W * np.cos(b)),
+                 f_vw(p, am, x) / (1.0 + p.V * np.cos(x + b)))
     axis, h = axis.tolist(), h.tolist()
     cuts = list(itertools.accumulate(counts, initial=0))
     return [(r, axis[lo:hi], h[lo:hi])

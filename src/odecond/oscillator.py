@@ -37,7 +37,6 @@ __all__ = [
     "phase_offset",
     "phase_x",
     "theta_norm_mat",
-    "theta_norm_p",
     "theta_norm_u",
     "wrap_angle",
 ]
@@ -47,7 +46,7 @@ __all__ = [
 #: of pi, where the closed form becomes 0/0).
 _U_FLOOR_FACTOR = 1e-10
 
-#: float64 (T, n, n) stacks theta_norm_p holds: a complex one and |Re| of it
+#: float64 (T, n, n) stacks _theta_norm holds: a complex one and |Re| of it
 _THETA_LIVE_STACKS = 3
 
 
@@ -145,7 +144,8 @@ def _f_extremes(p: VWPair, x):
 
 def f_vw_max(p: VWPair, x):
     """Maximum of f( . , x) over alpha; accepts array x."""
-    return _f_extremes(p, x)[2]
+    x = np.asarray(x, dtype=float)
+    return f_vw(p, _alpha_extrema_arrays(p, x, with_min=False)[0], x)
 
 
 def f_vw_min(p: VWPair, x):
@@ -157,7 +157,7 @@ def f_vw_min(p: VWPair, x):
 
 def _require_euclidean(block: EigenBlock):
     """The check every closed form shares: a complex block of the 2-norm
-    whose V and W lie below 1 (spectral caps them at 1)."""
+    whose V and W lie below 1 (spectral stores V, W near 1 as 1)."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
     if block.V_mod is None:
@@ -185,47 +185,40 @@ def phase_offset(block: EigenBlock, u) -> float:
 
 
 def theta_norm_u(block: EigenBlock, t, u):
-    """Euclidean norm of the oscillation vector Theta(t, u):
-    sqrt((1 + V cos(x(t) + Delta(u))) / 2).  Accepts array t."""
-    _require_euclidean(block)
-    return _theta_norm_u(block, t, checked_projection(block, u).gamma)
-
-
-def _theta_norm_u(block: EigenBlock, t, gamma):
-    """theta_norm_u for the direction whose polar angle is gamma."""
-    du = 2.0 * (gamma - block.theta_axis)
-    val = np.sqrt((1.0 + block.V_mod * np.cos(phase_x(block, t) + du)) / 2.0)
-    return val if np.ndim(val) else float(val)
+    """Norm of the oscillation vector Theta(t, u) in the block's norm; at
+    p = 2 sqrt((1 + V cos(x(t) + Delta(u))) / 2).  Accepts array t."""
+    return _theta_norm(block, t, checked_projection(block, u).gamma)
 
 
 def theta_norm_mat(block: EigenBlock, t):
-    """Euclidean induced norm of the oscillation matrix Theta(t):
-    sqrt((1 - W^2) / 4 * fmax(x(t))).  Accepts array t."""
-    _require_euclidean(block)
-    pair = VWPair(block.V_mod, block.W_mod)
-    val = np.sqrt((1.0 + block.W_mod) * (1.0 - block.W_mod) / 4.0
-                  * f_vw_max(pair, phase_x(block, t)))
-    return val if np.ndim(val) else float(val)
+    """Induced norm of the oscillation matrix Theta(t) in the block's norm;
+    at p = 2 sqrt((1 - W^2) / 4 * fmax(x(t))).  Accepts array t."""
+    return _theta_norm(block, t)
 
 
-def theta_norm_p(block: EigenBlock, t, u=None):
-    """Theta norm of a block analyzed with p in {1, inf}; accepts array t.
+def _theta_norm(block: EigenBlock, t, gamma=None):
+    """The Theta norm of a complex block in the norm it was analyzed with:
+    of Re(e^{i(omega t + gamma)} v_hat) for the direction whose polar angle
+    is gamma, or of Re(e^{i omega t} v_hat w_hat) (gamma None); accepts
+    array t.
 
-    The induced p-norm of Re(e^{i omega t} v_hat w_hat) (u omitted) or the
-    p-norm of Re(e^{i(omega t + gamma(u))} v_hat) (u given), formed over a
-    (T, n, n) or (T, n) stack for T samples, in the block's own p.  Both
-    are at most 1, since v_hat and w_hat are normalized in that p."""
+    At p = 2 with V, W < 1 it is the closed form in x(t).  Elsewhere, for
+    p in {1, inf} or a pair so near real that spectral stores V or W as
+    1, it is the p-norm of the real part, formed over a (T, n, n) or
+    (T, n) stack for T samples.  Both are at most 1, since v_hat and
+    w_hat are normalized in that p."""
     if not block.is_complex:
         raise UnsupportedBlock("a complex block is required")
-    if block.norm_p == 2:
-        raise ValueError("use theta_norm_u / theta_norm_mat for the 2-norm")
-    gamma = None if u is None else checked_projection(block, u).gamma
-    return _theta_norm_p(block, t, gamma)
-
-
-def _theta_norm_p(block: EigenBlock, t, gamma=None):
-    """theta_norm_p for the direction whose polar angle is gamma (None:
-    the matrix form), in any p of the block."""
+    if block.norm_p == 2 and max(block.V_mod, block.W_mod) < 1.0:
+        if gamma is None:
+            val = np.sqrt((1.0 + block.W_mod) * (1.0 - block.W_mod) / 4.0
+                          * f_vw_max(VWPair(block.V_mod, block.W_mod),
+                                     phase_x(block, t)))
+        else:
+            du = 2.0 * (gamma - block.theta_axis)
+            val = np.sqrt((1.0 + block.V_mod
+                           * np.cos(phase_x(block, t) + du)) / 2.0)
+        return val if np.ndim(val) else float(val)
     p = block.norm_p
     t = np.asarray(t, dtype=float)
     rot = np.exp(1j * block.omega * t.reshape(-1))
@@ -253,11 +246,4 @@ def g_factor(block: EigenBlock, t, u=None, proj: BlockProjection = None):
         return 1.0
     if proj is None and u is not None:
         proj = checked_projection(block, u)
-    gamma = None if proj is None else proj.gamma
-    # a pair so near real that V or W rounds to 1 lies outside the closed
-    # forms (VWPair); its Euclidean norms come from the stacked matrices
-    if block.norm_p == 2 and max(block.V_mod, block.W_mod) < 1.0:
-        if gamma is None:
-            return 2.0 * theta_norm_mat(block, t)
-        return 2.0 * _theta_norm_u(block, t, gamma)
-    return 2.0 * _theta_norm_p(block, t, gamma)
+    return 2.0 * _theta_norm(block, t, None if proj is None else proj.gamma)

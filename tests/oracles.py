@@ -338,11 +338,12 @@ def one_midpoint_trace(p, beta_grid):
     return done
 
 
-def cosine_theta_norm_p(block, t, u=None):
-    """The Theta norm of a block analyzed with p in {1, inf} at one t,
-    entry by entry: |v_k| |w_l| cos(omega t + alpha_k + beta_l) for the
-    matrix, |v_k| cos(omega t + alpha_k + gamma(u)) for the vector, with
-    alpha, beta the angles of v_hat, w_hat and gamma that of w_hat u."""
+def cosine_theta_norm(block, t, u=None):
+    """The Theta norm of a complex block at one t, in the norm it was
+    analyzed with, entry by entry: |v_k| |w_l| cos(omega t + alpha_k +
+    beta_l) for the matrix, |v_k| cos(omega t + alpha_k + gamma(u)) for
+    the vector, with alpha, beta the angles of v_hat, w_hat and gamma that
+    of w_hat u."""
     mv, av = np.abs(block.v_hat), np.angle(block.v_hat)
     wt = block.omega * float(t)
     if u is None:

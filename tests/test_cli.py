@@ -322,6 +322,7 @@ def test_spot_check_worst_case_is_last_k_exact(tmp_path, capsys, case):
     spot = json.load(open(f"{out}.json"))["spot_check"]
     assert spot["worst_case"] == float_columns(f"{out}.csv")["k_exact"][-1]
     assert spot["dominates_samples"] is True
+    assert spot["attained"] is True
     capsys.readouterr()
 
 
@@ -394,6 +395,26 @@ def test_spot_check_propagates_once(monkeypatch):
             assert calls == {"expm_grid": 0, "eigen_propagate": 0,
                              "eigvals": 0, route: 1}
             assert spot["dominates_samples"] is True
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_spot_check_flags_an_overestimated_worst_case(monkeypatch, p):
+    # a worst case 1e-9 too large still dominates the sampled directions,
+    # but its attaining direction gives back only the true value.  The demo
+    # matrix takes the Pade kernel, whose induced norm is matrix_norms
+    s = odecond.condition.Scenario(matrix=EXAMPLE_A, y0=[1.0, 2.0, 3.0],
+                                   norm_p=p, t_grid=np.linspace(0.0, 3.0, 8))
+    analysis = analyze_spectrum(s.matrix, norm_p=p)
+    spot = odecond.cli._spot_check(s, analysis, 1)
+    assert spot["attained"] is True and spot["dominates_samples"] is True
+    assert abs(spot["attained_ratio"] - 1.0) <= 1e-14
+    norms = odecond.condition.matrix_norms
+    monkeypatch.setattr(odecond.condition, "matrix_norms",
+                        lambda E, q: norms(E, q) * (1.0 + 1e-9))
+    spot = odecond.cli._spot_check(s, analysis, 1)
+    assert spot["attained"] is False and spot["dominates_samples"] is True
+    assert spot["attained_ratio"] == pytest.approx(1.0 / (1.0 + 1e-9),
+                                                   rel=1e-14)
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -529,6 +550,29 @@ def test_near_real_pair_exits_2(tmp_path, capsys, z0):
     argv = ["analyze", "--matrix", mat, "--y0", "1,2,3", "--tol-group",
             1e-14, "--steps", 8, "--out", tmp_path / "x"]
     assert run_cli(argv + (["--z0", z0] if z0 else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported spectrum: V or W rounds to 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [1, 10, 17])
+def test_conjugated_near_real_pair_exits_2(tmp_path, capsys, seed):
+    # dense-S conjugates of the same near-real matrix: V and W come out a
+    # few ulps below 1, where the closed forms lose about u / (1 - V), up
+    # to 53% of g.  spectral stores them as 1, so sweep refuses the pair
+    # and analyze exits 2 with the refusal's message
+    N = np.array([[0.0, 1.0, 0.0], [-1e-17, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    S = np.random.default_rng(seed).standard_normal((3, 3))
+    A = S @ N @ np.linalg.inv(S)
+    s = odecond.condition.Scenario(matrix=A, y0=[1.0, 2.0, 3.0],
+                                   t_grid=np.linspace(0.0, 1.0, 8))
+    with pytest.raises(odecond.errors.UnsupportedBlock,
+                       match="V or W rounds to 1"):
+        odecond.condition.sweep(s, analyze_spectrum(A, tol=1e-14))
+    mat = write_matrix_csv(tmp_path / "N.csv", A)
+    assert run_cli(["analyze", "--matrix", mat, "--y0", "1,2,3",
+                    "--tol-group", 1e-14, "--steps", 8,
+                    "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("unsupported spectrum: V or W rounds to 1")
     assert "Traceback" not in err

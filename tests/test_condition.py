@@ -1195,8 +1195,8 @@ def test_sweep_forms_the_rightmost_theta_stack_once():
     s = Scenario(matrix=A, y0=np.arange(1.0, 7.0), norm_p=1,
                  t_grid=np.linspace(0.0, 4.0 * math.pi, 65))
     an = analyze_spectrum(A, norm_p=1)
-    theta = mock.Mock(wraps=odecond.oscillator._theta_norm_p)
-    with mock.patch("odecond.oscillator._theta_norm_p", theta):
+    theta = mock.Mock(wraps=odecond.oscillator._theta_norm)
+    with mock.patch("odecond.oscillator._theta_norm", theta):
         sweep(s, an)
     stacks = [c for c in theta.call_args_list
               if c.args[0] is an.blocks[0] and c.args[2] is None]

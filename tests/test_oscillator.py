@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import sample_supported, unit
 from oracles import (
-    cosine_theta_norm_p,
+    cosine_theta_norm,
     curvature_extrema,
     grid_extreme_f,
     sphere_max,
@@ -27,7 +27,6 @@ from odecond.oscillator import (
     phase_offset,
     phase_x,
     theta_norm_mat,
-    theta_norm_p,
     theta_norm_u,
     wrap_angle,
 )
@@ -374,7 +373,7 @@ def test_theta_norm_p_bounded_and_q_consistent(rng, p):
         n = int(rng.integers(3, 7))
         b = complex_block(rng, n, norm_p=p)
         t = float(rng.uniform(0, 9))
-        val = theta_norm_p(b, t)
+        val = theta_norm_mat(b, t)
         assert val <= 1.0 + 1e-12
         # build_Q is 2 f times the oscillation matrix
         assert val == pytest.approx(
@@ -382,7 +381,7 @@ def test_theta_norm_p_bounded_and_q_consistent(rng, p):
         u = unit(rng.normal(size=n), p)
         gam = np.angle(b.w_hat @ u)
         vec = np.abs(b.v_hat) * np.cos(b.omega * t + np.angle(b.v_hat) + gam)
-        got = theta_norm_p(b, t, u=u)
+        got = theta_norm_u(b, t, u)
         assert got == pytest.approx(np.linalg.norm(vec, p), abs=1e-12)
         assert got <= 1.0 + 1e-12
 
@@ -392,44 +391,66 @@ def test_theta_norm_p_inf_is_max_row_sum(rng):
     t = 2.1
     Th = np.outer(np.abs(b.v_hat), np.abs(b.w_hat)) * np.cos(
         b.omega * t + np.add.outer(np.angle(b.v_hat), np.angle(b.w_hat)))
-    assert theta_norm_p(b, t) == pytest.approx(
+    assert theta_norm_mat(b, t) == pytest.approx(
         np.max(np.sum(np.abs(Th), axis=1)), abs=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
-       p=st.sampled_from([1, np.inf]),
+       p=st.sampled_from([1, 2, np.inf]),
        periods=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
        per_chunk=st.integers(1, 4))
-def test_theta_norm_p_equals_cosine_formula(seed, n, p, periods, per_chunk):
+def test_theta_norms_equal_cosine_formula(seed, n, p, periods, per_chunk):
     # the real part of e^{i omega t} v_hat w_hat against one cosine per
     # entry, on arrays of t up to 100 periods cut into chunks of
     # per_chunk samples.  The cosine form rounds its phase sums at the
     # size of omega t, up to eps (|omega t| + 2 pi) per entry, which at
     # 100 periods alone moves a norm by up to 3e-13 relative: the
-    # tolerance is 1e-13 relative on top of that bound.
+    # tolerance is 1e-13 relative on top of that bound.  At p = 2 the
+    # closed forms in V and W add their own u / (1 - max(V, W)) relative
     rng = np.random.default_rng(seed)
     b = complex_block(rng, n, norm_p=p)
     u = unit(rng.normal(size=n), p)
     ts = np.array(periods) * (2.0 * np.pi / b.omega)
     chunk_bytes = per_chunk * 3 * 8 * n * n
     with mock.patch.object(matrix_core, "STACK_BYTES", chunk_bytes):
-        got = {None: theta_norm_p(b, ts), "u": theta_norm_p(b, ts, u=u)}
+        got = {None: theta_norm_mat(b, ts), "u": theta_norm_u(b, ts, u)}
     mv, mw = np.abs(b.v_hat), np.abs(b.w_hat)
     moduli = {None: np.linalg.norm(np.outer(mv, mw), p),
               "u": np.linalg.norm(mv, p)}
+    eps = np.finfo(float).eps
+    closed = eps / 2.0 / (1.0 - max(b.V_mod, b.W_mod)) if p == 2 else 0.0
     for key, uu in ((None, None), ("u", u)):
         for t, val in zip(ts, got[key]):
-            want = cosine_theta_norm_p(b, t, uu)
-            phase = 2.0 * np.finfo(float).eps * (abs(b.omega * t) + 2 * np.pi)
-            assert abs(val - want) <= 1e-13 * want + phase * moduli[key]
-            assert val == theta_norm_p(b, t, u=uu)
+            want = cosine_theta_norm(b, t, uu)
+            phase = 2.0 * eps * (abs(b.omega * t) + 2 * np.pi)
+            assert abs(val - want) <= ((1e-13 + closed) * want
+                                       + phase * moduli[key])
+            assert val == (theta_norm_mat(b, t) if uu is None
+                           else theta_norm_u(b, t, uu))
 
 
-def test_theta_norm_p_rejects_euclidean(rng):
-    b = complex_block(rng, 4)
-    with pytest.raises(ValueError):
-        theta_norm_p(b, 0.5)
+def test_near_real_member_g_matches_build_Q():
+    # a subdominant pair -1 +- 7e-7 i, 1 - V = 1.7e-12: spectral stores V
+    # and W as 1, so g comes from the stacked norms, not the closed forms,
+    # which lose about u / (1 - V) near the minima of g (4.5e-5 here).
+    # Against the SVD of build_Q, ||Q|| = f g and ||Q u|| = f |w_hat u| g
+    D = np.zeros((4, 4))
+    D[:2, :2] = [[0.1, 1.0], [-1.0, 0.1]]
+    D[2:, 2:] = [[-1.0, 1.0], [-5e-13, -1.0]]
+    S = np.random.default_rng(1).standard_normal((4, 4))
+    an = analyze_spectrum(S @ D @ np.linalg.inv(S))
+    b = an.blocks[1]
+    assert an.rightmost_generic and b.is_complex
+    u = unit(np.random.default_rng(2).standard_normal(4))
+    ts = np.linspace(0.0, 2.0 * np.pi / b.omega, 2001)
+    Qs = [build_Q(b, t) for t in ts]
+    want = np.array([np.linalg.svd(Q, compute_uv=False)[0] for Q in Qs])
+    np.testing.assert_allclose(g_factor(b, ts), want / b.f, rtol=1e-10)
+    want = np.array([np.linalg.norm(Q @ u) for Q in Qs])
+    np.testing.assert_allclose(g_factor(b, ts, u=u),
+                               want / (b.f * abs(b.w_hat @ u)), rtol=1e-10)
+    assert b.V_mod == b.W_mod == 1.0
 
 
 # -------------------------------------------------------------- g_factor
